@@ -357,7 +357,6 @@ def run(manifest: RunManifest) -> int:
         idx, scenario, name, g_eff, n_eff, noise_seed = job
         try:
             log = run_closed_loop(scenario)
-            aborted = log.aborted
         except InfeasibleError as exc:
             return idx, None, name, g_eff, n_eff, noise_seed, str(exc)
         return idx, log, name, g_eff, n_eff, noise_seed, None

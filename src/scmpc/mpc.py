@@ -115,11 +115,13 @@ class MpcConfig:
 
 @dataclass
 class QuadraticRow:
-    """One barrier constraint c(V) >= 0 on the stacked input sequence.
+    """The barrier constraints c_k(V) >= 0 on the stacked input sequence.
 
-    c(V) = |p1(V) - c|^2 - r^2 - decay * (|p0(V) - c|^2 - r^2) with affine
-    position maps p(V) = offset + map @ V. The baseline per-step rows use
-    decay = 0, which drops the second term.
+    Row k holds c_k(V) = |p1_k(V) - c_k|^2 - r_k^2
+    - decay_k * (|p0_k(V) - c_k|^2 - r_k^2) with affine position maps
+    p_k(V) = offset_k + map_k @ V. The K rows are stacked: maps are
+    (K, 2, nv), offsets and centers (K, 2), radius_sq and decay (K,). The
+    baseline per-step rows use decay = 0, which drops the second term.
     """
 
     map_next: np.ndarray
@@ -127,24 +129,26 @@ class QuadraticRow:
     map_prev: np.ndarray
     off_prev: np.ndarray
     center: np.ndarray
-    radius_sq: float
-    decay: float
+    radius_sq: np.ndarray
+    decay: np.ndarray
 
-    def value(self, v: np.ndarray) -> float:
+    def __len__(self) -> int:
+        return self.radius_sq.shape[0]
+
+    def value(self, v: np.ndarray) -> np.ndarray:
+        """The K row values at v."""
         d1 = self.off_next + self.map_next @ v - self.center
-        out = float(d1 @ d1) - self.radius_sq
-        if self.decay != 0.0:
-            d0 = self.off_prev + self.map_prev @ v - self.center
-            out -= self.decay * (float(d0 @ d0) - self.radius_sq)
-        return out
+        d0 = self.off_prev + self.map_prev @ v - self.center
+        return (np.einsum("ki,ki->k", d1, d1) - self.radius_sq
+                - self.decay * (np.einsum("ki,ki->k", d0, d0) - self.radius_sq))
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
+        """The (K, nv) Jacobian of the row values at v."""
         d1 = self.off_next + self.map_next @ v - self.center
-        grad = 2.0 * (self.map_next.T @ d1)
-        if self.decay != 0.0:
-            d0 = self.off_prev + self.map_prev @ v - self.center
-            grad -= 2.0 * self.decay * (self.map_prev.T @ d0)
-        return grad
+        d0 = self.off_prev + self.map_prev @ v - self.center
+        return (2.0 * np.einsum("kin,ki->kn", self.map_next, d1)
+                - (2.0 * self.decay)[:, None]
+                * np.einsum("kin,ki->kn", self.map_prev, d0))
 
 
 @dataclass
@@ -156,7 +160,7 @@ class QcqpProblem:
     cost_offset: float
     lin_rows: np.ndarray
     lin_rhs: np.ndarray
-    quad_rows: list
+    quad_rows: QuadraticRow
     pred_map: np.ndarray
     pred_off: np.ndarray
     z0: np.ndarray
@@ -254,27 +258,27 @@ class _CondensedWorkspace:
         self.h_const = np.concatenate(h_const)
         self.h_lin = np.vstack(h_lin)
 
-        # Barrier rows: constant position maps, per-obstacle centers.
+        # Barrier rows, obstacle-major: row i * n + k bounds step k against
+        # obstacle i. The k = 0 cbf row reads its previous position from z0.
         self.mode = mode
-        self.centers = [obs.center() for obs in obstacles]
-        self.radii_sq = [obs.radius**2 for obs in obstacles]
-        self.quad_maps = []
+        n_obs = len(obstacles)
+        map_next = np.stack([G[[4 * k, 4 * k + 2]] for k in range(n)])
+        f_next = np.stack([F[[4 * k, 4 * k + 2]] for k in range(n)])
+        map_prev = np.zeros_like(map_next)
+        f_prev = np.zeros_like(f_next)
         if mode == "cbf":
-            for k in range(n):
-                map_next = G[[4 * k, 4 * k + 2]]
-                f_next = F[[4 * k, 4 * k + 2]]
-                if k == 0:
-                    map_prev = np.zeros((2, nv))
-                    f_prev = sel  # picks (z1, z3) straight from z0
-                else:
-                    map_prev = G[[4 * (k - 1), 4 * (k - 1) + 2]]
-                    f_prev = F[[4 * (k - 1), 4 * (k - 1) + 2]]
-                self.quad_maps.append((map_next, f_next, map_prev, f_prev))
-        else:  # euclid: plain per-step sign constraint on z_1 .. z_N
-            for k in range(n):
-                map_next = G[[4 * k, 4 * k + 2]]
-                f_next = F[[4 * k, 4 * k + 2]]
-                self.quad_maps.append((map_next, f_next, None, None))
+            map_prev[1:] = map_next[:-1]
+            f_prev[0] = sel
+            f_prev[1:] = f_next[:-1]
+        self.quad_map_next = np.tile(map_next, (n_obs, 1, 1))
+        self.quad_map_prev = np.tile(map_prev, (n_obs, 1, 1))
+        self.quad_f_next = np.tile(f_next, (n_obs, 1, 1))
+        self.quad_f_prev = np.tile(f_prev, (n_obs, 1, 1))
+        self.quad_center = np.repeat(
+            np.array([obs.center() for obs in obstacles]).reshape(n_obs, 2),
+            n, axis=0)
+        self.quad_radius_sq = np.repeat(
+            np.array([obs.radius**2 for obs in obstacles], dtype=float), n)
 
 
 def build_qcqp(z0, cfg: MpcConfig, model: LtiModel, terminal: TerminalData,
@@ -291,18 +295,11 @@ def build_qcqp(z0, cfg: MpcConfig, model: LtiModel, terminal: TerminalData,
     if workspace is None:
         workspace = _CondensedWorkspace(cfg, model, terminal, obstacles, mode)
     ws = workspace
-    decay = 1.0 - cfg.gamma
-    nv = 2 * ws.n_steps
-    quad_rows = []
-    for ci, center in enumerate(ws.centers):
-        for map_next, f_next, map_prev, f_prev in ws.quad_maps:
-            if map_prev is None:
-                row = QuadraticRow(map_next, f_next @ z0, np.zeros((2, nv)),
-                                   np.zeros(2), center, ws.radii_sq[ci], 0.0)
-            else:
-                row = QuadraticRow(map_next, f_next @ z0, map_prev,
-                                   f_prev @ z0, center, ws.radii_sq[ci], decay)
-            quad_rows.append(row)
+    decay = 1.0 - cfg.gamma if ws.mode == "cbf" else 0.0
+    quad_rows = QuadraticRow(
+        ws.quad_map_next, ws.quad_f_next @ z0, ws.quad_map_prev,
+        ws.quad_f_prev @ z0, ws.quad_center, ws.quad_radius_sq,
+        np.full(len(ws.quad_radius_sq), decay))
     pos0 = z0[[0, 2]]
     outside = bool(np.any(pos0 > cfg.pos_max) or np.any(pos0 < cfg.pos_min))
     return QcqpProblem(
@@ -322,13 +319,12 @@ def build_qcqp(z0, cfg: MpcConfig, model: LtiModel, terminal: TerminalData,
     )
 
 
-def _violations(problem: QcqpProblem, v: np.ndarray) -> np.ndarray:
+def _violations(problem: QcqpProblem, v: np.ndarray,
+                barrier: np.ndarray) -> np.ndarray:
+    """Positive parts of the linear-row residuals and of -barrier, the
+    barrier-row values at v."""
     lin = problem.lin_rows @ v - problem.lin_rhs
-    out = np.clip(lin, 0.0, None)
-    if problem.quad_rows:
-        quad = np.array([max(0.0, -row.value(v)) for row in problem.quad_rows])
-        out = np.concatenate([out, quad])
-    return out
+    return np.concatenate([np.clip(lin, 0.0, None), np.clip(-barrier, 0.0, None)])
 
 
 def _merit_penalty(violations: np.ndarray, feas_tol: float) -> float:
@@ -367,28 +363,30 @@ def solve_sqp(problem: QcqpProblem, warm_start=None, opt_tol: float = 1e-6,
         v = np.asarray(warm_start, dtype=float).ravel().copy()
     v = np.clip(v, problem.v_lo, problem.v_hi)
 
+    barrier = problem.quad_rows
+    base = problem.lin_rhs.shape[0]
     status = "max_iter"
     qp_total = 0
     rho = 10.0
     it = 0
+    # Barrier values and violations at the iterate, carried over from the
+    # line search so each accepted point is evaluated once.
+    cval = barrier.value(v)
+    viol = _violations(problem, v, cval)
     for it in range(1, max_iter + 1):
-        if problem.quad_rows:
-            extra_rows = np.empty((len(problem.quad_rows), nv))
-            extra_rhs = np.empty(len(problem.quad_rows))
-            for i, row in enumerate(problem.quad_rows):
-                grad = row.gradient(v)
-                cval = row.value(v)
-                if cval < 0.0 and float(grad @ grad) < 1e-18:
-                    # Iterate sits at the obstacle center; push along the
-                    # direction from the center toward the initial state.
-                    d = problem.z0[[0, 2]] - row.center
-                    if float(d @ d) < 1e-18:
-                        d = np.array([1.0, 0.0])
-                    grad = 2.0 * (row.map_next.T @ d)
-                extra_rows[i] = -grad
-                extra_rhs[i] = cval - grad @ v
-            rows = np.vstack([problem.lin_rows, extra_rows])
-            rhs = np.concatenate([problem.lin_rhs, extra_rhs])
+        if len(barrier):
+            grad = barrier.gradient(v)
+            stuck = np.flatnonzero((cval < 0.0)
+                                   & (np.einsum("kn,kn->k", grad, grad) < 1e-18))
+            if stuck.size:
+                # Iterate sits at the obstacle center; push along the
+                # direction from the center toward the initial state.
+                d = problem.z0[[0, 2]] - barrier.center[stuck]
+                d[np.einsum("ki,ki->k", d, d) < 1e-18] = (1.0, 0.0)
+                grad[stuck] = 2.0 * np.einsum("kin,ki->kn",
+                                              barrier.map_next[stuck], d)
+            rows = np.vstack([problem.lin_rows, -grad])
+            rhs = np.concatenate([problem.lin_rhs, cval - grad @ v])
         else:
             rows, rhs = problem.lin_rows, problem.lin_rhs
         qp = solve_qp(problem.hessian, problem.gradient, rows, rhs, x0=v,
@@ -401,51 +399,55 @@ def solve_sqp(problem: QcqpProblem, warm_start=None, opt_tol: float = 1e-6,
             rho = max(rho, 10.0 * (1.0 + float(np.max(qp.multipliers))))
         d = qp.x - v
         step = float(np.max(np.abs(d), initial=0.0))
-        worst = float(np.max(_violations(problem, v), initial=0.0))
+        worst = float(np.max(viol, initial=0.0))
         if step <= opt_tol and worst <= feas_tol:
             status = "optimal"
             break
-        pen0 = _merit_penalty(_violations(problem, v), feas_tol)
+        pen0 = _merit_penalty(viol, feas_tol)
         merit0 = problem.cost(v) + rho * pen0
         ddir = float((problem.hessian @ v + problem.gradient) @ d) - rho * pen0
         slack = 1e-12 * (1.0 + abs(merit0))
         bar = merit0 + slack
         v_prev = v.copy()
 
-        def _accept(candidate, alpha):
-            merit = problem.cost(candidate) + rho * _merit_penalty(
-                _violations(problem, candidate), feas_tol)
-            return merit <= bar + 1e-4 * alpha * min(ddir, 0.0)
+        def _trial(candidate, alpha):
+            """Armijo test at candidate, with its barrier values and violations."""
+            c = barrier.value(candidate)
+            vi = _violations(problem, candidate, c)
+            merit = problem.cost(candidate) + rho * _merit_penalty(vi, feas_tol)
+            return merit <= bar + 1e-4 * alpha * min(ddir, 0.0), c, vi
 
         moved = False
         trial = v + d
-        if _accept(trial, 1.0):
-            v = trial
+        ok, c_trial, vi_trial = _trial(trial, 1.0)
+        if ok:
+            v, cval, viol = trial, c_trial, vi_trial
             moved = True
-        elif problem.quad_rows:
+        elif len(barrier):
             # Second-order correction: keep the gradients, re-anchor the
             # row values at the full-step point, and solve once more.
             rhs_soc = rhs.copy()
-            base = problem.lin_rhs.shape[0]
-            for i, row in enumerate(problem.quad_rows):
-                rhs_soc[base + i] = row.value(trial) + extra_rows[i] @ trial
+            rhs_soc[base:] = c_trial - grad @ trial
             qp2 = solve_qp(problem.hessian, problem.gradient, rows, rhs_soc,
                            x0=trial, tol=1e-8)
             qp_total += qp2.iterations
-            if qp2.status != "infeasible" and _accept(qp2.x, 1.0):
-                v = qp2.x
-                moved = True
+            if qp2.status != "infeasible":
+                ok, c_trial, vi_trial = _trial(qp2.x, 1.0)
+                if ok:
+                    v, cval, viol = qp2.x, c_trial, vi_trial
+                    moved = True
         if not moved:
             alpha = 0.5
             while alpha >= 1e-6:
                 trial = v + alpha * d
-                if _accept(trial, alpha):
-                    v = trial
+                ok, c_trial, vi_trial = _trial(trial, alpha)
+                if ok:
+                    v, cval, viol = trial, c_trial, vi_trial
                     moved = True
                     break
                 alpha *= 0.5
         taken = float(np.max(np.abs(v - v_prev), initial=0.0)) if moved else 0.0
-        worst = float(np.max(_violations(problem, v), initial=0.0))
+        worst = float(np.max(viol, initial=0.0))
         if worst <= feas_tol and (not moved or taken <= opt_tol):
             status = "optimal"
             break

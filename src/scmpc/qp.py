@@ -49,11 +49,33 @@ def _kkt_step(H, g, G, x, work):
     return sol[:n], sol[n:]
 
 
+def _ratio_test(gp, slack, h, work):
+    """Step length along p and the row that blocks it (-1 if none).
+
+    gp = G p and slack = h - G x. Rows outside the working set that p
+    moves toward compete; a row replaces the current blocker only when its
+    ratio beats the current step by more than 1e-14, scanning in index
+    order. Since the step starts at 1, ratios at or above 1 - 1e-14 can
+    never block, so only the few rows below it are scanned.
+    """
+    moving = gp > 1e-12 * (1.0 + np.abs(h))
+    moving[work] = False
+    idx = np.flatnonzero(moving)
+    ratios = np.maximum(slack[idx], 0.0) / gp[idx]
+    short = ratios < 1.0 - 1e-14
+    alpha = 1.0
+    blocker = -1
+    for i, ratio in zip(idx[short].tolist(), ratios[short].tolist()):
+        if ratio < alpha - 1e-14:
+            alpha = ratio
+            blocker = i
+    return alpha, blocker
+
+
 def _active_set_core(H, g, G, h, x, max_iter):
     """Primal active-set iteration from a feasible point x."""
     m = G.shape[0]
     work: list[int] = []
-    mu = np.empty(0)
     it = 0
     while it < max_iter:
         it += 1
@@ -67,23 +89,15 @@ def _active_set_core(H, g, G, h, x, max_iter):
                 return x, work, lam, it, "optimal"
             work.pop(int(np.argmin(mu)))
             continue
-        gp = G @ p
-        slack = h - G @ x
-        alpha = 1.0
-        blocker = -1
-        for i in range(m):
-            if i in work or gp[i] <= 1e-12 * (1.0 + abs(h[i])):
-                continue
-            ratio = max(slack[i], 0.0) / gp[i]
-            if ratio < alpha - 1e-14:
-                alpha = ratio
-                blocker = i
+        alpha, blocker = _ratio_test(G @ p, h - G @ x, h, work)
         x = x + alpha * p
         if blocker >= 0:
             work.append(blocker)
+    # The last iteration may have changed the working set after its KKT
+    # solve, so the multipliers are recomputed for the set returned.
     lam = np.zeros(m)
     if work:
-        lam[work] = np.maximum(mu, 0.0) if mu.size else 0.0
+        lam[work] = np.maximum(_kkt_step(H, g, G, x, work)[1], 0.0)
     return x, work, lam, it, "max_iter"
 
 

@@ -59,11 +59,12 @@ def grid_search_best(problem, points=GRID_POINTS):
                                   hess[n_out:, n_out:], inner)
                   + inner @ grad[n_out:])
     cross = hess[:n_out, n_out:] @ inner.T if n_out else None
+    qr = problem.quad_rows
     quads = []
-    for row in problem.quad_rows:
-        pn = row.map_next[:, n_out:] @ inner.T
-        pp = row.map_prev[:, n_out:] @ inner.T if row.decay != 0.0 else None
-        quads.append((row, pn, pp))
+    for i in range(len(qr)):
+        pn = qr.map_next[i][:, n_out:] @ inner.T
+        pp = qr.map_prev[i][:, n_out:] @ inner.T if qr.decay[i] != 0.0 else None
+        quads.append((i, pn, pp))
     best = np.inf
     for vo in outer:
         if lin_inner is not None:
@@ -74,18 +75,19 @@ def grid_search_best(problem, points=GRID_POINTS):
             ok = np.ones(inner.shape[0], dtype=bool)
         if not ok.any():
             continue
-        for row, pn_inner, pp_inner in quads:
-            off = row.off_next + (row.map_next[:, :n_out] @ vo if n_out else 0.0)
+        for i, pn_inner, pp_inner in quads:
+            center, radius_sq, decay = qr.center[i], qr.radius_sq[i], qr.decay[i]
+            off = qr.off_next[i] + (qr.map_next[i][:, :n_out] @ vo if n_out else 0.0)
             pn = pn_inner + off[:, None]
-            val = ((pn[0] - row.center[0]) ** 2
-                   + (pn[1] - row.center[1]) ** 2 - row.radius_sq)
-            if row.decay != 0.0:
-                off0 = row.off_prev + (row.map_prev[:, :n_out] @ vo
-                                       if n_out else 0.0)
+            val = ((pn[0] - center[0]) ** 2
+                   + (pn[1] - center[1]) ** 2 - radius_sq)
+            if decay != 0.0:
+                off0 = qr.off_prev[i] + (qr.map_prev[i][:, :n_out] @ vo
+                                         if n_out else 0.0)
                 pp = pp_inner + off0[:, None]
-                val = val - row.decay * ((pp[0] - row.center[0]) ** 2
-                                         + (pp[1] - row.center[1]) ** 2
-                                         - row.radius_sq)
+                val = val - decay * ((pp[0] - center[0]) ** 2
+                                     + (pp[1] - center[1]) ** 2
+                                     - radius_sq)
             ok &= val >= -1e-9
             if not ok.any():
                 break

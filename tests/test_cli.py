@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -226,3 +229,46 @@ def test_main_simulate_round_trip(cli_config_file, tmp_path):
 def test_load_config_defaults():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/path.json")
+
+
+NO_SCIPY_SCRIPT = """
+import importlib.abc
+import sys
+
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+try:
+    import scipy  # noqa: F401
+except ImportError:
+    pass
+else:
+    raise SystemExit("scipy was not blocked")
+
+import scmpc
+import scmpc.cli  # noqa: F401
+from conftest import nominal_scenario
+
+log = scmpc.run_closed_loop(nominal_scenario(duration=0.25))
+assert len(log.records) == 5 and not log.aborted
+print("ran without scipy")
+"""
+
+
+def test_runs_without_scipy():
+    # pyproject.toml declares numpy only; scipy must stay optional.
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests)]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "ran without scipy" in proc.stdout

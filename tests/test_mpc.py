@@ -44,6 +44,8 @@ def test_constraint_row_counts():
     n, nc = 8, 10
     assert prob.lin_rows.shape[0] == 2 * 2 * n + 2 * 2 * n + (nc + 1) * (2 * 2 + 2 * 2)
     assert len(prob.quad_rows) == n * len(obstacles)
+    assert prob.quad_rows.map_next.shape == (n, 2, 2 * n)
+    assert prob.quad_rows.off_prev.shape == (n, 2)
     # positive-definite cost in the condensed form
     np.testing.assert_allclose(prob.hessian, prob.hessian.T, atol=1e-12)
     assert np.min(np.linalg.eigvalsh(prob.hessian)) > 0.0
@@ -51,6 +53,101 @@ def test_constraint_row_counts():
     prob = build_qcqp(np.array([7.0, -0.5, 7.0, 0.0]), cfg, model, td,
                       obstacles + [Obstacle(-2.0, 0.0, 0.5)])
     assert len(prob.quad_rows) == 2 * n
+    assert prob.quad_rows.map_prev.shape == (2 * n, 2, 2 * n)
+    assert prob.quad_rows.decay.shape == (2 * n,)
+
+
+def _reference_rows(cfg, model, z0, obstacles, mode):
+    """Per-row barrier data straight from the prediction maps, in
+    obstacle-major order: (map_next, off_next, map_prev, off_prev, center,
+    radius_sq, decay) for each row."""
+    n, nv = cfg.horizon, 2 * cfg.horizon
+    F, G = prediction_matrices(model, n)
+    rows = []
+    for obs in obstacles:
+        for k in range(n):
+            pos = [4 * k, 4 * k + 2]
+            if mode == "euclid":
+                prev = (np.zeros((2, nv)), np.zeros(2), 0.0)
+            elif k == 0:
+                prev = (np.zeros((2, nv)), z0[[0, 2]], 1.0 - cfg.gamma)
+            else:
+                before = [4 * k - 4, 4 * k - 2]
+                prev = (G[before], F[before] @ z0, 1.0 - cfg.gamma)
+            rows.append((G[pos], F[pos] @ z0, prev[0], prev[1],
+                         np.array([obs.x, obs.y]), obs.radius**2, prev[2]))
+    return rows
+
+
+def _reference_value(row, v):
+    """Row value by the per-row formula."""
+    map_next, off_next, map_prev, off_prev, center, radius_sq, decay = row
+    d1 = off_next + map_next @ v - center
+    out = float(d1 @ d1) - radius_sq
+    if decay != 0.0:
+        d0 = off_prev + map_prev @ v - center
+        out -= decay * (float(d0 @ d0) - radius_sq)
+    return out
+
+
+def _reference_gradient(row, v):
+    """Row gradient by the per-row formula."""
+    map_next, off_next, map_prev, off_prev, center, radius_sq, decay = row
+    d1 = off_next + map_next @ v - center
+    grad = 2.0 * (map_next.T @ d1)
+    if decay != 0.0:
+        d0 = off_prev + map_prev @ v - center
+        grad -= 2.0 * decay * (map_prev.T @ d0)
+    return grad
+
+
+def test_stacked_barrier_rows_match_per_row_formulas():
+    # Summation order differs from the per-row formulas, so agreement is
+    # to 1e-12 relative to the largest reference entry, not bit for bit.
+    rtol = 1e-12
+    rng = np.random.default_rng(24)
+    obstacles = [Obstacle(3.5, 3.5, 1.5), Obstacle(-2.0, 0.5, 0.5)]
+    for mode in ("cbf", "euclid"):
+        for _ in range(20):
+            cfg = MpcConfig(horizon=int(rng.integers(1, 10)),
+                            gamma=float(rng.uniform(0.05, 1.0)), **LOOSE)
+            model, td = _setup(cfg)
+            z0 = rng.uniform(-4.0, 4.0, size=4)
+            block = build_qcqp(z0, cfg, model, td, obstacles,
+                               mode=mode).quad_rows
+            ref = _reference_rows(cfg, model, z0, obstacles, mode)
+            assert len(block) == len(ref) == 2 * cfg.horizon
+            if mode == "cbf":
+                assert not np.any(block.map_prev[0])
+                assert not np.any(block.map_prev[cfg.horizon])
+            else:
+                assert not np.any(block.decay)
+            for _ in range(5):
+                v = rng.uniform(-3.0, 3.0, size=2 * cfg.horizon)
+                want = np.array([_reference_value(r, v) for r in ref])
+                got = block.value(v)
+                assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+                want = np.array([_reference_gradient(r, v) for r in ref])
+                got = block.gradient(v)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def test_iterate_at_obstacle_center_uses_fallback_direction():
+    # The zero warm start predicts the first position exactly on the
+    # center, where the k = 0 barrier row has a zero gradient.
+    cfg = MpcConfig(horizon=8, **LOOSE)
+    model, td = _setup(cfg)
+    z0 = np.array([1.0, -4.0, 0.0, 0.0])
+    probe = build_qcqp(z0, cfg, model, td, [Obstacle(5.0, 5.0, 0.1)])
+    center = probe.quad_rows.off_next[0]
+    prob = build_qcqp(z0, cfg, model, td, [Obstacle(center[0], center[1], 0.1)])
+    v0 = np.zeros(2 * cfg.horizon)
+    assert prob.quad_rows.value(v0)[0] < 0.0
+    assert not np.any(prob.quad_rows.gradient(v0)[0])
+    res = solve_sqp(prob, warm_start=v0)
+    assert res.status != "infeasible"
+    assert np.all(np.isfinite(res.v_sequence))
 
 
 def test_single_step_closed_form():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scmpc.qp import solve_qp
+from scmpc.qp import QpResult, _ratio_test, solve_qp
 
 
 def _random_feasible_qp(rng, n, m, box_scale=1.0):
@@ -119,3 +119,65 @@ def test_active_set_reported():
     np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-10)
     assert sorted(res.active_set) == [0, 1]
     assert res.iterations >= 1
+
+
+def test_capped_solves_return_a_result():
+    # The last capped iteration may add or drop a working row after its
+    # KKT solve; the multipliers must still match the returned set.
+    rng = np.random.default_rng(22)
+    capped = 0
+    for _ in range(300):
+        hessian, gradient, rows, rhs = _random_feasible_qp(rng, 4, 12)
+        res = solve_qp(hessian, gradient, rows, rhs,
+                       max_iter=int(rng.integers(1, 4)))
+        assert isinstance(res, QpResult)
+        assert len(res.multipliers) == 12
+        assert np.all(np.isfinite(res.x))
+        assert np.min(res.multipliers) >= 0.0
+        capped += res.status == "max_iter"
+    assert capped > 100
+
+
+def _ratio_test_loop(gp, slack, h, work):
+    """The scalar blocking-ratio scan, kept as the reference."""
+    alpha = 1.0
+    blocker = -1
+    for i in range(gp.shape[0]):
+        if i in work or gp[i] <= 1e-12 * (1.0 + abs(h[i])):
+            continue
+        ratio = max(slack[i], 0.0) / gp[i]
+        if ratio < alpha - 1e-14:
+            alpha = ratio
+            blocker = i
+    return alpha, blocker
+
+
+def test_ratio_test_matches_scalar_loop():
+    rng = np.random.default_rng(23)
+    blocked = ties = 0
+    for trial in range(2000):
+        m = int(rng.integers(1, 40))
+        gp = rng.normal(size=m)
+        gp[rng.random(m) < 0.1] = 0.0
+        slack = np.abs(rng.normal(size=m)) * rng.choice([0.1, 1.0, 3.0])
+        slack[rng.random(m) < 0.1] *= -1e-12  # tiny violations clip to 0
+        h = rng.normal(size=m) * 10.0
+        work = sorted(rng.choice(m, size=int(rng.integers(0, m // 3 + 1)),
+                                 replace=False).tolist())
+        if trial % 2 and m >= 3:
+            # Plant ratios equal to, or within 1e-14 of, another row's and
+            # of the cutoff 1 - 1e-14, including rows after the first one.
+            i, j, k = rng.choice(m, size=3, replace=False)
+            gp[[i, j, k]] = np.abs(gp[[i, j, k]]) + 0.1
+            base = float(rng.uniform(0.2, 0.9))
+            slack[i] = base * gp[i]
+            slack[j] = (base + float(rng.choice([0.0, 3e-15, -3e-15, 2e-14,
+                                                  -2e-14]))) * gp[j]
+            slack[k] = (1.0 - float(rng.choice([0.0, 5e-15, 1e-14, 2e-14]))) * gp[k]
+            ties += 1
+        got = _ratio_test(gp, slack, h, work)
+        want = _ratio_test_loop(gp, slack, h, work)
+        assert got[1] == want[1]
+        assert got[0] == want[0]
+        blocked += want[1] >= 0
+    assert blocked > 500 and ties > 800
