@@ -24,7 +24,7 @@ from .safety import (CbfParams, Obstacle, barrier, cbf_residual,
                      sample_terminal_box, terminal_safety_check)
 from .mpc import (LinearMpc, MpcConfig, NonlinearMpc, QcqpProblem,
                   SolveResult, build_qcqp, estimate_flops_ip,
-                  estimate_flops_sqp, solve_scnmpc, solve_sqp)
+                  estimate_flops_sqp, solve_sqp)
 from .qp import QpResult, solve_qp
 from .sim import (NoiseConfig, Scenario, TrajectoryLog, cost_sequence,
                   first_deviation_step, inject_noise, min_obstacle_distance,

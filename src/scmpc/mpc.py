@@ -8,9 +8,10 @@ solver linearizes them about the current iterate, solves the resulting
 dense QP with an active-set method, and applies a merit line search on
 the original quadratic constraints.
 
-The nonlinear baseline applies the same machinery to the unicycle model
-discretized with RK4, relinearizing the rollout every iteration. It is
-kept for timing comparisons and trajectory cross-checks.
+The nonlinear baseline hands the same SQP driver a single-shooting
+problem on the unicycle model discretized with RK4, relinearizing the
+rollout every iteration. It is kept for timing comparisons and
+trajectory cross-checks.
 """
 
 import math
@@ -33,7 +34,6 @@ __all__ = [
     "solve_sqp",
     "LinearMpc",
     "NonlinearMpc",
-    "solve_scnmpc",
     "estimate_flops_ip",
     "estimate_flops_sqp",
 ]
@@ -74,7 +74,6 @@ class MpcConfig:
     v_max: np.ndarray = field(default_factory=lambda: np.array([10.0, 10.0]))
     pos_min: np.ndarray = field(default_factory=lambda: np.array([-10.0, -10.0]))
     pos_max: np.ndarray = field(default_factory=lambda: np.array([10.0, 10.0]))
-    terminal_mode: str = "lyapunov_weight"
     u_min: np.ndarray = field(default_factory=lambda: np.array([-2.0, -3.0]))
     u_max: np.ndarray = field(default_factory=lambda: np.array([2.0, 3.0]))
     nmpc_Q: np.ndarray = field(default_factory=lambda: np.diag([1.0, 1.0, 0.0]))
@@ -90,8 +89,6 @@ class MpcConfig:
             raise ConfigError("gamma must lie in (0, 1]")
         if not self.ts > 0.0:
             raise ConfigError("ts must be positive")
-        if self.terminal_mode != "lyapunov_weight":
-            raise ConfigError("terminal_mode must be 'lyapunov_weight'")
         object.__setattr__(self, "horizon", int(self.horizon))
         object.__setattr__(self, "constraint_horizon", int(self.constraint_horizon))
         object.__setattr__(self, "Q", _as_matrix(self.Q, (4, 4), "Q"))
@@ -176,6 +173,25 @@ class QcqpProblem:
     def predict(self, v: np.ndarray) -> np.ndarray:
         stacked = self.pred_off + self.pred_map @ v
         return np.vstack([self.z0, stacked.reshape(self.n_steps, 4)])
+
+    def evaluate(self, v: np.ndarray):
+        """Cost, the barrier rows as -c(v) <= 0, and the values c(v)."""
+        c = self.quad_rows.value(v)
+        return self.cost(v), -c, c
+
+    def linearize(self, v: np.ndarray, c: np.ndarray):
+        """The cost's Hessian and gradient and the Jacobian of -c at v."""
+        rows = self.quad_rows
+        grad = rows.gradient(v)
+        stuck = np.flatnonzero((c < 0.0)
+                               & (np.einsum("kn,kn->k", grad, grad) < 1e-18))
+        if stuck.size:
+            # Iterate sits at the obstacle center; push along the
+            # direction from the center toward the initial state.
+            d = self.z0[[0, 2]] - rows.center[stuck]
+            d[np.einsum("ki,ki->k", d, d) < 1e-18] = (1.0, 0.0)
+            grad[stuck] = 2.0 * np.einsum("kin,ki->kn", rows.map_next[stuck], d)
+        return self.hessian, self.gradient, -grad
 
 
 @dataclass
@@ -319,14 +335,6 @@ def build_qcqp(z0, cfg: MpcConfig, model: LtiModel, terminal: TerminalData,
     )
 
 
-def _violations(problem: QcqpProblem, v: np.ndarray,
-                barrier: np.ndarray) -> np.ndarray:
-    """Positive parts of the linear-row residuals and of -barrier, the
-    barrier-row values at v."""
-    lin = problem.lin_rows @ v - problem.lin_rhs
-    return np.concatenate([np.clip(lin, 0.0, None), np.clip(-barrier, 0.0, None)])
-
-
 def _merit_penalty(violations: np.ndarray, feas_tol: float) -> float:
     # Violations within half the feasibility tolerance are treated as zero,
     # otherwise the penalty blocks full steps near the solution where the
@@ -334,62 +342,47 @@ def _merit_penalty(violations: np.ndarray, feas_tol: float) -> float:
     return float(np.sum(np.clip(violations - 0.5 * feas_tol, 0.0, None)))
 
 
-def _empty_result(problem, status, t0, sqp_iters=0, qp_iters=0):
-    n = problem.n_steps
-    v = np.zeros(2 * n)
-    return SolveResult(status=status, v_sequence=v.reshape(n, 2),
-                       z_prediction=problem.predict(v), cost=problem.cost(v),
-                       sqp_iterations=sqp_iters, qp_iterations_total=qp_iters,
-                       solve_time=time.perf_counter() - t0)
-
-
-def solve_sqp(problem: QcqpProblem, warm_start=None, opt_tol: float = 1e-6,
+def solve_sqp(problem, warm_start=None, opt_tol: float = 1e-6,
               feas_tol: float = 1e-6, max_iter: int = 50) -> SolveResult:
-    """Solve the condensed problem by sequential quadratic programming.
+    """Solve a problem with affine and nonlinear rows by SQP.
 
-    Each iteration linearizes the barrier rows about the current iterate
-    (their gradients are affine, so the linearization is first-order
-    exact), solves the dense QP, and backtracks on an l1 merit function
-    evaluated on the original quadratic constraints. Terminates when the
-    QP step norm drops below opt_tol with worst violation below feas_tol.
+    The problem gives its affine rows lin_rows @ v <= lin_rhs, the input
+    box v_lo/v_hi that clips the warm start, evaluate(v) -> (cost, g, aux)
+    with the nonlinear rows g(v) <= 0, linearize(v, aux) -> (H, grad, J)
+    with the quadratic model 0.5 x'Hx + grad'x and the Jacobian J of g, and
+    predict(v). Each iteration solves the dense QP with the rows
+    [lin_rows; J] x <= [lin_rhs; J v - g] and backtracks from the full step
+    on an l1 merit function evaluated on the original rows (Nocedal &
+    Wright, ch. 18). Terminates when the QP step norm drops below opt_tol
+    with worst violation below feas_tol.
     """
     t0 = time.perf_counter()
-    if problem.infeasible:
-        return _empty_result(problem, "infeasible", t0)
-    nv = 2 * problem.n_steps
-    if warm_start is None:
-        v = np.zeros(nv)
-    else:
-        v = np.asarray(warm_start, dtype=float).ravel().copy()
-    v = np.clip(v, problem.v_lo, problem.v_hi)
-
-    barrier = problem.quad_rows
-    base = problem.lin_rhs.shape[0]
+    v = np.zeros(2 * problem.n_steps)
     status = "max_iter"
+    if problem.infeasible:
+        status, max_iter = "infeasible", 0
+    else:
+        if warm_start is not None:
+            v = np.asarray(warm_start, dtype=float).ravel().copy()
+        v = np.clip(v, problem.v_lo, problem.v_hi)
+
+    def evaluate(x):
+        """Cost, nonlinear rows, model data and row violations at x."""
+        f, g, aux = problem.evaluate(x)
+        lin = problem.lin_rows @ x - problem.lin_rhs
+        return f, g, aux, np.concatenate([np.clip(lin, 0.0, None),
+                                          np.clip(g, 0.0, None)])
+
     qp_total = 0
     rho = 10.0
     it = 0
-    # Barrier values and violations at the iterate, carried over from the
-    # line search so each accepted point is evaluated once.
-    cval = barrier.value(v)
-    viol = _violations(problem, v, cval)
+    # The line search hands the values at the accepted point to the next
+    # iteration, so each accepted point is evaluated once.
+    cost, g, aux, viol = evaluate(v)
     for it in range(1, max_iter + 1):
-        if len(barrier):
-            grad = barrier.gradient(v)
-            stuck = np.flatnonzero((cval < 0.0)
-                                   & (np.einsum("kn,kn->k", grad, grad) < 1e-18))
-            if stuck.size:
-                # Iterate sits at the obstacle center; push along the
-                # direction from the center toward the initial state.
-                d = problem.z0[[0, 2]] - barrier.center[stuck]
-                d[np.einsum("ki,ki->k", d, d) < 1e-18] = (1.0, 0.0)
-                grad[stuck] = 2.0 * np.einsum("kin,ki->kn",
-                                              barrier.map_next[stuck], d)
-            rows = np.vstack([problem.lin_rows, -grad])
-            rhs = np.concatenate([problem.lin_rhs, cval - grad @ v])
-        else:
-            rows, rhs = problem.lin_rows, problem.lin_rhs
-        qp = solve_qp(problem.hessian, problem.gradient, rows, rhs, x0=v,
+        hessian, gradient, jac = problem.linearize(v, aux)
+        qp = solve_qp(hessian, gradient, np.vstack([problem.lin_rows, jac]),
+                      np.concatenate([problem.lin_rhs, jac @ v - g]), x0=v,
                       tol=1e-8)
         qp_total += qp.iterations
         if qp.status == "infeasible":
@@ -404,51 +397,25 @@ def solve_sqp(problem: QcqpProblem, warm_start=None, opt_tol: float = 1e-6,
             status = "optimal"
             break
         pen0 = _merit_penalty(viol, feas_tol)
-        merit0 = problem.cost(v) + rho * pen0
-        ddir = float((problem.hessian @ v + problem.gradient) @ d) - rho * pen0
-        slack = 1e-12 * (1.0 + abs(merit0))
-        bar = merit0 + slack
-        v_prev = v.copy()
-
-        def _trial(candidate, alpha):
-            """Armijo test at candidate, with its barrier values and violations."""
-            c = barrier.value(candidate)
-            vi = _violations(problem, candidate, c)
-            merit = problem.cost(candidate) + rho * _merit_penalty(vi, feas_tol)
-            return merit <= bar + 1e-4 * alpha * min(ddir, 0.0), c, vi
-
-        moved = False
-        trial = v + d
-        ok, c_trial, vi_trial = _trial(trial, 1.0)
-        if ok:
-            v, cval, viol = trial, c_trial, vi_trial
-            moved = True
-        elif len(barrier):
-            # Second-order correction: keep the gradients, re-anchor the
-            # row values at the full-step point, and solve once more.
-            rhs_soc = rhs.copy()
-            rhs_soc[base:] = c_trial - grad @ trial
-            qp2 = solve_qp(problem.hessian, problem.gradient, rows, rhs_soc,
-                           x0=trial, tol=1e-8)
-            qp_total += qp2.iterations
-            if qp2.status != "infeasible":
-                ok, c_trial, vi_trial = _trial(qp2.x, 1.0)
-                if ok:
-                    v, cval, viol = qp2.x, c_trial, vi_trial
-                    moved = True
-        if not moved:
-            alpha = 0.5
-            while alpha >= 1e-6:
-                trial = v + alpha * d
-                ok, c_trial, vi_trial = _trial(trial, alpha)
-                if ok:
-                    v, cval, viol = trial, c_trial, vi_trial
-                    moved = True
-                    break
-                alpha *= 0.5
-        taken = float(np.max(np.abs(v - v_prev), initial=0.0)) if moved else 0.0
+        merit0 = cost + rho * pen0
+        ddir = float((hessian @ v + gradient) @ d) - rho * pen0
+        bar = merit0 + 1e-12 * (1.0 + abs(merit0))
+        alpha = 1.0
+        while alpha >= 1e-6:
+            trial = v + alpha * d
+            point = evaluate(trial)
+            if (point[0] + rho * _merit_penalty(point[3], feas_tol)
+                    <= bar + 1e-4 * alpha * min(ddir, 0.0)):
+                break
+            alpha *= 0.5
+        moved = alpha >= 1e-6
+        taken = 0.0
+        if moved:
+            taken = float(np.max(np.abs(trial - v), initial=0.0))
+            v = trial
+            cost, g, aux, viol = point
         worst = float(np.max(viol, initial=0.0))
-        if worst <= feas_tol and (not moved or taken <= opt_tol):
+        if worst <= feas_tol and taken <= opt_tol:
             status = "optimal"
             break
         if not moved:
@@ -458,7 +425,7 @@ def solve_sqp(problem: QcqpProblem, warm_start=None, opt_tol: float = 1e-6,
         status=status,
         v_sequence=v.reshape(problem.n_steps, 2).copy(),
         z_prediction=problem.predict(v),
-        cost=problem.cost(v),
+        cost=cost,
         sqp_iterations=it,
         qp_iterations_total=qp_total,
         solve_time=time.perf_counter() - t0,
@@ -553,12 +520,87 @@ def _rk4_with_jacobians(x, u, ts):
     return x_next, a, b
 
 
+class _RolloutProblem:
+    """The baseline's problem over the stacked inputs U = (u_0, ..., u_{N-1}).
+
+    Single shooting: the RK4 rollout from x0 eliminates the states. The
+    affine rows are the input box; the nonlinear rows are the position box
+    and the barrier decay rows, obstacle-major as in QuadraticRow, on the
+    rolled-out positions. linearize() is the Gauss-Newton model of the cost
+    and the rows' Jacobian from the rollout sensitivities.
+    """
+
+    infeasible = False
+
+    def __init__(self, x0, cfg: MpcConfig, goal, obstacles, gamma: float):
+        n = cfg.horizon
+        self.x0, self.goal, self.ts = x0, goal, cfg.ts
+        self.n_steps = n
+        self.v_lo = np.tile(cfg.u_min, n)
+        self.v_hi = np.tile(cfg.u_max, n)
+        self.lin_rows = np.vstack([np.eye(2 * n), -np.eye(2 * n)])
+        self.lin_rhs = np.concatenate([self.v_hi, -self.v_lo])
+        self.pos_min, self.pos_max = cfg.pos_min, cfg.pos_max
+        # State weights of x_0, ..., x_N and the input weight of the stack.
+        self.weights = np.stack([cfg.nmpc_Q] * n + [cfg.nmpc_P])
+        self.input_weight = np.kron(np.eye(n), cfg.nmpc_R)
+        self.center = np.array([o.center() for o in obstacles],
+                               dtype=float).reshape(-1, 2)
+        self.radius_sq = np.array([o.radius**2 for o in obstacles], dtype=float)
+        self.decay = 1.0 - gamma
+
+    def rollout(self, u):
+        """States (N+1, 3) and their sensitivities dx_k/dU (N+1, 3, 2N)."""
+        n = self.n_steps
+        states = np.empty((n + 1, 3))
+        sens = np.zeros((n + 1, 3, 2 * n))
+        states[0] = self.x0
+        for k in range(n):
+            states[k + 1], a, b = _rk4_with_jacobians(
+                states[k], u[2 * k:2 * k + 2], self.ts)
+            sens[k + 1] = a @ sens[k]
+            sens[k + 1, :, 2 * k:2 * k + 2] += b
+        return states, sens
+
+    def predict(self, u):
+        return self.rollout(u)[0]
+
+    def evaluate(self, u):
+        """True cost, position and barrier rows, and the rollout at u."""
+        states, sens = self.rollout(u)
+        err = states - self.goal
+        cost = float(np.einsum("ki,kij,kj->", err, self.weights, err)
+                     + u @ self.input_weight @ u)
+        pos = states[1:, :2]
+        d = states[None, :, :2] - self.center[:, None, :]
+        h = np.einsum("oki,oki->ok", d, d) - self.radius_sq[:, None]
+        g = np.concatenate([(pos - self.pos_max).ravel(),
+                            (self.pos_min - pos).ravel(),
+                            (self.decay * h[:, :-1] - h[:, 1:]).ravel()])
+        return cost, g, (states, sens, d)
+
+    def linearize(self, u, aux):
+        """Gauss-Newton model of the cost and the rows' Jacobian at u."""
+        states, sens, d = aux
+        s, w = sens[1:], self.weights[1:]
+        off = states[1:] - s @ u - self.goal
+        hess = 2.0 * (self.input_weight + np.einsum("kin,kim->nm", s, w @ s))
+        grad = 2.0 * np.einsum("kin,kij,kj->n", s, w, off)
+        dh = 2.0 * np.einsum("kin,oki->okn", sens[:, :2], d)
+        jac_pos = s[:, :2].reshape(-1, 2 * self.n_steps)
+        jac = np.vstack([jac_pos, -jac_pos,
+                         (self.decay * dh[:, :-1] - dh[:, 1:]).reshape(
+                             -1, 2 * self.n_steps)])
+        return 0.5 * (hess + hess.T), grad, jac
+
+
 class NonlinearMpc:
     """Receding-horizon controller on the RK4-discretized unicycle.
 
     Single-shooting form: the dynamics equalities are eliminated by the
     rollout and relinearized around the current iterate at every SQP
-    iteration. Used as the timing and trajectory baseline.
+    iteration. Used as the timing and trajectory baseline. On an
+    infeasible step the barrier decay is relaxed once, as in LinearMpc.
     """
 
     def __init__(self, cfg: MpcConfig, obstacles=(), goal=(0.0, 0.0),
@@ -569,156 +611,23 @@ class NonlinearMpc:
         self.obstacles = list(obstacles)
         self._warm = None
 
-    def _rollout(self, x0, u_flat):
-        n = self.cfg.horizon
-        states = np.empty((n + 1, 3))
-        sens = [np.zeros((3, 2 * n))]
-        states[0] = x0
-        for k in range(n):
-            u = u_flat[2 * k:2 * k + 2]
-            x_next, a, b = _rk4_with_jacobians(states[k], u, self.cfg.ts)
-            states[k + 1] = x_next
-            s_next = a @ sens[k]
-            s_next[:, 2 * k:2 * k + 2] += b
-            sens.append(s_next)
-        return states, sens
-
-    def _true_cost(self, states, u_flat):
-        cfg = self.cfg
-        err = states - self.goal
-        cost = 0.0
-        for k in range(cfg.horizon):
-            cost += float(err[k] @ cfg.nmpc_Q @ err[k])
-            u = u_flat[2 * k:2 * k + 2]
-            cost += float(u @ cfg.nmpc_R @ u)
-        cost += float(err[-1] @ cfg.nmpc_P @ err[-1])
-        return cost
-
-    def _true_violations(self, states, u_flat, gamma):
-        cfg = self.cfg
-        out = [np.clip(u_flat - np.tile(cfg.u_max, cfg.horizon), 0.0, None),
-               np.clip(np.tile(cfg.u_min, cfg.horizon) - u_flat, 0.0, None)]
-        pos = states[1:, :2]
-        out.append(np.clip(pos - cfg.pos_max, 0.0, None).ravel())
-        out.append(np.clip(cfg.pos_min - pos, 0.0, None).ravel())
-        for obs in self.obstacles:
-            h = (states[:, 0] - obs.x) ** 2 + (states[:, 1] - obs.y) ** 2 - obs.radius**2
-            resid = h[1:] - (1.0 - gamma) * h[:-1]
-            out.append(np.clip(-resid, 0.0, None))
-        return np.concatenate(out)
-
-    def _solve_with_gamma(self, x0, gamma, warm, opt_tol, feas_tol, max_iter):
-        cfg = self.cfg
-        n = cfg.horizon
-        nv = 2 * n
-        u = np.zeros(nv) if warm is None else np.clip(
-            warm, np.tile(cfg.u_min, n), np.tile(cfg.u_max, n))
-        rt = np.kron(np.eye(n), cfg.nmpc_R)
-        bound_rows = np.vstack([np.eye(nv), -np.eye(nv)])
-        bound_rhs = np.concatenate([np.tile(cfg.u_max, n), -np.tile(cfg.u_min, n)])
-        status = "max_iter"
-        qp_total = 0
-        rho = 10.0
-        it = 0
-        states, sens = self._rollout(x0, u)
-        for it in range(1, max_iter + 1):
-            hess = 2.0 * rt.copy()
-            grad = np.zeros(nv)
-            for k in range(1, n + 1):
-                w = cfg.nmpc_Q if k < n else cfg.nmpc_P
-                sk = sens[k]
-                off = states[k] - sk @ u - self.goal
-                hess += 2.0 * (sk.T @ w @ sk)
-                grad += 2.0 * (sk.T @ w @ off)
-            hess = 0.5 * (hess + hess.T)
-            rows = [bound_rows]
-            rhs = [bound_rhs]
-            for k in range(1, n + 1):
-                sp = sens[k][:2]
-                off = states[k][:2] - sp @ u
-                rows += [sp, -sp]
-                rhs += [cfg.pos_max - off, -(cfg.pos_min - off)]
-            for obs in self.obstacles:
-                c = obs.center()
-                r2 = obs.radius**2
-                for k in range(n):
-                    p0, p1 = states[k][:2], states[k + 1][:2]
-                    s0, s1 = sens[k][:2], sens[k + 1][:2]
-                    cval = (float((p1 - c) @ (p1 - c)) - r2
-                            - (1.0 - gamma) * (float((p0 - c) @ (p0 - c)) - r2))
-                    g = 2.0 * (s1.T @ (p1 - c)) - 2.0 * (1.0 - gamma) * (s0.T @ (p0 - c))
-                    rows.append(-g[None, :])
-                    rhs.append(np.atleast_1d(cval - g @ u))
-            qp = solve_qp(hess, grad, np.vstack(rows), np.concatenate(rhs),
-                          x0=u, tol=1e-8)
-            qp_total += qp.iterations
-            if qp.status == "infeasible":
-                status = "infeasible"
-                break
-            if qp.multipliers is not None and qp.multipliers.size:
-                rho = max(rho, 10.0 * (1.0 + float(np.max(qp.multipliers))))
-            d = qp.x - u
-            step = float(np.max(np.abs(d), initial=0.0))
-            worst = float(np.max(self._true_violations(states, u, gamma), initial=0.0))
-            if step <= opt_tol and worst <= feas_tol:
-                status = "optimal"
-                break
-            pen0 = _merit_penalty(self._true_violations(states, u, gamma), feas_tol)
-            merit0 = self._true_cost(states, u) + rho * pen0
-            ddir = float((hess @ u + grad) @ d) - rho * pen0
-            slack = 1e-12 * (1.0 + abs(merit0))
-            u_prev = u.copy()
-            alpha = 1.0
-            moved = False
-            while alpha >= 1e-6:
-                trial = u + alpha * d
-                t_states, t_sens = self._rollout(x0, trial)
-                merit = (self._true_cost(t_states, trial)
-                         + rho * _merit_penalty(
-                             self._true_violations(t_states, trial, gamma), feas_tol))
-                if merit <= merit0 + 1e-4 * alpha * min(ddir, 0.0) + slack:
-                    u, states, sens = trial, t_states, t_sens
-                    moved = True
-                    break
-                alpha *= 0.5
-            taken = float(np.max(np.abs(u - u_prev), initial=0.0)) if moved else 0.0
-            worst = float(np.max(self._true_violations(states, u, gamma), initial=0.0))
-            if worst <= feas_tol and (not moved or taken <= opt_tol):
-                status = "optimal"
-                break
-            if not moved:
-                break
-        return u, states, status, it, qp_total
-
     def solve(self, x0) -> SolveResult:
         t0 = time.perf_counter()
         x0 = np.asarray(x0, dtype=float).ravel()[:3]
         warm = self._warm if self.use_warm_start else None
-        u, states, status, iters, qp_total = self._solve_with_gamma(
-            x0, self.cfg.gamma, warm, 1e-6, 1e-6, 50)
-        if status == "infeasible" and self.cfg.gamma < 1.0:
-            u, states, status, iters, qp_total = self._solve_with_gamma(
-                x0, min(2.0 * self.cfg.gamma, 1.0), warm, 1e-6, 1e-6, 50)
-        if status != "infeasible":
+        gamma = self.cfg.gamma
+        res = solve_sqp(_RolloutProblem(x0, self.cfg, self.goal,
+                                        self.obstacles, gamma), warm_start=warm)
+        if res.status == "infeasible" and gamma < 1.0:
+            res = solve_sqp(_RolloutProblem(x0, self.cfg, self.goal,
+                                            self.obstacles,
+                                            min(2.0 * gamma, 1.0)),
+                            warm_start=warm)
+        if res.status != "infeasible":
+            u = res.v_sequence.ravel()
             self._warm = np.concatenate([u[2:], u[-2:]])
-        return SolveResult(
-            status=status,
-            v_sequence=u.reshape(self.cfg.horizon, 2).copy(),
-            z_prediction=states,
-            cost=self._true_cost(states, u),
-            sqp_iterations=iters,
-            qp_iterations_total=qp_total,
-            solve_time=time.perf_counter() - t0,
-        )
-
-
-def solve_scnmpc(x0, cfg: MpcConfig, obstacles=(), goal=(0.0, 0.0),
-                 warm_start=None) -> SolveResult:
-    """One-shot nonlinear MPC solve from the pose x0 (x1, x2, heading)."""
-    controller = NonlinearMpc(cfg, obstacles=obstacles, goal=goal)
-    controller._warm = None if warm_start is None else np.asarray(
-        warm_start, dtype=float).ravel()
-    return controller.solve(np.asarray(x0, dtype=float).ravel()[:3])
+        res.solve_time = time.perf_counter() - t0
+        return res
 
 
 def estimate_flops_ip(n_steps: int, n_inputs: int, ip_iterations: float) -> float:

@@ -120,12 +120,15 @@ def _phase1(G, h, x0, tol, max_iter):
     """Find a feasible point or report the minimal achievable violation.
 
     Minimizes 0.5 s^2 + 0.5 eps ||x - x0||^2 over G x - h <= s, continuing
-    eps toward zero so the pull toward x0 cannot mask feasibility.
+    eps toward zero so the pull toward x0 cannot mask feasibility. The
+    last value tells whether a slack minimization stopped at max_iter, in
+    which case a remaining violation proves nothing about feasibility.
     """
     m, n = G.shape
     x = np.array(x0, dtype=float)
     worst = float(np.max(G @ x - h, initial=0.0))
     iterations = 0
+    capped = False
     for eps in (1e-6, 1e-8, 1e-10, 1e-12):
         if worst <= tol:
             break
@@ -133,17 +136,19 @@ def _phase1(G, h, x0, tol, max_iter):
         g_ext = np.concatenate([-eps * x, [0.0]])
         G_ext = np.hstack([G, -np.ones((m, 1))])
         y = np.concatenate([x, [worst + 1.0]])
-        y, _, _, it, _ = _active_set_core(H_ext, g_ext, G_ext, h, y, max_iter)
+        y, _, _, it, status = _active_set_core(H_ext, g_ext, G_ext, h, y,
+                                               max_iter)
         iterations += it
         x = y[:n]
         new_worst = float(np.max(G @ x - h, initial=0.0))
+        capped = status == "max_iter"
         if new_worst >= worst * 0.999 and new_worst > tol:
             worst = new_worst
             break
         worst = new_worst
     if worst > tol:
         x, worst = _repair(G, h, x, tol)
-    return x, worst, iterations
+    return x, worst, iterations, capped
 
 
 def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
@@ -183,10 +188,11 @@ def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
     iterations = 0
     worst = float(np.max(G @ x - h, initial=0.0))
     if worst > tol:
-        x, worst, it1 = _phase1(G, h, x, tol, max_iter)
+        x, worst, it1, capped = _phase1(G, h, x, tol, max_iter)
         iterations += it1
         if worst > tol:
-            return QpResult(x=x, status="infeasible", iterations=iterations,
+            return QpResult(x=x, status="max_iter" if capped else "infeasible",
+                            iterations=iterations,
                             active_set=[], multipliers=np.zeros(m),
                             max_violation=worst)
     x, work, lam, it2, status = _active_set_core(H, g, G, h, x, max_iter)

@@ -109,7 +109,6 @@ class StepRecord:
 class RunSummary:
     min_distance: float
     final_position_error: float
-    max_solve_time: float
     steps: int
 
 
@@ -126,7 +125,7 @@ class TrajectoryLog:
     def summary(self) -> RunSummary:
         rec = self.records
         if not rec:
-            return RunSummary(math.inf, math.inf, 0.0, 0)
+            return RunSummary(math.inf, math.inf, 0)
         gx, gy = self.scenario.goal
         final = math.hypot(rec[-1].x1 - gx, rec[-1].x2 - gy)
         if self.scenario.obstacles:
@@ -136,7 +135,6 @@ class TrajectoryLog:
         return RunSummary(
             min_distance=min_dist,
             final_position_error=final,
-            max_solve_time=max(r.solve_time for r in rec),
             steps=len(rec),
         )
 

@@ -5,8 +5,9 @@ import pytest
 
 from scmpc import (ConfigError, MpcConfig, Obstacle, build_qcqp,
                    discretize_double_integrator, estimate_flops_ip,
-                   estimate_flops_sqp, solve_scnmpc, solve_sqp, terminal_data)
-from scmpc.mpc import LinearMpc, NonlinearMpc, prediction_matrices
+                   estimate_flops_sqp, solve_sqp, terminal_data)
+from scmpc.mpc import (LinearMpc, NonlinearMpc, _RolloutProblem,
+                       prediction_matrices)
 
 LOOSE = dict(v_min=[-1e9, -1e9], v_max=[1e9, 1e9],
              pos_min=[-1e9, -1e9], pos_max=[1e9, 1e9])
@@ -32,8 +33,6 @@ def test_config_validation():
         MpcConfig(pos_min=[5.0, 0.0], pos_max=[1.0, 1.0])
     with pytest.raises(ConfigError):
         MpcConfig(R=np.zeros((2, 2)))
-    with pytest.raises(ConfigError):
-        MpcConfig(terminal_mode="none")
 
 
 def test_constraint_row_counts():
@@ -319,10 +318,39 @@ def test_nmpc_regulates_without_obstacle():
     assert math.hypot(x[0], x[1]) < 0.1
 
 
-def test_scnmpc_one_shot_interface():
+def test_rollout_problem_derivatives_match_finite_differences():
+    cfg = MpcConfig(horizon=4)
+    obstacles = [Obstacle(1.5, -1.0, 0.5), Obstacle(2.5, -2.5, 0.4)]
+    prob = _RolloutProblem(np.array([3.0, -2.0, 0.5]), cfg,
+                           np.array([0.0, 0.0, 0.0]), obstacles, gamma=0.3)
+    rng = np.random.default_rng(25)
+    u = rng.uniform(-1.0, 1.0, size=8)
+    _, g, aux = prob.evaluate(u)
+    hess, grad, jac = prob.linearize(u, aux)
+    assert g.shape == (2 * 2 * 4 + 2 * 4,)
+    assert jac.shape == (g.size, 8)
+    step = 1e-6
+    fd_cost = np.empty(8)
+    fd_rows = np.empty((g.size, 8))
+    for i in range(8):
+        e = np.zeros(8)
+        e[i] = step
+        up, down = prob.evaluate(u + e), prob.evaluate(u - e)
+        fd_cost[i] = (up[0] - down[0]) / (2.0 * step)
+        fd_rows[:, i] = (up[1] - down[1]) / (2.0 * step)
+    # The Gauss-Newton model has the true cost gradient at u.
+    np.testing.assert_allclose(hess @ u + grad, fd_cost, rtol=0.0,
+                               atol=1e-6 * (1.0 + np.max(np.abs(fd_cost))))
+    np.testing.assert_allclose(jac, fd_rows, rtol=0.0,
+                               atol=1e-6 * (1.0 + np.max(np.abs(fd_rows))))
+    np.testing.assert_allclose(hess, hess.T, atol=0.0)
+    assert np.min(np.linalg.eigvalsh(hess)) > 0.0
+
+
+def test_nmpc_single_solve_interface():
     cfg = MpcConfig()
-    res = solve_scnmpc(np.array([3.0, -2.0, 0.5]), cfg,
-                       obstacles=[Obstacle(1.5, -1.0, 0.5)])
+    res = NonlinearMpc(cfg, obstacles=[Obstacle(1.5, -1.0, 0.5)]).solve(
+        np.array([3.0, -2.0, 0.5]))
     assert res.status in ("optimal", "max_iter")
     assert res.v_sequence.shape == (cfg.horizon, 2)
     assert res.z_prediction.shape == (cfg.horizon + 1, 3)

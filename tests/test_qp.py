@@ -134,6 +134,9 @@ def test_capped_solves_return_a_result():
         assert len(res.multipliers) == 12
         assert np.all(np.isfinite(res.x))
         assert np.min(res.multipliers) >= 0.0
+        # The instances are feasible, so a capped Phase 1 must not report
+        # infeasible.
+        assert res.status != "infeasible"
         capped += res.status == "max_iter"
     assert capped > 100
 
