@@ -20,7 +20,6 @@ from .lti import (LtiModel, TerminalData, discretize_double_integrator,
                   dlqr_gain, riccati_solution, spectral_radius, terminal_data,
                   terminal_weight)
 from .safety import (CbfParams, Obstacle, barrier, cbf_residual,
-                     euclidean_residual, level_set_residual,
                      sample_terminal_box, terminal_safety_check)
 from .mpc import (LinearMpc, MpcConfig, NonlinearMpc, QcqpProblem,
                   SolveResult, build_qcqp, estimate_flops_ip,

@@ -10,16 +10,13 @@ Subcommands:
 
 A single hierarchical JSON document configures everything; command-line
 flags override individual fields. All randomness derives from one seed in
-the config, split per run index. SCMPC_THREADS caps the worker pool used
-for sweep points.
+the config, split per run index. Sweep points run one after another.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -348,36 +345,22 @@ def run(manifest: RunManifest) -> int:
             g_eff = scenario.mpc.gamma
             n_eff = scenario.mpc.horizon
             name = f"run{idx:03d}_{scenario.mode}_g{g_eff:g}_N{n_eff}.csv"
-            jobs.append((idx, scenario, name, g_eff, n_eff, noise_seed))
+            jobs.append((scenario, name, g_eff, n_eff, noise_seed))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
 
-    def _execute(job):
-        idx, scenario, name, g_eff, n_eff, noise_seed = job
+    entries = []
+    any_infeasible = False
+    for scenario, name, g_eff, n_eff, noise_seed in jobs:
         try:
             log = run_closed_loop(scenario)
         except InfeasibleError as exc:
-            return idx, None, name, g_eff, n_eff, noise_seed, str(exc)
-        return idx, log, name, g_eff, n_eff, noise_seed, None
-
-    workers = os.environ.get("SCMPC_THREADS")
-    max_workers = max(1, int(workers)) if workers else min(4, os.cpu_count() or 1)
-    if len(jobs) == 1 or max_workers == 1:
-        results = [_execute(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(_execute, jobs))
-
-    entries = []
-    any_infeasible = False
-    for idx, log, name, g_eff, n_eff, noise_seed, error in sorted(results):
-        if log is None:
             any_infeasible = True
-            entries.append({"file": name, "mode": jobs[idx][1].mode,
+            entries.append({"file": name, "mode": scenario.mode,
                             "gamma": g_eff, "horizon": n_eff,
                             "noise_seed": noise_seed, "aborted": True,
-                            "error": error})
+                            "error": str(exc)})
             continue
         write_trajectory_csv(log, out_dir / name)
         entries.append(_run_summary(log, name, g_eff, n_eff,

@@ -6,7 +6,9 @@ input, position, and terminal constraints, and one quadratic barrier row
 per obstacle per step. The barrier rows are the only nonconvexity; the
 solver linearizes them about the current iterate, solves the resulting
 dense QP with an active-set method, and applies a merit line search on
-the original quadratic constraints.
+the original quadratic constraints. Their curvature is constant, so the
+QP Hessian is the Hessian of the Lagrangian at the previous QP's
+multipliers, convexified by eigenvalue flooring.
 
 The nonlinear baseline hands the same SQP driver a single-shooting
 problem on the unicycle model discretized with RK4, relinearizing the
@@ -128,6 +130,8 @@ class QuadraticRow:
     center: np.ndarray
     radius_sq: np.ndarray
     decay: np.ndarray
+    gram_next: np.ndarray
+    gram_prev: np.ndarray
 
     def __len__(self) -> int:
         return self.radius_sq.shape[0]
@@ -146,6 +150,21 @@ class QuadraticRow:
         return (2.0 * np.einsum("kin,ki->kn", self.map_next, d1)
                 - (2.0 * self.decay)[:, None]
                 * np.einsum("kin,ki->kn", self.map_prev, d0))
+
+    def curvature(self, weights: np.ndarray) -> np.ndarray:
+        """The (nv, nv) weighted sum of the constant row Hessians."""
+        return 2.0 * (np.tensordot(weights, self.gram_next, axes=1)
+                      - np.tensordot(weights * self.decay, self.gram_prev,
+                                     axes=1))
+
+
+def _floor_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """w with its eigenvalues raised to at least 1e-3 of the largest |eig|."""
+    vals, vecs = np.linalg.eigh(w)
+    floor = 1e-3 * float(np.max(np.abs(vals)))
+    if vals[0] >= floor:
+        return w
+    return (vecs * np.maximum(vals, floor)) @ vecs.T
 
 
 @dataclass
@@ -179,8 +198,14 @@ class QcqpProblem:
         c = self.quad_rows.value(v)
         return self.cost(v), -c, c
 
-    def linearize(self, v: np.ndarray, c: np.ndarray):
-        """The cost's Hessian and gradient and the Jacobian of -c at v."""
+    def linearize(self, v: np.ndarray, c: np.ndarray, multipliers=None):
+        """QP model at v and the Jacobian of -c.
+
+        Without nonzero multipliers of the rows -c <= 0 the model is the
+        cost itself. Otherwise its Hessian is that of the Lagrangian,
+        H - sum_k lambda_k * hess(c_k), with eigenvalues floored, and its
+        linear term keeps the cost gradient at v.
+        """
         rows = self.quad_rows
         grad = rows.gradient(v)
         stuck = np.flatnonzero((c < 0.0)
@@ -191,7 +216,10 @@ class QcqpProblem:
             d = self.z0[[0, 2]] - rows.center[stuck]
             d[np.einsum("ki,ki->k", d, d) < 1e-18] = (1.0, 0.0)
             grad[stuck] = 2.0 * np.einsum("kin,ki->kn", rows.map_next[stuck], d)
-        return self.hessian, self.gradient, -grad
+        if multipliers is None or not np.any(multipliers):
+            return self.hessian, self.gradient, -grad
+        w = _floor_eigenvalues(self.hessian - rows.curvature(multipliers))
+        return w, self.hessian @ v + self.gradient - w @ v, -grad
 
 
 @dataclass
@@ -288,6 +316,10 @@ class _CondensedWorkspace:
             f_prev[1:] = f_next[:-1]
         self.quad_map_next = np.tile(map_next, (n_obs, 1, 1))
         self.quad_map_prev = np.tile(map_prev, (n_obs, 1, 1))
+        self.quad_gram_next = np.einsum("kin,kim->knm", self.quad_map_next,
+                                        self.quad_map_next)
+        self.quad_gram_prev = np.einsum("kin,kim->knm", self.quad_map_prev,
+                                        self.quad_map_prev)
         self.quad_f_next = np.tile(f_next, (n_obs, 1, 1))
         self.quad_f_prev = np.tile(f_prev, (n_obs, 1, 1))
         self.quad_center = np.repeat(
@@ -315,7 +347,8 @@ def build_qcqp(z0, cfg: MpcConfig, model: LtiModel, terminal: TerminalData,
     quad_rows = QuadraticRow(
         ws.quad_map_next, ws.quad_f_next @ z0, ws.quad_map_prev,
         ws.quad_f_prev @ z0, ws.quad_center, ws.quad_radius_sq,
-        np.full(len(ws.quad_radius_sq), decay))
+        np.full(len(ws.quad_radius_sq), decay), ws.quad_gram_next,
+        ws.quad_gram_prev)
     pos0 = z0[[0, 2]]
     outside = bool(np.any(pos0 > cfg.pos_max) or np.any(pos0 < cfg.pos_min))
     return QcqpProblem(
@@ -348,9 +381,12 @@ def solve_sqp(problem, warm_start=None, opt_tol: float = 1e-6,
 
     The problem gives its affine rows lin_rows @ v <= lin_rhs, the input
     box v_lo/v_hi that clips the warm start, evaluate(v) -> (cost, g, aux)
-    with the nonlinear rows g(v) <= 0, linearize(v, aux) -> (H, grad, J)
-    with the quadratic model 0.5 x'Hx + grad'x and the Jacobian J of g, and
-    predict(v). Each iteration solves the dense QP with the rows
+    with the nonlinear rows g(v) <= 0, linearize(v, aux, multipliers) ->
+    (H, grad, J) with the quadratic model 0.5 x'Hx + grad'x, whose gradient
+    H v + grad at v is the cost gradient, and the Jacobian J of g, and
+    predict(v). The multipliers are those of the rows g in the previous QP
+    (None on the first iteration), so H may be a Lagrangian Hessian. Each
+    iteration solves the dense QP with the rows
     [lin_rows; J] x <= [lin_rhs; J v - g] and backtracks from the full step
     on an l1 merit function evaluated on the original rows (Nocedal &
     Wright, ch. 18). Terminates when the QP step norm drops below opt_tol
@@ -376,11 +412,13 @@ def solve_sqp(problem, warm_start=None, opt_tol: float = 1e-6,
     qp_total = 0
     rho = 10.0
     it = 0
+    n_lin = len(problem.lin_rows)
+    lam = None
     # The line search hands the values at the accepted point to the next
     # iteration, so each accepted point is evaluated once.
     cost, g, aux, viol = evaluate(v)
     for it in range(1, max_iter + 1):
-        hessian, gradient, jac = problem.linearize(v, aux)
+        hessian, gradient, jac = problem.linearize(v, aux, lam)
         qp = solve_qp(hessian, gradient, np.vstack([problem.lin_rows, jac]),
                       np.concatenate([problem.lin_rhs, jac @ v - g]), x0=v,
                       tol=1e-8)
@@ -390,6 +428,7 @@ def solve_sqp(problem, warm_start=None, opt_tol: float = 1e-6,
             break
         if qp.multipliers is not None and qp.multipliers.size:
             rho = max(rho, 10.0 * (1.0 + float(np.max(qp.multipliers))))
+            lam = qp.multipliers[n_lin:]
         d = qp.x - v
         step = float(np.max(np.abs(d), initial=0.0))
         worst = float(np.max(viol, initial=0.0))
@@ -579,8 +618,12 @@ class _RolloutProblem:
                             (self.decay * h[:, :-1] - h[:, 1:]).ravel()])
         return cost, g, (states, sens, d)
 
-    def linearize(self, u, aux):
-        """Gauss-Newton model of the cost and the rows' Jacobian at u."""
+    def linearize(self, u, aux, multipliers=None):
+        """Gauss-Newton model of the cost and the rows' Jacobian at u.
+
+        The multipliers are ignored: the model keeps the Gauss-Newton
+        Hessian without the rows' curvature.
+        """
         states, sens, d = aux
         s, w = sens[1:], self.weights[1:]
         off = states[1:] - s @ u - self.goal

@@ -21,8 +21,6 @@ __all__ = [
     "barrier",
     "barrier_xy",
     "cbf_residual",
-    "euclidean_residual",
-    "level_set_residual",
     "terminal_safety_check",
     "sample_terminal_box",
 ]
@@ -83,16 +81,6 @@ def cbf_residual(z_k, z_k1, p: CbfParams, obs: Obstacle) -> float:
     result is nonnegative.
     """
     return barrier(z_k1, obs) - (1.0 - p.gamma) * barrier(z_k, obs)
-
-
-def euclidean_residual(z, obs: Obstacle) -> float:
-    """Per-step distance constraint of the baseline scheme, H(z) >= 0."""
-    return barrier(z, obs)
-
-
-def level_set_residual(z_k, z_k1, p: CbfParams, obs: Obstacle) -> float:
-    """Signed distance to the decay level set, for diagnostics and logs."""
-    return cbf_residual(z_k, z_k1, p, obs)
 
 
 def terminal_safety_check(model: LtiModel, K: np.ndarray, p: CbfParams,

@@ -48,11 +48,14 @@ def grid_search_best(problem, points=GRID_POINTS):
                        np.meshgrid(*axes[:n_out], indexing="ij")], axis=1)
              if n_out else np.zeros((1, 0)))
     hess, grad = problem.hessian, problem.gradient
-    # interval bound drops rows that cannot violate anywhere on the box
+    # The interval bound drops rows that cannot violate anywhere on the box.
+    # The test below accepts up to rhs + 1e-9, so rows whose bound stays
+    # below that by more than roundoff (the input-box rows, whose bound is
+    # exactly rhs) can never fail it.
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     upper = problem.lin_rows @ center + np.abs(problem.lin_rows) @ half
-    keep = upper > problem.lin_rhs - 1e-9
+    keep = upper > problem.lin_rhs + 0.5e-9
     rows, rhs = problem.lin_rows[keep], problem.lin_rhs[keep]
     lin_inner = rows[:, n_out:] @ inner.T if rows.size else None
     cost_inner = (0.5 * np.einsum("ij,jk,ik->i", inner,

@@ -1,13 +1,21 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scmpc.mpc
+from conftest import nominal_scenario
 from scmpc import (ConfigError, MpcConfig, Obstacle, build_qcqp,
                    discretize_double_integrator, estimate_flops_ip,
-                   estimate_flops_sqp, solve_sqp, terminal_data)
+                   estimate_flops_sqp, run_closed_loop, solve_sqp,
+                   terminal_data)
+from scmpc.cli import _build_scenario, load_config
 from scmpc.mpc import (LinearMpc, NonlinearMpc, _RolloutProblem,
                        prediction_matrices)
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "nominal.json"
 
 LOOSE = dict(v_min=[-1e9, -1e9], v_max=[1e9, 1e9],
              pos_min=[-1e9, -1e9], pos_max=[1e9, 1e9])
@@ -130,6 +138,106 @@ def test_stacked_barrier_rows_match_per_row_formulas():
                 got = block.gradient(v)
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def test_row_curvature_matches_finite_differences_of_gradient():
+    # Each row gradient is affine in v, so central differences of it are
+    # exact up to roundoff and give the row's constant Hessian.
+    rng = np.random.default_rng(26)
+    obstacles = [Obstacle(3.5, 3.5, 1.5), Obstacle(-2.0, 0.5, 0.5)]
+    step = 1e-3
+    for mode in ("cbf", "euclid"):
+        cfg = MpcConfig(horizon=5, gamma=0.3, **LOOSE)
+        model, td = _setup(cfg)
+        rows = build_qcqp(rng.uniform(-4.0, 4.0, size=4), cfg, model, td,
+                          obstacles, mode=mode).quad_rows
+        nv = 2 * cfg.horizon
+        v = rng.uniform(-3.0, 3.0, size=nv)
+        fd = np.empty((len(rows), nv, nv))
+        for i in range(nv):
+            e = np.zeros(nv)
+            e[i] = step
+            fd[:, :, i] = (rows.gradient(v + e) - rows.gradient(v - e)) / (2 * step)
+        for k in range(len(rows)):
+            block = rows.curvature(np.eye(len(rows))[k])
+            assert block.shape == (nv, nv)
+            np.testing.assert_allclose(block, fd[k], rtol=0.0,
+                                       atol=1e-9 * np.max(np.abs(fd[k])))
+        weights = rng.uniform(0.0, 2.0, size=len(rows))
+        np.testing.assert_allclose(rows.curvature(weights),
+                                   np.einsum("k,kij->ij", weights, fd),
+                                   rtol=0.0, atol=1e-9 * np.max(np.abs(fd)))
+
+
+def _recorded_qp_inputs(monkeypatch, problem, warm_start=None):
+    """solve_sqp's result and the (hessian, gradient, x0) of each QP."""
+    calls = []
+    solve_qp = scmpc.mpc.solve_qp
+
+    def recording(hessian, gradient, rows, rhs, x0=None, **kwargs):
+        calls.append((hessian, gradient, x0))
+        return solve_qp(hessian, gradient, rows, rhs, x0=x0, **kwargs)
+
+    monkeypatch.setattr(scmpc.mpc, "solve_qp", recording)
+    return solve_sqp(problem, warm_start=warm_start), calls
+
+
+def test_zero_multipliers_keep_the_cost_model(monkeypatch):
+    cfg = MpcConfig(horizon=8)
+    model, td = _setup(cfg)
+    z0 = np.array([7.0, -0.5, 7.0, 0.0])
+    # An obstacle far off the path: its rows never bind, so every QP gets
+    # the cost Hessian and linear term themselves.
+    far = build_qcqp(z0, cfg, model, td, [Obstacle(-8.0, 8.0, 0.5)])
+    res, calls = _recorded_qp_inputs(monkeypatch, far)
+    assert res.status == "optimal" and len(calls) >= 2
+    for hessian, gradient, _ in calls:
+        assert np.array_equal(hessian, far.hessian)
+        assert np.array_equal(gradient, far.gradient)
+    v = np.linspace(-1.0, 1.0, 2 * cfg.horizon)
+    c = far.quad_rows.value(v)
+    for lam in (None, np.zeros(len(far.quad_rows))):
+        hessian, gradient, _ = far.linearize(v, c, lam)
+        assert hessian is far.hessian and gradient is far.gradient
+    # The obstacle on the path binds: after the first QP the model has the
+    # Lagrangian Hessian and still the cost gradient at the iterate.
+    near = build_qcqp(z0, cfg, model, td, [Obstacle(3.5, 3.5, 1.5)])
+    res, calls = _recorded_qp_inputs(monkeypatch, near)
+    assert res.status == "optimal"
+    assert np.array_equal(calls[0][0], near.hessian)
+    assert np.array_equal(calls[0][1], near.gradient)
+    changed = [call for call in calls[1:]
+               if not np.array_equal(call[0], near.hessian)]
+    assert changed
+    for hessian, gradient, v in changed:
+        vals = np.linalg.eigvalsh(0.5 * (hessian + hessian.T))
+        assert vals[0] >= (1e-3 - 1e-9) * np.max(np.abs(vals))
+        cost_grad = near.hessian @ v + near.gradient
+        np.testing.assert_allclose(hessian @ v + gradient, cost_grad, rtol=0.0,
+                                   atol=1e-9 * (1.0 + np.max(np.abs(cost_grad))))
+
+
+def test_startup_transient_converges_in_few_iterations(monkeypatch):
+    statuses = []
+    solve = LinearMpc.solve
+
+    def recording(controller, z0):
+        res = solve(controller, z0)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(LinearMpc, "solve", recording)
+    log = run_closed_loop(nominal_scenario(duration=1.0))
+    assert len(log.records) == 20
+    assert statuses == ["optimal"] * 20
+    assert max(r.sqp_iterations for r in log.records) <= 8
+    cfg = load_config(CONFIG)
+    for gamma in (0.3, 0.5, 0.7, 0.9, 1.0):
+        statuses.clear()
+        scenario = _build_scenario(cfg, gamma, None, None, cfg["seed"])
+        log = run_closed_loop(replace(scenario, duration=10.0))
+        assert len(statuses) == len(log.records) == 200
+        assert "max_iter" not in statuses
 
 
 def test_iterate_at_obstacle_center_uses_fallback_direction():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from scmpc import (CbfParams, ConfigError, LinearState, Obstacle, barrier,
-                   cbf_residual, euclidean_residual, level_set_residual,
-                   sample_terminal_box, terminal_safety_check)
+                   cbf_residual, sample_terminal_box, terminal_safety_check)
 from scmpc.lti import discretize_double_integrator, terminal_data
 
 OBS = Obstacle(3.5, 3.5, 1.5)
@@ -57,27 +56,6 @@ def test_cbf_residual_examples():
     assert barrier(z1, OBS) == pytest.approx(20.0, abs=1e-12)
     assert cbf_residual(z0, z1, CbfParams(gamma=0.1), OBS) \
         == pytest.approx(-0.025, abs=1e-12)
-
-
-def test_euclidean_residual_examples():
-    assert euclidean_residual(_state(7.0, 7.0), OBS) == pytest.approx(22.25, abs=1e-12)
-    two_radii = _state(3.5 + 2 * 1.5, 3.5)
-    assert euclidean_residual(two_radii, OBS) == pytest.approx(3 * 1.5**2, abs=1e-12)
-    boundary = _state(3.5, 3.5 - 1.5)
-    assert euclidean_residual(boundary, OBS) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_level_set_residual_matches_cbf_residual():
-    rng = np.random.default_rng(13)
-    p = CbfParams(gamma=0.1)
-    for _ in range(50):
-        z0 = _state(*rng.uniform(-5, 10, size=2))
-        z1 = _state(*rng.uniform(-5, 10, size=2))
-        assert level_set_residual(z0, z1, p, OBS) \
-            == pytest.approx(cbf_residual(z0, z1, p, OBS), abs=1e-15)
-    on_boundary = _state(3.5, 3.5 + 1.5)
-    assert level_set_residual(z0, on_boundary, CbfParams(gamma=1.0), OBS) \
-        == pytest.approx(0.0, abs=1e-12)
 
 
 def test_terminal_safety_check_far_obstacle_passes():
