@@ -9,24 +9,20 @@ and a CLI for running and sweeping scenarios.
 """
 
 from .errors import ConfigError, InfeasibleError, NumericalError
-from .model import (ExtendedState, RobotParams, RobotState, UnicycleInput,
-                    WheelSpeeds, extended_derivative, nonholonomic_residual,
-                    rk4_step, unicycle_derivative, unicycle_to_wheel,
-                    wheel_to_unicycle)
-from .dfl import (DflGuard, LinearState, VirtualInput, decoupling_matrix,
-                  dfl_control, input_map_v_from_U, map_x_to_z, map_z_to_x,
-                  verify_relative_degree)
-from .lti import (LtiModel, TerminalData, discretize_double_integrator,
-                  dlqr_gain, riccati_solution, spectral_radius, terminal_data,
-                  terminal_weight)
-from .safety import (CbfParams, Obstacle, barrier, cbf_residual,
-                     sample_terminal_box, terminal_safety_check)
-from .mpc import (LinearMpc, MpcConfig, NonlinearMpc, QcqpProblem,
-                  SolveResult, build_qcqp, estimate_flops_ip,
-                  estimate_flops_sqp, solve_sqp)
-from .qp import QpResult, solve_qp
-from .sim import (NoiseConfig, Scenario, TrajectoryLog, cost_sequence,
-                  first_deviation_step, inject_noise, min_obstacle_distance,
+from .model import ExtendedState
+from .dfl import DflGuard
+from .lti import discretize_double_integrator, terminal_data
+from .safety import Obstacle
+from .mpc import LinearMpc, MpcConfig, NonlinearMpc, build_qcqp, solve_sqp
+from .sim import (NoiseConfig, Scenario, cost_sequence, first_deviation_step,
                   run_closed_loop)
+
+__all__ = [
+    "ConfigError", "InfeasibleError", "NumericalError", "ExtendedState",
+    "DflGuard", "discretize_double_integrator", "terminal_data", "Obstacle",
+    "MpcConfig", "LinearMpc", "NonlinearMpc", "build_qcqp", "solve_sqp",
+    "NoiseConfig", "Scenario", "run_closed_loop", "cost_sequence",
+    "first_deviation_step",
+]
 
 __version__ = "0.1.0"

@@ -22,19 +22,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .dfl import DflGuard, LinearState, map_x_to_z, map_z_to_x, decoupling_matrix
+from .dfl import DflGuard, decoupling_matrix, map_x_array_to_z, map_z_to_x
 from .errors import ConfigError, InfeasibleError
 from .lti import discretize_double_integrator, riccati_solution, terminal_data
 from .model import ExtendedState, RobotParams
-from .mpc import MpcConfig, estimate_flops_ip, estimate_flops_sqp
-from .safety import CbfParams, Obstacle, sample_terminal_box, terminal_safety_check
+from .mpc import FEAS_TOL, MpcConfig, estimate_flops_ip, estimate_flops_sqp
+from .safety import Obstacle, sample_terminal_box, terminal_safety_check
 from .sim import (NoiseConfig, Scenario, first_deviation_step, run_closed_loop)
 
 __all__ = ["RunManifest", "run", "compare_timing", "verify_report",
            "load_config", "write_trajectory_csv", "main"]
 
 DEVIATION_THRESHOLD = 0.05
-_FEAS_TOL = 1e-6
 
 
 @dataclass
@@ -166,6 +165,8 @@ def _derive_seed(base_seed: int, run_index: int) -> int:
 
 
 def _build_scenario(cfg: dict, gamma, horizon, mode, noise_seed) -> Scenario:
+    """The config's scenario with gamma, horizon and mode overridden where
+    not None."""
     mpc = cfg["mpc"]
     if gamma is not None or horizon is not None:
         updates = {}
@@ -219,19 +220,20 @@ def write_trajectory_csv(log, path) -> None:
 
 def _ip_iteration_model(horizon: int) -> int:
     # Interior-point iteration count model O(sqrt(Nm) log(1/eps)).
-    return int(math.ceil(math.sqrt(horizon * 2) * math.log10(1.0 / _FEAS_TOL)))
+    return int(math.ceil(math.sqrt(horizon * 2) * math.log10(1.0 / FEAS_TOL)))
 
 
-def _run_summary(log, name, gamma, horizon, mode, noise_seed) -> dict:
+def _run_summary(log, name, noise_seed) -> dict:
     s = log.summary
+    horizon = log.scenario.mpc.horizon
     times_ms = np.array([r.solve_time * 1e3 for r in log.records])
     sqp_iters = np.array([r.sqp_iterations for r in log.records])
     ip_model = _ip_iteration_model(horizon)
     sqp_median = float(np.median(sqp_iters)) if sqp_iters.size else 0.0
     entry = {
         "file": name,
-        "mode": mode,
-        "gamma": gamma,
+        "mode": log.scenario.mode,
+        "gamma": log.scenario.mpc.gamma,
         "horizon": horizon,
         "noise_seed": noise_seed,
         "aborted": log.aborted,
@@ -310,29 +312,18 @@ def run(manifest: RunManifest) -> int:
     """Execute the manifest; returns the process exit code.
 
     0 for success, 2 if any run aborted infeasible, 3 for config errors.
+    The manifest's gamma, horizon and mode stand in for empty sweep axes
+    and, without a sweep, override the config's values.
     """
     try:
         cfg = load_config(manifest.config_path)
-        if manifest.gamma is not None or manifest.horizon is not None:
-            updates = {}
-            if manifest.gamma is not None:
-                updates["gamma"] = manifest.gamma
-            if manifest.horizon is not None:
-                updates["horizon"] = manifest.horizon
-            cfg["mpc"] = replace(cfg["mpc"], **updates)
-        if manifest.mode is not None:
-            if manifest.mode not in ("cbf", "euclid", "nmpc"):
-                raise ConfigError(f"unknown mode '{manifest.mode}'")
-            cfg["mode"] = manifest.mode
-        if manifest.seed is not None:
-            cfg["seed"] = int(manifest.seed)
-
-        points = [(None, None, None)]
+        seed = cfg["seed"] if manifest.seed is None else int(manifest.seed)
+        points = [(manifest.gamma, manifest.horizon, manifest.mode)]
         if manifest.sweep:
             sweep = cfg["sweep"]
-            gammas = sweep["gamma"] or [None]
-            horizons = sweep["horizon"] or [None]
-            modes = sweep["mode"] or [None]
+            gammas = sweep["gamma"] or [manifest.gamma]
+            horizons = sweep["horizon"] or [manifest.horizon]
+            modes = sweep["mode"] or [manifest.mode]
             points = [(g, n, m) for m in modes for n in horizons
                       for g in gammas]
 
@@ -340,35 +331,34 @@ def run(manifest: RunManifest) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         jobs = []
         for idx, (gamma, horizon, mode) in enumerate(points):
-            noise_seed = _derive_seed(cfg["seed"], idx)
+            noise_seed = _derive_seed(seed, idx)
             scenario = _build_scenario(cfg, gamma, horizon, mode, noise_seed)
-            g_eff = scenario.mpc.gamma
-            n_eff = scenario.mpc.horizon
-            name = f"run{idx:03d}_{scenario.mode}_g{g_eff:g}_N{n_eff}.csv"
-            jobs.append((scenario, name, g_eff, n_eff, noise_seed))
+            name = (f"run{idx:03d}_{scenario.mode}_g{scenario.mpc.gamma:g}"
+                    f"_N{scenario.mpc.horizon}.csv")
+            jobs.append((scenario, name, noise_seed))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
 
     entries = []
     any_infeasible = False
-    for scenario, name, g_eff, n_eff, noise_seed in jobs:
+    for scenario, name, noise_seed in jobs:
         try:
             log = run_closed_loop(scenario)
         except InfeasibleError as exc:
             any_infeasible = True
             entries.append({"file": name, "mode": scenario.mode,
-                            "gamma": g_eff, "horizon": n_eff,
+                            "gamma": scenario.mpc.gamma,
+                            "horizon": scenario.mpc.horizon,
                             "noise_seed": noise_seed, "aborted": True,
                             "error": str(exc)})
             continue
         write_trajectory_csv(log, out_dir / name)
-        entries.append(_run_summary(log, name, g_eff, n_eff,
-                                    log.scenario.mode, noise_seed))
+        entries.append(_run_summary(log, name, noise_seed))
         if log.aborted:
             any_infeasible = True
 
-    summary = {"seed": cfg["seed"], "runs": entries}
+    summary = {"seed": seed, "runs": entries}
     summary.update(_aggregate_reports([e for e in entries if "steps" in e]))
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"wrote {len(entries)} run(s) to {out_dir}")
@@ -383,8 +373,7 @@ def compare_timing(manifest: RunManifest, horizons=None) -> dict:
     mode, and the flop-model columns.
     """
     cfg = load_config(manifest.config_path)
-    if manifest.seed is not None:
-        cfg["seed"] = int(manifest.seed)
+    seed = cfg["seed"] if manifest.seed is None else int(manifest.seed)
     horizons = horizons or cfg["timing"]["horizons"]
     duration = cfg["timing"]["duration"]
     out_dir = Path(manifest.out_dir)
@@ -393,19 +382,18 @@ def compare_timing(manifest: RunManifest, horizons=None) -> dict:
     for n in horizons:
         entry = {"horizon": int(n)}
         for mode in ("cbf", "nmpc"):
-            scenario = _build_scenario(cfg, None, int(n), mode, cfg["seed"])
+            scenario = _build_scenario(cfg, None, int(n), mode, seed)
             scenario = replace(scenario, duration=duration)
             log = run_closed_loop(scenario)
-            times_ms = np.array([r.solve_time * 1e3 for r in log.records])
-            sqp = float(np.median([r.sqp_iterations for r in log.records]))
-            ip_model = _ip_iteration_model(int(n))
+            run_stats = _run_summary(log, None, seed)
+            times, flops = run_stats["solve_ms"], run_stats["flops"]
             entry[mode] = {
-                "median_ms": float(np.median(times_ms)),
-                "max_ms": float(np.max(times_ms)),
+                "median_ms": times["median"],
+                "max_ms": times["max"],
                 "aborted": log.aborted,
-                "sqp_iterations_median": sqp,
-                "flops_ip": estimate_flops_ip(int(n), 2, ip_model),
-                "flops_sqp": estimate_flops_sqp(sqp, int(n), 2, ip_model),
+                "sqp_iterations_median": flops["sqp_iterations_median"],
+                "flops_ip": flops["flops_ip"],
+                "flops_sqp": flops["flops_sqp"],
             }
         entry["cbf_max_le_ts"] = bool(entry["cbf"]["max_ms"]
                                       <= cfg["mpc"].ts * 1e3)
@@ -432,12 +420,11 @@ def verify_report(config_path=None) -> bool:
 
     worst = 0.0
     for _ in range(200):
-        z = LinearState(*rng.uniform(-5.0, 5.0, size=4))
-        if math.hypot(z.z2, z.z4) <= 0.02:
+        z = rng.uniform(-5.0, 5.0, size=4)
+        if math.hypot(z[1], z[3]) <= 0.02:
             continue
-        state, ok = map_z_to_x(z, zeta_threshold=0.01)
-        back = map_x_to_z(state)
-        worst = max(worst, float(np.max(np.abs(back.as_array() - z.as_array()))))
+        x, _ = map_z_to_x(z, zeta_threshold=0.01)
+        worst = max(worst, float(np.max(np.abs(map_x_array_to_z(x) - z))))
     checks.append(("coordinate map round trip <= 1e-12", worst <= 1e-12,
                    f"worst {worst:.2e}"))
 
@@ -451,8 +438,13 @@ def verify_report(config_path=None) -> bool:
                    worst <= 1e-14, f"worst {worst:.2e}"))
 
     if config_path is not None:
+        # The terminal box is sampled around the origin, so the obstacles
+        # move to goal-centered coordinates as in LinearMpc.
         cfg = load_config(config_path)
-        mpc_cfg, obstacles = cfg["mpc"], cfg["obstacles"]
+        gx, gy = cfg["goal"]
+        mpc_cfg = cfg["mpc"]
+        obstacles = tuple(Obstacle(o.x - gx, o.y - gy, o.radius)
+                          for o in cfg["obstacles"])
     else:
         mpc_cfg, obstacles = MpcConfig(), (Obstacle(3.5, 3.5, 1.5),)
     model = discretize_double_integrator(mpc_cfg.ts)
@@ -482,10 +474,9 @@ def verify_report(config_path=None) -> bool:
                    rel <= 1e-6, f"rel err {rel:.2e}"))
 
     ok_all = True
-    params = CbfParams(gamma=mpc_cfg.gamma)
     for i, obs in enumerate(obstacles):
         samples = sample_terminal_box(1.0, 0.5, obstacles, 10000, rng)
-        rep = terminal_safety_check(model, td.K, params, obs, samples)
+        rep = terminal_safety_check(model, td.K, mpc_cfg.gamma, obs, samples)
         checks.append((f"terminal safe invariance near goal (obstacle {i})",
                        rep.passed, f"worst margin {rep.worst_margin:.3e}"))
 

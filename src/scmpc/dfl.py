@@ -3,9 +3,9 @@
 Adding an integrator on the forward velocity makes the unicycle exactly
 input-output linearizable: under the control law in ``dfl_control`` the
 position outputs behave as a pair of decoupled double integrators. This
-module holds the control law, the coordinate maps between the extended
-state and the linear coordinates, and finite-difference verification of
-the relative-degree computation that the law rests on.
+module holds the control law and the coordinate maps between the extended
+state (x1, x2, heading, zeta) and the linear coordinates
+(z1, z2, z3, z4) = (x1, zeta cos x3, x2, zeta sin x3).
 """
 
 import math
@@ -17,46 +17,13 @@ from .errors import ConfigError
 from .model import ExtendedState, extended_rhs
 
 __all__ = [
-    "LinearState",
-    "VirtualInput",
     "DflGuard",
     "dfl_control",
-    "map_x_to_z",
     "map_x_array_to_z",
     "map_z_to_x",
     "decoupling_matrix",
-    "input_map_v_from_U",
-    "verify_relative_degree",
     "closed_loop_rhs",
 ]
-
-
-@dataclass(frozen=True)
-class LinearState:
-    """Double-integrator coordinates: (z1, z3) position, (z2, z4) velocity."""
-
-    z1: float
-    z2: float
-    z3: float
-    z4: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.z1, self.z2, self.z3, self.z4])
-
-    @classmethod
-    def from_array(cls, z) -> "LinearState":
-        return cls(float(z[0]), float(z[1]), float(z[2]), float(z[3]))
-
-
-@dataclass(frozen=True)
-class VirtualInput:
-    """Accelerations (v1, v2) of the linear coordinates, m/s^2."""
-
-    v1: float
-    v2: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v1, self.v2])
 
 
 @dataclass(frozen=True)
@@ -71,13 +38,14 @@ class DflGuard:
 
 
 def dfl_control(s: ExtendedState, v, guard: DflGuard):
-    """Map a virtual acceleration to the extended-model input (accel, turn).
+    """Map a virtual acceleration v = (v1, v2) to the extended-model input
+    (accel, turn).
 
     accel = v1*cos(x3) + v2*sin(x3). The turn rate divides by zeta, so it
     is zeroed whenever zeta is at or below the guard threshold; the
     acceleration channel stays active so the speed can recover.
     """
-    v1, v2 = (v.v1, v.v2) if isinstance(v, VirtualInput) else (v[0], v[1])
+    v1, v2 = v[0], v[1]
     c, sn = math.cos(s.x3), math.sin(s.x3)
     accel = v1 * c + v2 * sn
     if s.zeta > guard.zeta_threshold:
@@ -87,20 +55,13 @@ def dfl_control(s: ExtendedState, v, guard: DflGuard):
     return accel, turn
 
 
-def map_x_to_z(s: ExtendedState) -> LinearState:
-    """Forward coordinate change: z = (x1, zeta*cos x3, x2, zeta*sin x3)."""
-    return LinearState(
-        s.x1, s.zeta * math.cos(s.x3), s.x2, s.zeta * math.sin(s.x3)
-    )
-
-
 def map_x_array_to_z(x: np.ndarray) -> np.ndarray:
-    """Array form of the forward map, for use in tight loops."""
+    """Forward coordinate change: z = (x1, zeta*cos x3, x2, zeta*sin x3)."""
     c, sn = math.cos(x[2]), math.sin(x[2])
     return np.array([x[0], x[3] * c, x[1], x[3] * sn])
 
 
-def map_z_to_x(z: LinearState, zeta_threshold: float = 0.0,
+def map_z_to_x(z: np.ndarray, zeta_threshold: float = 0.0,
                fallback_heading: float = 0.0):
     """Inverse coordinate change.
 
@@ -112,13 +73,14 @@ def map_z_to_x(z: LinearState, zeta_threshold: float = 0.0,
 
     Returns
     -------
-    (ExtendedState, bool)
-        Recovered state and whether the heading was determinate.
+    (ndarray, bool)
+        Recovered extended state (x1, x2, x3, zeta) and whether the
+        heading was determinate.
     """
-    speed = math.hypot(z.z2, z.z4)
-    if speed <= zeta_threshold:
-        return ExtendedState(z.z1, z.z3, fallback_heading, speed), False
-    return ExtendedState(z.z1, z.z3, math.atan2(z.z4, z.z2), speed), True
+    speed = math.hypot(z[1], z[3])
+    determinate = speed > zeta_threshold
+    heading = math.atan2(z[3], z[1]) if determinate else fallback_heading
+    return np.array([z[0], z[2], heading, speed]), determinate
 
 
 def decoupling_matrix(s: ExtendedState):
@@ -133,16 +95,6 @@ def decoupling_matrix(s: ExtendedState):
     return mat, det
 
 
-def input_map_v_from_U(s: ExtendedState, control) -> VirtualInput:
-    """Recover the virtual acceleration from an extended-model input.
-
-    Inverse of ``dfl_control`` wherever zeta exceeds the guard threshold.
-    """
-    mat, _ = decoupling_matrix(s)
-    v = mat @ np.asarray(control, dtype=float)
-    return VirtualInput(float(v[0]), float(v[1]))
-
-
 def closed_loop_rhs(x: np.ndarray, v, guard: DflGuard) -> np.ndarray:
     """Extended dynamics with the linearizing feedback in the loop.
 
@@ -152,58 +104,3 @@ def closed_loop_rhs(x: np.ndarray, v, guard: DflGuard) -> np.ndarray:
     """
     state = ExtendedState(float(x[0]), float(x[1]), float(x[2]), float(x[3]))
     return extended_rhs(x, dfl_control(state, v, guard))
-
-
-def _h1(x):
-    return x[0]
-
-
-def _h2(x):
-    return x[1]
-
-
-def _drift(x):
-    return np.array([x[3] * math.cos(x[2]), x[3] * math.sin(x[2]), 0.0, 0.0])
-
-
-def _g1(x):
-    return np.array([0.0, 0.0, 0.0, 1.0])
-
-
-def _g2(x):
-    return np.array([0.0, 0.0, 1.0, 0.0])
-
-
-def _lie(fn, field, x, step):
-    # Central difference of fn along the field evaluated at x. Keeps the
-    # check independent of any hand-derived gradient.
-    d = field(x)
-    return (fn(x + step * d) - fn(x - step * d)) / (2.0 * step)
-
-
-def verify_relative_degree(s: ExtendedState, step: float = 1e-5) -> dict:
-    """Numerically evaluate the Lie derivatives behind the linearization.
-
-    Uses nested central finite differences on the extended vector fields.
-    The closed forms being checked: the first-order terms vanish and the
-    second-order terms assemble the decoupling matrix
-    [[cos x3, -zeta sin x3], [sin x3, zeta cos x3]].
-    """
-    x = s.as_array()
-
-    def lf_h1(y):
-        return _lie(_h1, _drift, y, step)
-
-    def lf_h2(y):
-        return _lie(_h2, _drift, y, step)
-
-    return {
-        "Lg1_h1": float(_lie(_h1, _g1, x, step)),
-        "Lg2_h1": float(_lie(_h1, _g2, x, step)),
-        "Lg1_Lf_h1": float(_lie(lf_h1, _g1, x, step)),
-        "Lg2_Lf_h1": float(_lie(lf_h1, _g2, x, step)),
-        "Lg1_h2": float(_lie(_h2, _g1, x, step)),
-        "Lg2_h2": float(_lie(_h2, _g2, x, step)),
-        "Lg1_Lf_h2": float(_lie(lf_h2, _g1, x, step)),
-        "Lg2_Lf_h2": float(_lie(lf_h2, _g2, x, step)),
-    }

@@ -1,8 +1,8 @@
 """Kinematics of a two-wheeled differential-drive robot.
 
-The wheel-level model, its unicycle equivalent, and the velocity-extended
+The wheel-level inputs, the unicycle model, and the velocity-extended
 model driven by the feedback-linearizing controller, plus a classical RK4
-integrator and a slip residual for the nonholonomic rolling constraint.
+integrator.
 """
 
 import math
@@ -16,16 +16,11 @@ __all__ = [
     "RobotParams",
     "WheelSpeeds",
     "UnicycleInput",
-    "RobotState",
     "ExtendedState",
-    "wheel_to_unicycle",
     "unicycle_to_wheel",
-    "unicycle_derivative",
     "unicycle_rhs",
-    "extended_derivative",
     "extended_rhs",
     "rk4_step",
-    "nonholonomic_residual",
 ]
 
 
@@ -41,11 +36,6 @@ class RobotParams:
             raise ConfigError("wheel_radius must be positive")
         if not self.axle_length > 0.0:
             raise ConfigError("axle_length must be positive")
-
-    def input_transform(self) -> np.ndarray:
-        """Matrix mapping wheel rates to (forward, angular) body velocity."""
-        r, d = self.wheel_radius, self.axle_length
-        return np.array([[r / 2.0, r / 2.0], [r / d, -r / d]])
 
 
 @dataclass(frozen=True)
@@ -65,18 +55,6 @@ class UnicycleInput:
 
 
 @dataclass(frozen=True)
-class RobotState:
-    """Planar pose. Heading x3 is kept unwrapped (plain real, radians)."""
-
-    x1: float
-    x2: float
-    x3: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3])
-
-
-@dataclass(frozen=True)
 class ExtendedState:
     """Pose plus the integrator state zeta, the commanded forward speed."""
 
@@ -88,24 +66,12 @@ class ExtendedState:
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.x3, self.zeta])
 
-    @classmethod
-    def from_array(cls, x) -> "ExtendedState":
-        return cls(float(x[0]), float(x[1]), float(x[2]), float(x[3]))
-
-
-def wheel_to_unicycle(w: WheelSpeeds, p: RobotParams) -> UnicycleInput:
-    """Convert wheel rates to the equivalent unicycle input.
-
-    u1 = (r/2)(omega_r + omega_l), u2 = (r/d)(omega_r - omega_l).
-    """
-    r, d = p.wheel_radius, p.axle_length
-    u1 = 0.5 * r * (w.omega_r + w.omega_l)
-    u2 = (r / d) * (w.omega_r - w.omega_l)
-    return UnicycleInput(u1, u2)
-
 
 def unicycle_to_wheel(u: UnicycleInput, p: RobotParams) -> WheelSpeeds:
-    """Invert the input transform, recovering individual wheel rates."""
+    """Wheel rates that produce the unicycle input.
+
+    Inverts u1 = (r/2)(omega_r + omega_l), u2 = (r/d)(omega_r - omega_l).
+    """
     r, d = p.wheel_radius, p.axle_length
     omega_r = u.u1 / r + d * u.u2 / (2.0 * r)
     omega_l = u.u1 / r - d * u.u2 / (2.0 * r)
@@ -118,11 +84,6 @@ def unicycle_rhs(x: np.ndarray, u) -> np.ndarray:
     return np.array([u1 * math.cos(x[2]), u1 * math.sin(x[2]), u2])
 
 
-def unicycle_derivative(s: RobotState, u: UnicycleInput) -> np.ndarray:
-    """Time derivative of the unicycle pose for input u."""
-    return unicycle_rhs(s.as_array(), (u.u1, u.u2))
-
-
 def extended_rhs(x: np.ndarray, control) -> np.ndarray:
     """Extended dynamics on a raw 4-vector (x1, x2, heading, zeta).
 
@@ -133,11 +94,6 @@ def extended_rhs(x: np.ndarray, control) -> np.ndarray:
     return np.array(
         [x[3] * math.cos(x[2]), x[3] * math.sin(x[2]), turn_rate, accel]
     )
-
-
-def extended_derivative(s: ExtendedState, control) -> np.ndarray:
-    """Time derivative of the extended state for input (accel, turn_rate)."""
-    return extended_rhs(s.as_array(), control)
 
 
 def rk4_step(fn, state: np.ndarray, u, ts: float) -> np.ndarray:
@@ -162,11 +118,3 @@ def rk4_step(fn, state: np.ndarray, u, ts: float) -> np.ndarray:
     k4 = fn(state + ts * k3, u)
     return state + (ts / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-
-def nonholonomic_residual(s: RobotState, derivative) -> float:
-    """Sideways-slip residual xdot*sin(x3) - ydot*cos(x3).
-
-    Zero for any derivative generated by the rolling model; nonzero values
-    measure violation of the no-slip constraint.
-    """
-    return float(derivative[0] * math.sin(s.x3) - derivative[1] * math.cos(s.x3))

@@ -40,6 +40,12 @@ __all__ = [
     "estimate_flops_sqp",
 ]
 
+# SQP termination: QP step and worst row violation at most these, within
+# at most MAX_SQP_ITER iterations.
+OPT_TOL = 1e-6
+FEAS_TOL = 1e-6
+MAX_SQP_ITER = 50
+
 
 def _as_matrix(value, shape, name):
     arr = np.asarray(value, dtype=float)
@@ -368,15 +374,14 @@ def build_qcqp(z0, cfg: MpcConfig, model: LtiModel, terminal: TerminalData,
     )
 
 
-def _merit_penalty(violations: np.ndarray, feas_tol: float) -> float:
+def _merit_penalty(violations: np.ndarray) -> float:
     # Violations within half the feasibility tolerance are treated as zero,
     # otherwise the penalty blocks full steps near the solution where the
     # relinearized rows move by second-order amounts (Maratos effect).
-    return float(np.sum(np.clip(violations - 0.5 * feas_tol, 0.0, None)))
+    return float(np.sum(np.clip(violations - 0.5 * FEAS_TOL, 0.0, None)))
 
 
-def solve_sqp(problem, warm_start=None, opt_tol: float = 1e-6,
-              feas_tol: float = 1e-6, max_iter: int = 50) -> SolveResult:
+def solve_sqp(problem, warm_start=None) -> SolveResult:
     """Solve a problem with affine and nonlinear rows by SQP.
 
     The problem gives its affine rows lin_rows @ v <= lin_rhs, the input
@@ -389,12 +394,12 @@ def solve_sqp(problem, warm_start=None, opt_tol: float = 1e-6,
     iteration solves the dense QP with the rows
     [lin_rows; J] x <= [lin_rhs; J v - g] and backtracks from the full step
     on an l1 merit function evaluated on the original rows (Nocedal &
-    Wright, ch. 18). Terminates when the QP step norm drops below opt_tol
-    with worst violation below feas_tol.
+    Wright, ch. 18). Terminates when the QP step norm drops below OPT_TOL
+    with worst violation below FEAS_TOL.
     """
     t0 = time.perf_counter()
     v = np.zeros(2 * problem.n_steps)
-    status = "max_iter"
+    status, max_iter = "max_iter", MAX_SQP_ITER
     if problem.infeasible:
         status, max_iter = "infeasible", 0
     else:
@@ -432,10 +437,10 @@ def solve_sqp(problem, warm_start=None, opt_tol: float = 1e-6,
         d = qp.x - v
         step = float(np.max(np.abs(d), initial=0.0))
         worst = float(np.max(viol, initial=0.0))
-        if step <= opt_tol and worst <= feas_tol:
+        if step <= OPT_TOL and worst <= FEAS_TOL:
             status = "optimal"
             break
-        pen0 = _merit_penalty(viol, feas_tol)
+        pen0 = _merit_penalty(viol)
         merit0 = cost + rho * pen0
         ddir = float((hessian @ v + gradient) @ d) - rho * pen0
         bar = merit0 + 1e-12 * (1.0 + abs(merit0))
@@ -443,7 +448,7 @@ def solve_sqp(problem, warm_start=None, opt_tol: float = 1e-6,
         while alpha >= 1e-6:
             trial = v + alpha * d
             point = evaluate(trial)
-            if (point[0] + rho * _merit_penalty(point[3], feas_tol)
+            if (point[0] + rho * _merit_penalty(point[3])
                     <= bar + 1e-4 * alpha * min(ddir, 0.0)):
                 break
             alpha *= 0.5
@@ -454,7 +459,7 @@ def solve_sqp(problem, warm_start=None, opt_tol: float = 1e-6,
             v = trial
             cost, g, aux, viol = point
         worst = float(np.max(viol, initial=0.0))
-        if worst <= feas_tol and taken <= opt_tol:
+        if worst <= FEAS_TOL and taken <= OPT_TOL:
             status = "optimal"
             break
         if not moved:
@@ -481,12 +486,11 @@ class LinearMpc:
     """
 
     def __init__(self, cfg: MpcConfig, obstacles=(), goal=(0.0, 0.0),
-                 mode: str = "cbf", warm_start: bool = True):
+                 mode: str = "cbf"):
         if mode not in ("cbf", "euclid"):
             raise ConfigError(f"unsupported mode '{mode}' for LinearMpc")
         self.cfg = cfg
         self.mode = mode
-        self.use_warm_start = warm_start
         self.model = discretize_double_integrator(cfg.ts)
         self.terminal = terminal_data(self.model, cfg.Q, cfg.R)
         self.goal_z = np.array([goal[0], 0.0, goal[1], 0.0])
@@ -502,14 +506,13 @@ class LinearMpc:
         problem = build_qcqp(z0s, self.cfg, self.model, self.terminal,
                              self.obstacles, mode=self.mode,
                              workspace=self.workspace)
-        warm = self._warm if self.use_warm_start else None
-        res = solve_sqp(problem, warm_start=warm)
+        res = solve_sqp(problem, warm_start=self._warm)
         if res.status == "infeasible" and self.mode == "cbf" and self.cfg.gamma < 1.0:
             relaxed = replace(self.cfg, gamma=min(2.0 * self.cfg.gamma, 1.0))
             problem = build_qcqp(z0s, relaxed, self.model, self.terminal,
                                  self.obstacles, mode=self.mode,
                                  workspace=self.workspace)
-            res = solve_sqp(problem, warm_start=warm)
+            res = solve_sqp(problem, warm_start=self._warm)
         if res.status != "infeasible":
             flat = res.v_sequence.ravel()
             tail = self.terminal.K @ res.z_prediction[-1]
@@ -646,10 +649,8 @@ class NonlinearMpc:
     infeasible step the barrier decay is relaxed once, as in LinearMpc.
     """
 
-    def __init__(self, cfg: MpcConfig, obstacles=(), goal=(0.0, 0.0),
-                 warm_start: bool = True):
+    def __init__(self, cfg: MpcConfig, obstacles=(), goal=(0.0, 0.0)):
         self.cfg = cfg
-        self.use_warm_start = warm_start
         self.goal = np.array([goal[0], goal[1], 0.0])
         self.obstacles = list(obstacles)
         self._warm = None
@@ -657,15 +658,15 @@ class NonlinearMpc:
     def solve(self, x0) -> SolveResult:
         t0 = time.perf_counter()
         x0 = np.asarray(x0, dtype=float).ravel()[:3]
-        warm = self._warm if self.use_warm_start else None
         gamma = self.cfg.gamma
         res = solve_sqp(_RolloutProblem(x0, self.cfg, self.goal,
-                                        self.obstacles, gamma), warm_start=warm)
+                                        self.obstacles, gamma),
+                        warm_start=self._warm)
         if res.status == "infeasible" and gamma < 1.0:
             res = solve_sqp(_RolloutProblem(x0, self.cfg, self.goal,
                                             self.obstacles,
                                             min(2.0 * gamma, 1.0)),
-                            warm_start=warm)
+                            warm_start=self._warm)
         if res.status != "infeasible":
             u = res.v_sequence.ravel()
             self._warm = np.concatenate([u[2:], u[-2:]])

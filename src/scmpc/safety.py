@@ -1,4 +1,4 @@
-"""Barrier function for circular obstacles and the related residuals.
+"""Barrier function for circular obstacles and the terminal safety check.
 
 The barrier H is the squared clearance to the obstacle boundary; its
 nonnegative superlevel set is the safe set. The per-step constraint
@@ -11,16 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .dfl import LinearState
 from .lti import LtiModel
 
 __all__ = [
     "Obstacle",
-    "CbfParams",
     "TerminalSafetyReport",
-    "barrier",
     "barrier_xy",
-    "cbf_residual",
     "terminal_safety_check",
     "sample_terminal_box",
 ]
@@ -43,17 +39,6 @@ class Obstacle:
 
 
 @dataclass(frozen=True)
-class CbfParams:
-    """Barrier decay rate gamma in (0, 1]; smaller is more conservative."""
-
-    gamma: float = 0.1
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ConfigError("gamma must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
 class TerminalSafetyReport:
     """Outcome of the sampled terminal safe-invariance check."""
 
@@ -67,29 +52,13 @@ def barrier_xy(px: float, py: float, obs: Obstacle) -> float:
     return (px - obs.x) ** 2 + (py - obs.y) ** 2 - obs.radius**2
 
 
-def barrier(z, obs: Obstacle) -> float:
-    """Barrier value at a linear state; depends only on (z1, z3)."""
-    if isinstance(z, LinearState):
-        return barrier_xy(z.z1, z.z3, obs)
-    return barrier_xy(float(z[0]), float(z[2]), obs)
-
-
-def cbf_residual(z_k, z_k1, p: CbfParams, obs: Obstacle) -> float:
-    """Slack of the decay constraint between consecutive states.
-
-    Returns H(z_k1) - (1 - gamma) H(z_k); the constraint holds iff the
-    result is nonnegative.
-    """
-    return barrier(z_k1, obs) - (1.0 - p.gamma) * barrier(z_k, obs)
-
-
-def terminal_safety_check(model: LtiModel, K: np.ndarray, p: CbfParams,
+def terminal_safety_check(model: LtiModel, K: np.ndarray, gamma: float,
                           obs: Obstacle, terminal_samples) -> TerminalSafetyReport:
     """Check the safe-invariance inequality under the terminal controller.
 
     For every sampled state z the closed-loop successor (A + B K) z must
-    satisfy H(successor) > (1 - gamma) H(z). Reports the minimum margin
-    over the samples.
+    satisfy H(successor) > (1 - gamma) H(z), with the decay rate gamma as
+    validated by MpcConfig. Reports the minimum margin over the samples.
     """
     samples = np.atleast_2d(np.asarray(terminal_samples, dtype=float))
     if samples.size == 0:
@@ -98,7 +67,7 @@ def terminal_safety_check(model: LtiModel, K: np.ndarray, p: CbfParams,
     succ = samples @ A_cl.T
     h_now = (samples[:, 0] - obs.x) ** 2 + (samples[:, 2] - obs.y) ** 2 - obs.radius**2
     h_next = (succ[:, 0] - obs.x) ** 2 + (succ[:, 2] - obs.y) ** 2 - obs.radius**2
-    margins = h_next - (1.0 - p.gamma) * h_now
+    margins = h_next - (1.0 - gamma) * h_now
     worst = float(np.min(margins))
     return TerminalSafetyReport(passed=bool(worst > 0.0), worst_margin=worst,
                                 n_samples=samples.shape[0])

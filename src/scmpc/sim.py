@@ -29,7 +29,6 @@ __all__ = [
     "TrajectoryLog",
     "run_closed_loop",
     "inject_noise",
-    "min_obstacle_distance",
     "cost_sequence",
     "first_deviation_step",
 ]
@@ -70,7 +69,6 @@ class Scenario:
     mode: str = "cbf"
     substeps: int = 1
     robot: RobotParams = field(default_factory=RobotParams)
-    warm_start: bool = True
 
     def __post_init__(self):
         if not self.duration > 0.0:
@@ -180,12 +178,11 @@ def run_closed_loop(sc: Scenario) -> TrajectoryLog:
                 "initial state lies inside an obstacle, the run is infeasible at k=0"
             )
     if sc.mode == "nmpc":
-        controller = NonlinearMpc(sc.mpc, obstacles=sc.obstacles, goal=sc.goal,
-                                  warm_start=sc.warm_start)
+        controller = NonlinearMpc(sc.mpc, obstacles=sc.obstacles, goal=sc.goal)
         x = sc.start.as_array()[:3]
     else:
         controller = LinearMpc(sc.mpc, obstacles=sc.obstacles, goal=sc.goal,
-                               mode=sc.mode, warm_start=sc.warm_start)
+                               mode=sc.mode)
         x = sc.start.as_array()
     rng = np.random.default_rng(np.random.SeedSequence(sc.noise.seed))
     ts = sc.mpc.ts
@@ -247,14 +244,6 @@ def run_closed_loop(sc: Scenario) -> TrajectoryLog:
 
     return TrajectoryLog(scenario=sc, records=records, aborted=aborted,
                          final_state=np.array(x))
-
-
-def min_obstacle_distance(log: TrajectoryLog, obs) -> float:
-    """Smallest boundary clearance over the logged steps."""
-    if not log.records:
-        raise ConfigError("log has no records")
-    return min(math.hypot(r.x1 - obs.x, r.x2 - obs.y) - obs.radius
-               for r in log.records)
 
 
 def cost_sequence(log: TrajectoryLog):

@@ -34,7 +34,7 @@ def tuned_mpc_config(gamma=0.1, horizon=8, **overrides) -> MpcConfig:
 
 def nominal_scenario(gamma=0.1, horizon=8, mode="cbf", noise_seed=None,
                      heading=math.pi, zeta0=0.5, duration=30.0, substeps=1,
-                     warm_start=True, **cfg_overrides) -> Scenario:
+                     **cfg_overrides) -> Scenario:
     """Start (7, 7), goal at the origin, obstacle of radius 1.5 between."""
     noise = NoiseConfig()
     if noise_seed is not None:
@@ -48,7 +48,6 @@ def nominal_scenario(gamma=0.1, horizon=8, mode="cbf", noise_seed=None,
         noise=noise,
         mode=mode,
         substeps=substeps,
-        warm_start=warm_start,
     )
 
 

@@ -219,6 +219,23 @@ def test_verify_subcommand(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_terminal_safety_is_goal_centered(cli_config_file, capsys):
+    # Translating goal and obstacle together leaves the scene around the
+    # goal unchanged, so the sampled terminal-safety lines must not move.
+    def safety_lines(updates):
+        main(["verify", "--config", cli_config_file(updates)])
+        return [line for line in capsys.readouterr().out.splitlines()
+                if "terminal safe invariance" in line]
+
+    base = safety_lines({})
+    moved = safety_lines({
+        "scenario.goal": [-3.0, -3.0],
+        "scenario.obstacles": [{"x": 0.5, "y": 0.5, "radius": 1.5}],
+    })
+    assert len(base) == 1
+    assert moved == base
+
+
 def test_main_simulate_round_trip(cli_config_file, tmp_path):
     cfg = cli_config_file({"scenario.duration": 2.0})
     code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "m")])

@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from scmpc import (ConfigError, DflGuard, ExtendedState, LinearState,
-                   VirtualInput, decoupling_matrix, dfl_control,
-                   input_map_v_from_U, map_x_to_z, map_z_to_x,
-                   verify_relative_degree)
-from scmpc.dfl import closed_loop_rhs, map_x_array_to_z
+from scmpc import ConfigError, DflGuard, ExtendedState
+from scmpc.dfl import (closed_loop_rhs, decoupling_matrix, dfl_control,
+                       map_x_array_to_z, map_z_to_x)
 from scmpc.lti import continuous_matrices, discretize_double_integrator
 from scmpc.model import rk4_step
 
@@ -20,61 +18,60 @@ def test_guard_validation():
 
 
 def test_control_law_examples():
-    u1, u2 = dfl_control(ExtendedState(0, 0, 0.0, 1.0), VirtualInput(1.0, 0.0), GUARD)
+    u1, u2 = dfl_control(ExtendedState(0, 0, 0.0, 1.0), (1.0, 0.0), GUARD)
     assert (u1, u2) == pytest.approx((1.0, 0.0), abs=1e-15)
-    u1, u2 = dfl_control(ExtendedState(0, 0, math.pi / 2, 2.0),
-                         VirtualInput(0.0, 1.0), GUARD)
+    u1, u2 = dfl_control(ExtendedState(0, 0, math.pi / 2, 2.0), (0.0, 1.0),
+                         GUARD)
     assert (u1, u2) == pytest.approx((1.0, 0.0), abs=1e-12)
 
 
 def test_guard_zeros_turn_rate_only():
     s = ExtendedState(1.0, -1.0, 0.8, 0.005)
-    u1, u2 = dfl_control(s, VirtualInput(0.7, -0.4), GUARD)
+    u1, u2 = dfl_control(s, (0.7, -0.4), GUARD)
     assert u2 == 0.0
     assert u1 == pytest.approx(0.7 * math.cos(0.8) - 0.4 * math.sin(0.8), abs=1e-15)
 
 
 def test_forward_map_examples():
-    z = map_x_to_z(ExtendedState(1, 2, 0.0, 3.0))
-    assert z.as_array() == pytest.approx([1, 3, 2, 0], abs=1e-15)
-    z = map_x_to_z(ExtendedState(0, 0, math.pi / 2, 2.0))
-    assert z.as_array() == pytest.approx([0, 0, 0, 2], abs=1e-15)
-    z = map_x_to_z(ExtendedState(4, -1, math.pi / 4, math.sqrt(2.0)))
-    assert z.as_array() == pytest.approx([4, 1, -1, 1], abs=1e-12)
+    z = map_x_array_to_z(np.array([1.0, 2.0, 0.0, 3.0]))
+    assert z == pytest.approx([1, 3, 2, 0], abs=1e-15)
+    z = map_x_array_to_z(np.array([0.0, 0.0, math.pi / 2, 2.0]))
+    assert z == pytest.approx([0, 0, 0, 2], abs=1e-15)
+    z = map_x_array_to_z(np.array([4.0, -1.0, math.pi / 4, math.sqrt(2.0)]))
+    assert z == pytest.approx([4, 1, -1, 1], abs=1e-12)
 
 
 def test_inverse_map_examples():
-    s, ok = map_z_to_x(LinearState(1, 3, 2, 0))
+    x, ok = map_z_to_x(np.array([1.0, 3.0, 2.0, 0.0]))
     assert ok
-    assert s.as_array() == pytest.approx([1, 2, 0, 3], abs=1e-15)
-    s, ok = map_z_to_x(LinearState(0, 0, 0, 2))
+    assert x == pytest.approx([1, 2, 0, 3], abs=1e-15)
+    x, ok = map_z_to_x(np.array([0.0, 0.0, 0.0, 2.0]))
     assert ok
-    assert s.x3 == pytest.approx(math.pi / 2, abs=1e-15)
-    assert s.zeta == pytest.approx(2.0, abs=1e-15)
-    s, ok = map_z_to_x(LinearState(4, 1, -1, 1))
+    assert x[2] == pytest.approx(math.pi / 2, abs=1e-15)
+    assert x[3] == pytest.approx(2.0, abs=1e-15)
+    x, ok = map_z_to_x(np.array([4.0, 1.0, -1.0, 1.0]))
     assert ok
-    assert s.x3 == pytest.approx(math.pi / 4, abs=1e-15)
-    assert s.zeta == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    assert x[2] == pytest.approx(math.pi / 4, abs=1e-15)
+    assert x[3] == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
 
 def test_inverse_map_indeterminate_below_threshold():
-    s, ok = map_z_to_x(LinearState(1.0, 0.004, 2.0, 0.003),
+    x, ok = map_z_to_x(np.array([1.0, 0.004, 2.0, 0.003]),
                        zeta_threshold=0.01, fallback_heading=0.37)
     assert not ok
-    assert s.x3 == 0.37
-    assert s.zeta == pytest.approx(math.hypot(0.004, 0.003), abs=1e-15)
+    assert x[2] == 0.37
+    assert x[3] == pytest.approx(math.hypot(0.004, 0.003), abs=1e-15)
 
 
 def test_map_round_trip_on_z_side():
     rng = np.random.default_rng(4)
     for _ in range(300):
-        z = LinearState(*rng.uniform(-5, 5, size=4))
-        if math.hypot(z.z2, z.z4) <= 0.01:
+        z = rng.uniform(-5, 5, size=4)
+        if math.hypot(z[1], z[3]) <= 0.01:
             continue
-        state, ok = map_z_to_x(z, zeta_threshold=0.01)
+        x, ok = map_z_to_x(z, zeta_threshold=0.01)
         assert ok
-        back = map_x_to_z(state)
-        np.testing.assert_allclose(back.as_array(), z.as_array(), atol=1e-12)
+        np.testing.assert_allclose(map_x_array_to_z(x), z, atol=1e-12)
 
 
 def test_decoupling_matrix_examples():
@@ -93,45 +90,6 @@ def test_decoupling_determinant_equals_speed():
                           float(rng.uniform(-3, 3)))
         _, det = decoupling_matrix(s)
         assert abs(det - s.zeta) <= 1e-14
-
-
-def test_input_map_examples_and_inverse():
-    v = input_map_v_from_U(ExtendedState(0, 0, 0.0, 1.0), (1.0, 0.0))
-    assert v.as_array() == pytest.approx([1.0, 0.0], abs=1e-15)
-    v = input_map_v_from_U(ExtendedState(0, 0, math.pi / 2, 2.0), (1.0, 0.0))
-    assert v.as_array() == pytest.approx([0.0, 1.0], abs=1e-12)
-    rng = np.random.default_rng(6)
-    for _ in range(200):
-        s = ExtendedState(0, 0, float(rng.uniform(-7, 7)),
-                          float(rng.uniform(0.05, 4.0)))
-        v = VirtualInput(*rng.uniform(-3, 3, size=2))
-        back = input_map_v_from_U(s, dfl_control(s, v, GUARD))
-        np.testing.assert_allclose(back.as_array(), v.as_array(), atol=1e-12)
-
-
-def test_relative_degree_closed_forms():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        s = ExtendedState(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)),
-                          float(rng.uniform(-5, 5)), float(rng.uniform(0.1, 3)))
-        rep = verify_relative_degree(s)
-        c, sn = math.cos(s.x3), math.sin(s.x3)
-        assert abs(rep["Lg1_h1"]) <= 1e-10
-        assert abs(rep["Lg2_h1"]) <= 1e-10
-        assert abs(rep["Lg1_h2"]) <= 1e-10
-        assert abs(rep["Lg2_h2"]) <= 1e-10
-        assert rep["Lg1_Lf_h1"] == pytest.approx(c, abs=1e-6)
-        assert rep["Lg2_Lf_h1"] == pytest.approx(-s.zeta * sn, abs=1e-6)
-        assert rep["Lg1_Lf_h2"] == pytest.approx(sn, abs=1e-6)
-        assert rep["Lg2_Lf_h2"] == pytest.approx(s.zeta * c, abs=1e-6)
-
-
-def test_relative_degree_specific_values():
-    rep = verify_relative_degree(ExtendedState(0, 0, 0.0, 1.0))
-    assert rep["Lg1_Lf_h1"] == pytest.approx(1.0, abs=1e-6)
-    assert rep["Lg2_Lf_h1"] == pytest.approx(0.0, abs=1e-6)
-    rep = verify_relative_degree(ExtendedState(0, 0, math.pi / 3, 2.0))
-    assert rep["Lg2_Lf_h2"] == pytest.approx(2.0 * math.cos(math.pi / 3), abs=1e-6)
 
 
 def test_closed_loop_matches_double_integrator():
@@ -170,5 +128,5 @@ def test_continuous_model_consistency():
         xdot[1],
         xdot[3] * math.sin(s.x3) + s.zeta * math.cos(s.x3) * xdot[2],
     ])
-    expect = a @ map_x_to_z(s).as_array() + b @ v
+    expect = a @ map_x_array_to_z(s.as_array()) + b @ v
     np.testing.assert_allclose(zdot, expect, atol=1e-12)

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from scmpc import (ConfigError, LtiModel, discretize_double_integrator,
-                   dlqr_gain, riccati_solution, spectral_radius,
-                   terminal_data, terminal_weight)
+from scmpc import ConfigError, discretize_double_integrator, terminal_data
+from scmpc.lti import (LtiModel, continuous_matrices, dlqr_gain,
+                       riccati_solution, spectral_radius, terminal_weight)
 from scmpc.model import rk4_step
-from scmpc.lti import continuous_matrices
 
 Q4 = np.eye(4)
 R2 = np.diag([0.1, 0.1])

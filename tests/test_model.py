@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from scmpc import (ConfigError, ExtendedState, RobotParams, RobotState,
-                   UnicycleInput, WheelSpeeds, extended_derivative,
-                   nonholonomic_residual, rk4_step, unicycle_derivative,
-                   unicycle_to_wheel, wheel_to_unicycle)
-from scmpc.model import extended_rhs, unicycle_rhs
+from scmpc import ConfigError
+from scmpc.model import (RobotParams, UnicycleInput, extended_rhs, rk4_step,
+                         unicycle_rhs, unicycle_to_wheel)
 
 P = RobotParams(wheel_radius=0.1, axle_length=0.5)
+# Wheel rates (omega_r, omega_l) to body velocity (u1, u2):
+# [[r/2, r/2], [r/d, -r/d]] with r = 0.1, d = 0.5.
+WHEEL_TO_BODY = np.array([[0.05, 0.05], [0.2, -0.2]])
 
 
 def test_params_validation():
@@ -19,65 +20,34 @@ def test_params_validation():
         RobotParams(axle_length=-1.0)
 
 
-def test_input_transform_determinant():
-    t = P.input_transform()
-    det = t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
-    assert det == pytest.approx(-P.wheel_radius**2 / P.axle_length, abs=1e-15)
-
-
-def test_wheel_to_unicycle_examples():
-    u = wheel_to_unicycle(WheelSpeeds(1.0, 1.0), P)
-    assert (u.u1, u.u2) == pytest.approx((0.1, 0.0), abs=1e-15)
-    u = wheel_to_unicycle(WheelSpeeds(1.0, -1.0), P)
-    assert (u.u1, u.u2) == pytest.approx((0.0, 0.4), abs=1e-15)
-    # direct evaluation of the transform matrix
-    t = P.input_transform()
-    expect = t @ np.array([2.0, 0.0])
-    u = wheel_to_unicycle(WheelSpeeds(2.0, 0.0), P)
-    assert (u.u1, u.u2) == pytest.approx(tuple(expect), abs=1e-15)
-    assert (u.u1, u.u2) == pytest.approx((0.1, 0.4), abs=1e-15)
-
-
 def test_unicycle_to_wheel_examples():
     w = unicycle_to_wheel(UnicycleInput(0.1, 0.0), P)
     assert (w.omega_r, w.omega_l) == pytest.approx((1.0, 1.0), abs=1e-12)
     w = unicycle_to_wheel(UnicycleInput(0.0, 0.0), P)
     assert (w.omega_r, w.omega_l) == (0.0, 0.0)
     # closed-form 2x2 inverse
-    inv = np.linalg.inv(P.input_transform())
+    inv = np.linalg.inv(WHEEL_TO_BODY)
     expect = inv @ np.array([0.1, 0.4])
     w = unicycle_to_wheel(UnicycleInput(0.1, 0.4), P)
     assert (w.omega_r, w.omega_l) == pytest.approx(tuple(expect), abs=1e-12)
     assert (w.omega_r, w.omega_l) == pytest.approx((2.0, 0.0), abs=1e-12)
 
 
-def test_transform_round_trip_random():
-    rng = np.random.default_rng(1)
-    for _ in range(300):
-        params = RobotParams(wheel_radius=float(rng.uniform(0.01, 2.0)),
-                             axle_length=float(rng.uniform(0.01, 2.0)))
-        u = UnicycleInput(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
-        back = wheel_to_unicycle(unicycle_to_wheel(u, params), params)
-        assert back.u1 == pytest.approx(u.u1, abs=1e-12)
-        assert back.u2 == pytest.approx(u.u2, abs=1e-12)
-
-
 def test_unicycle_derivative_examples():
-    d = unicycle_derivative(RobotState(0, 0, 0), UnicycleInput(1.0, 0.0))
+    d = unicycle_rhs(np.array([0.0, 0.0, 0.0]), (1.0, 0.0))
     assert d == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
-    d = unicycle_derivative(RobotState(0, 0, math.pi / 2), UnicycleInput(1.0, 0.0))
+    d = unicycle_rhs(np.array([0.0, 0.0, math.pi / 2]), (1.0, 0.0))
     assert d == pytest.approx([0.0, 1.0, 0.0], abs=1e-15)
-    d = unicycle_derivative(RobotState(1, 1, math.pi / 4),
-                            UnicycleInput(math.sqrt(2.0), 0.3))
+    d = unicycle_rhs(np.array([1.0, 1.0, math.pi / 4]), (math.sqrt(2.0), 0.3))
     assert d == pytest.approx([1.0, 1.0, 0.3], abs=1e-12)
 
 
 def test_extended_derivative_examples():
-    d = extended_derivative(ExtendedState(0, 0, 0, 1.0), (0.0, 0.0))
+    d = extended_rhs(np.array([0.0, 0.0, 0.0, 1.0]), (0.0, 0.0))
     assert d == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-15)
-    d = extended_derivative(ExtendedState(0, 0, 0, 0.0), (1.0, 0.0))
+    d = extended_rhs(np.array([0.0, 0.0, 0.0, 0.0]), (1.0, 0.0))
     assert d == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=1e-15)
-    d = extended_derivative(ExtendedState(0, 0, math.pi / 2, 2.0), (0.5, 0.1))
+    d = extended_rhs(np.array([0.0, 0.0, math.pi / 2, 2.0]), (0.5, 0.1))
     assert d == pytest.approx([0.0, 2.0, 0.1, 0.5], abs=1e-12)
 
 
@@ -87,22 +57,6 @@ def test_extended_coasting_conserves_speed():
         x = rng.uniform(-3, 3, size=4)
         x_next = rk4_step(extended_rhs, x, (0.0, 0.0), 0.05)
         assert x_next[3] == x[3]
-
-
-def test_nonholonomic_residual_of_model_is_zero():
-    rng = np.random.default_rng(3)
-    for _ in range(300):
-        s = RobotState(*rng.uniform(-5, 5, size=3))
-        u = UnicycleInput(*rng.uniform(-4, 4, size=2))
-        assert abs(nonholonomic_residual(s, unicycle_derivative(s, u))) <= 1e-14
-
-
-def test_nonholonomic_residual_detects_slip():
-    assert nonholonomic_residual(RobotState(0, 0, 0), np.array([0.0, 1.0, 0.0])) \
-        == pytest.approx(-1.0, abs=1e-15)
-    val = nonholonomic_residual(RobotState(0, 0, math.pi / 4),
-                                np.array([1.0, 0.0, 0.0]))
-    assert val == pytest.approx(math.sin(math.pi / 4), abs=1e-15)
 
 
 def test_rk4_zero_field_is_identity():

@@ -8,11 +8,11 @@ import pytest
 import scmpc.mpc
 from conftest import nominal_scenario
 from scmpc import (ConfigError, MpcConfig, Obstacle, build_qcqp,
-                   discretize_double_integrator, estimate_flops_ip,
-                   estimate_flops_sqp, run_closed_loop, solve_sqp,
+                   discretize_double_integrator, run_closed_loop, solve_sqp,
                    terminal_data)
 from scmpc.cli import _build_scenario, load_config
 from scmpc.mpc import (LinearMpc, NonlinearMpc, _RolloutProblem,
+                       estimate_flops_ip, estimate_flops_sqp,
                        prediction_matrices)
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "nominal.json"

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from conftest import (comparison_scenario, nominal_scenario,
                       regulation_scenario, tuned_mpc_config)
 from scmpc import (ConfigError, ExtendedState, InfeasibleError, MpcConfig,
                    Obstacle, Scenario, cost_sequence, first_deviation_step,
-                   inject_noise, min_obstacle_distance, run_closed_loop)
-from scmpc.sim import StepRecord
+                   run_closed_loop)
+from scmpc.sim import inject_noise
 
 
 def test_scenario_validation():
@@ -101,32 +103,6 @@ def test_noise_stream_determinism():
             assert getattr(ra, field) == getattr(rb, field)
 
 
-def test_min_obstacle_distance():
-    obs = Obstacle(1.0, 0.0, 0.5)
-    sc = nominal_scenario(duration=1.0)
-    rec = StepRecord(t=0.0, x1=1.0, x2=0.5, x3=0.0, zeta=0.0, u1=0, u2=0,
-                     omega_r=0, omega_l=0, v1=0, v2=0, barriers=(0.0,),
-                     distances=(0.0,), cost=0.0, sqp_iterations=1,
-                     solve_time=0.0)
-    from scmpc.sim import TrajectoryLog
-    log = TrajectoryLog(scenario=sc, records=[rec], aborted=False,
-                        final_state=np.zeros(4))
-    assert min_obstacle_distance(log, obs) == pytest.approx(0.0, abs=1e-12)
-    rec_inside = StepRecord(t=0.0, x1=1.0, x2=0.0, x3=0.0, zeta=0.0, u1=0,
-                            u2=0, omega_r=0, omega_l=0, v1=0, v2=0,
-                            barriers=(-0.25,), distances=(-0.5,), cost=0.0,
-                            sqp_iterations=1, solve_time=0.0)
-    log_inside = TrajectoryLog(scenario=sc, records=[rec_inside],
-                               aborted=False, final_state=np.zeros(4))
-    assert min_obstacle_distance(log_inside, obs) < 0.0
-    with pytest.raises(ConfigError):
-        min_obstacle_distance(TrajectoryLog(scenario=sc, records=[],
-                                            aborted=False,
-                                            final_state=np.zeros(4)), obs)
-    nominal = run_closed_loop(nominal_scenario())
-    assert min_obstacle_distance(nominal, nominal.scenario.obstacles[0]) > 0.0
-
-
 def test_cost_sequence_descends_without_constraints():
     log = run_closed_loop(regulation_scenario())
     costs, margins = cost_sequence(log)
@@ -196,14 +172,6 @@ def test_first_deviation_step_ordering_between_modes():
     assert k_cbf < k_euclid
 
 
-def test_warm_start_never_hurts_iterations():
-    warm = run_closed_loop(nominal_scenario(duration=10.0))
-    cold = run_closed_loop(nominal_scenario(duration=10.0, warm_start=False))
-    med_warm = np.median([r.sqp_iterations for r in warm.records])
-    med_cold = np.median([r.sqp_iterations for r in cold.records])
-    assert med_warm <= med_cold
-
-
 def test_nonzero_goal_regulation():
     # Goals shift the linear coordinates; the controller regulates to them.
     cfg = MpcConfig(v_min=[-20, -20], v_max=[20, 20])
@@ -223,8 +191,8 @@ def test_multi_obstacle_run_avoids_both():
     log = run_closed_loop(sc)
     assert not log.aborted
     assert log.summary.final_position_error < 0.1
-    for obs in sc.obstacles:
-        assert min_obstacle_distance(log, obs) > 0.0
+    for i in range(len(sc.obstacles)):
+        assert min(r.distances[i] for r in log.records) > 0.0
     assert all(len(r.barriers) == 2 and len(r.distances) == 2
                for r in log.records)
 
@@ -238,3 +206,13 @@ def test_nmpc_mode_closed_loop():
     assert s.final_position_error < 0.1
     # virtual-input columns are not meaningful for the baseline
     assert all(r.v1 == 0.0 and r.v2 == 0.0 for r in log.records)
+
+
+def test_readme_library_example_runs(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(readme), "exec"), {})
+    clearance, error = (float(tok) for tok in capsys.readouterr().out.split())
+    assert math.isfinite(clearance) and clearance > 0.0
+    assert math.isfinite(error)
