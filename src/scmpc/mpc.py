@@ -390,12 +390,21 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
     (H, grad, J) with the quadratic model 0.5 x'Hx + grad'x, whose gradient
     H v + grad at v is the cost gradient, and the Jacobian J of g, and
     predict(v). The multipliers are those of the rows g in the previous QP
-    (None on the first iteration), so H may be a Lagrangian Hessian. Each
-    iteration solves the dense QP with the rows
+    (None on the first iteration), so H may be a Lagrangian Hessian. The
+    problem's hessian attribute is its cost Hessian when the cost is
+    quadratic (None otherwise); a model whose H is that very object is the
+    exact cost. Each iteration solves the dense QP with the rows
     [lin_rows; J] x <= [lin_rhs; J v - g] and backtracks from the full step
     on an l1 merit function evaluated on the original rows (Nocedal &
-    Wright, ch. 18). Terminates when the QP step norm drops below OPT_TOL
-    with worst violation below FEAS_TOL.
+    Wright, ch. 18).
+
+    Returns "optimal" once the worst violation is at most FEAS_TOL and
+    either the QP step (or the step the line search took) is at most
+    OPT_TOL, or the full step was taken to an optimal QP of the exact cost
+    in which no nonlinear row has a nonzero multiplier. The latter point
+    minimizes the convex cost over the affine rows alone, so a further
+    iteration would only confirm it; a typical warm-started step then
+    solves one QP.
     """
     t0 = time.perf_counter()
     v = np.zeros(2 * problem.n_steps)
@@ -459,7 +468,13 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
             v = trial
             cost, g, aux, viol = point
         worst = float(np.max(viol, initial=0.0))
-        if worst <= FEAS_TOL and taken <= OPT_TOL:
+        # A full step to the exact cost's QP minimizer with no nonlinear
+        # row active minimizes the cost over the affine rows alone; if it
+        # also meets the nonlinear rows, the next QP would return d = 0.
+        solved = (alpha == 1.0 and qp.status == "optimal"
+                  and hessian is problem.hessian
+                  and not np.any(qp.multipliers[n_lin:]))
+        if worst <= FEAS_TOL and (taken <= OPT_TOL or solved):
             status = "optimal"
             break
         if not moved:
@@ -573,6 +588,7 @@ class _RolloutProblem:
     """
 
     infeasible = False
+    hessian = None  # the cost is not quadratic: no QP model is exact
 
     def __init__(self, x0, cfg: MpcConfig, goal, obstacles, gamma: float):
         n = cfg.horizon

@@ -4,9 +4,12 @@ Solves  min 0.5 x'Hx + g'x  subject to  G x <= h  with a positive-definite
 Hessian. Infeasible starts are handled by a regularized slack minimization
 (Phase 1) whose regularization is continued toward zero, which separates
 "feasible but far from the start" from genuinely inconsistent rows. The
-working-set loop follows the textbook primal scheme: solve the equality
-constrained subproblem on the current working set, take the blocking-ratio
-step, and drop the most negative multiplier when stationary.
+working-set loop follows the textbook primal scheme (Nocedal & Wright,
+Alg. 16.3): solve the equality constrained subproblem on the current
+working set, take the blocking-ratio step, and drop the most negative
+multiplier when stationary. A step that no row blocks ends on the
+subproblem's minimizer, so its multipliers decide optimality or the drop
+at once, without a second solve that would only return a zero step.
 """
 
 from dataclasses import dataclass, field
@@ -73,7 +76,13 @@ def _ratio_test(gp, slack, h, work):
 
 
 def _active_set_core(H, g, G, h, x, max_iter):
-    """Primal active-set iteration from a feasible point x."""
+    """Primal active-set iteration from a feasible point x.
+
+    Each iteration is one KKT solve, and the returned count is the number
+    of solves. A step that no row blocks lands on the minimizer over the
+    working set, where the multipliers of that same solve hold, so the
+    optimality test and the drop are made there without solving again.
+    """
     m = G.shape[0]
     work: list[int] = []
     it = 0
@@ -81,18 +90,18 @@ def _active_set_core(H, g, G, h, x, max_iter):
         it += 1
         p, mu = _kkt_step(H, g, G, x, work)
         step_scale = 1e-11 * (1.0 + float(np.max(np.abs(x))))
-        if float(np.max(np.abs(p), initial=0.0)) <= step_scale:
-            if mu.size == 0 or float(np.min(mu)) >= -1e-10:
-                lam = np.zeros(m)
-                if work:
-                    lam[work] = np.maximum(mu, 0.0)
-                return x, work, lam, it, "optimal"
-            work.pop(int(np.argmin(mu)))
-            continue
-        alpha, blocker = _ratio_test(G @ p, h - G @ x, h, work)
-        x = x + alpha * p
-        if blocker >= 0:
-            work.append(blocker)
+        if float(np.max(np.abs(p), initial=0.0)) > step_scale:
+            alpha, blocker = _ratio_test(G @ p, h - G @ x, h, work)
+            x = x + alpha * p
+            if blocker >= 0:
+                work.append(blocker)
+                continue
+        if mu.size == 0 or float(np.min(mu)) >= -1e-10:
+            lam = np.zeros(m)
+            if work:
+                lam[work] = np.maximum(mu, 0.0)
+            return x, work, lam, it, "optimal"
+        work.pop(int(np.argmin(mu)))
     # The last iteration may have changed the working set after its KKT
     # solve, so the multipliers are recomputed for the set returned.
     lam = np.zeros(m)

@@ -186,11 +186,12 @@ def test_zero_multipliers_keep_the_cost_model(monkeypatch):
     cfg = MpcConfig(horizon=8)
     model, td = _setup(cfg)
     z0 = np.array([7.0, -0.5, 7.0, 0.0])
-    # An obstacle far off the path: its rows never bind, so every QP gets
-    # the cost Hessian and linear term themselves.
+    # An obstacle far off the path: its rows never bind, so the QP gets the
+    # cost Hessian and linear term themselves, and its full step already
+    # solves the problem.
     far = build_qcqp(z0, cfg, model, td, [Obstacle(-8.0, 8.0, 0.5)])
     res, calls = _recorded_qp_inputs(monkeypatch, far)
-    assert res.status == "optimal" and len(calls) >= 2
+    assert res.status == "optimal" and len(calls) == 1
     for hessian, gradient, _ in calls:
         assert np.array_equal(hessian, far.hessian)
         assert np.array_equal(gradient, far.gradient)
@@ -238,6 +239,50 @@ def test_startup_transient_converges_in_few_iterations(monkeypatch):
         log = run_closed_loop(replace(scenario, duration=10.0))
         assert len(statuses) == len(log.records) == 200
         assert "max_iter" not in statuses
+
+
+def test_sqp_exit_stops_only_where_a_resolve_confirms(monkeypatch):
+    # solve_sqp stops after a full step to the exact cost's QP minimizer
+    # with no barrier row active. Re-solving from each returned plan must
+    # then confirm it in one iteration without moving it.
+    solved = []
+    solve = scmpc.mpc.solve_sqp
+
+    def recording(problem, warm_start=None):
+        res = solve(problem, warm_start=warm_start)
+        solved.append((problem, res))
+        return res
+
+    monkeypatch.setattr(scmpc.mpc, "solve_sqp", recording)
+    run_closed_loop(nominal_scenario(duration=2.05))
+    monkeypatch.undo()
+    assert len(solved) == 41
+    # Without the exit every warm-started step takes at least two.
+    assert sum(res.sqp_iterations == 1 for _, res in solved) >= 20
+    for problem, res in solved:
+        again = solve_sqp(problem, warm_start=res.v_sequence.ravel())
+        assert res.status == again.status == "optimal"
+        assert again.sqp_iterations == 1
+        np.testing.assert_array_equal(again.v_sequence, res.v_sequence)
+
+
+def test_sqp_exit_leaves_the_gauss_newton_baseline_alone(monkeypatch):
+    # The rollout's model is never the exact cost, so the baseline keeps
+    # the counts it had before the exit existed.
+    statuses = []
+    solve = NonlinearMpc.solve
+
+    def recording(controller, x0):
+        res = solve(controller, x0)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(NonlinearMpc, "solve", recording)
+    log = run_closed_loop(nominal_scenario(mode="nmpc", duration=8.0))
+    assert len(statuses) == len(log.records) == 160
+    assert sum(r.sqp_iterations for r in log.records) == 3049
+    assert statuses.count("max_iter") == 54
+    assert statuses.count("optimal") == 106
 
 
 def test_iterate_at_obstacle_center_uses_fallback_direction():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from scmpc.qp import QpResult, _ratio_test, solve_qp
+from scmpc.qp import (QpResult, _active_set_core, _kkt_step, _ratio_test,
+                       solve_qp)
 
 
 def _random_feasible_qp(rng, n, m, box_scale=1.0):
@@ -184,3 +185,90 @@ def test_ratio_test_matches_scalar_loop():
         assert got[0] == want[0]
         blocked += want[1] >= 0
     assert blocked > 500 and ties > 800
+
+
+def _active_set_core_confirming(H, g, G, h, x, max_iter):
+    """The working-set loop that re-solves after an unblocked step to find
+    p = 0 before it tests the multipliers, kept as the reference."""
+    m = G.shape[0]
+    work: list[int] = []
+    it = 0
+    while it < max_iter:
+        it += 1
+        p, mu = _kkt_step(H, g, G, x, work)
+        step_scale = 1e-11 * (1.0 + float(np.max(np.abs(x))))
+        if float(np.max(np.abs(p), initial=0.0)) <= step_scale:
+            if mu.size == 0 or float(np.min(mu)) >= -1e-10:
+                lam = np.zeros(m)
+                if work:
+                    lam[work] = np.maximum(mu, 0.0)
+                return x, work, lam, it, "optimal"
+            work.pop(int(np.argmin(mu)))
+            continue
+        alpha, blocker = _ratio_test(G @ p, h - G @ x, h, work)
+        x = x + alpha * p
+        if blocker >= 0:
+            work.append(blocker)
+    lam = np.zeros(m)
+    if work:
+        lam[work] = np.maximum(_kkt_step(H, g, G, x, work)[1], 0.0)
+    return x, work, lam, it, "max_iter"
+
+
+def _reference_states(H, g, G, h, x0, max_iter):
+    """The reference's result after each of its iterations, and whether
+    that iteration only confirmed an unblocked step that came before it."""
+    states, confirming = [], []
+    prev, before = (x0, []), None
+    for cap in range(1, max_iter + 1):
+        res = _active_set_core_confirming(H, g, G, h, x0, cap)
+        # Iteration cap confirms when iteration cap - 1 moved x and left
+        # the working set as it was.
+        confirming.append(before is not None and prev[1] == before[1]
+                          and not np.array_equal(prev[0], before[0]))
+        states.append(res)
+        before, prev = prev, (res[0], res[1])
+        if res[4] == "optimal":
+            break
+    return states, confirming
+
+
+def test_exit_on_unblocked_step_matches_confirming_loop():
+    # The exit skips exactly the reference's confirming KKT solves. With
+    # the same number of other solves, the iterate and the working set
+    # are the same, and the multipliers differ by roundoff only.
+    rng = np.random.default_rng(27)
+    drops = capped = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(5, 30))
+        a = rng.normal(size=(n, n))
+        hessian = a.T @ a + n * np.eye(n)
+        gradient = rng.normal(size=n) * 3.0
+        rows = rng.normal(size=(m, n))
+        rhs = np.abs(rng.normal(size=m)) + 1e-3  # x = 0 is feasible
+        x0 = np.zeros(n)
+        states, confirming = _reference_states(hessian, gradient, rows, rhs,
+                                               x0, 500)
+        solves = np.cumsum([not c for c in confirming])
+        # A confirming solve that found a negative multiplier: the exit
+        # takes the drop path.
+        drops += sum(c and s[1] != p[1] for c, s, p in
+                     zip(confirming[1:], states[1:], states))
+        want = states[-1]
+        assert want[4] == "optimal"
+        for cap in (1, 2, 3, 500):
+            got = _active_set_core(hessian, gradient, rows, rhs, x0, cap)
+            if cap < solves[-1]:
+                # The last reference state with as many solves that are
+                # not confirmations.
+                want = states[int(np.flatnonzero(solves == cap)[-1])]
+                capped += 1
+            else:
+                want = states[-1]
+                assert got[3] == solves[-1]
+            assert got[4] == want[4]
+            np.testing.assert_array_equal(got[0], want[0])
+            assert got[1] == want[1]
+            np.testing.assert_allclose(got[2], want[2], rtol=0.0, atol=1e-10)
+    assert drops >= 20 and capped > 600
