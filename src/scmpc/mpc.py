@@ -127,6 +127,9 @@ class QuadraticRow:
     p_k(V) = offset_k + map_k @ V. The K rows are stacked: maps are
     (K, 2, nv), offsets and centers (K, 2), radius_sq and decay (K,). The
     baseline per-step rows use decay = 0, which drops the second term.
+    r_k^2 is the obstacle's squared radius plus 2 * FEAS_TOL: solve_sqp
+    accepts row violations up to FEAS_TOL, and the back-off keeps such a
+    plan's positions outside the true disk.
     """
 
     map_next: np.ndarray
@@ -332,7 +335,8 @@ class _CondensedWorkspace:
             np.array([obs.center() for obs in obstacles]).reshape(n_obs, 2),
             n, axis=0)
         self.quad_radius_sq = np.repeat(
-            np.array([obs.radius**2 for obs in obstacles], dtype=float), n)
+            np.array([obs.radius**2 + 2.0 * FEAS_TOL for obs in obstacles],
+                     dtype=float), n)
 
 
 def build_qcqp(z0, cfg: MpcConfig, model: LtiModel, terminal: TerminalData,

@@ -11,7 +11,7 @@ from scmpc import (ConfigError, MpcConfig, Obstacle, build_qcqp,
                    discretize_double_integrator, run_closed_loop, solve_sqp,
                    terminal_data)
 from scmpc.cli import _build_scenario, load_config
-from scmpc.mpc import (LinearMpc, NonlinearMpc, _RolloutProblem,
+from scmpc.mpc import (FEAS_TOL, LinearMpc, NonlinearMpc, _RolloutProblem,
                        estimate_flops_ip, estimate_flops_sqp,
                        prediction_matrices)
 
@@ -67,7 +67,8 @@ def test_constraint_row_counts():
 def _reference_rows(cfg, model, z0, obstacles, mode):
     """Per-row barrier data straight from the prediction maps, in
     obstacle-major order: (map_next, off_next, map_prev, off_prev, center,
-    radius_sq, decay) for each row."""
+    radius_sq, decay) for each row, with radius_sq backed off by twice the
+    SQP feasibility tolerance."""
     n, nv = cfg.horizon, 2 * cfg.horizon
     F, G = prediction_matrices(model, n)
     rows = []
@@ -82,7 +83,8 @@ def _reference_rows(cfg, model, z0, obstacles, mode):
                 before = [4 * k - 4, 4 * k - 2]
                 prev = (G[before], F[before] @ z0, 1.0 - cfg.gamma)
             rows.append((G[pos], F[pos] @ z0, prev[0], prev[1],
-                         np.array([obs.x, obs.y]), obs.radius**2, prev[2]))
+                         np.array([obs.x, obs.y]),
+                         obs.radius**2 + 2.0 * FEAS_TOL, prev[2]))
     return rows
 
 
@@ -283,6 +285,19 @@ def test_sqp_exit_leaves_the_gauss_newton_baseline_alone(monkeypatch):
     assert sum(r.sqp_iterations for r in log.records) == 3049
     assert statuses.count("max_iter") == 54
     assert statuses.count("optimal") == 106
+
+
+def test_sampled_plant_stays_outside_at_the_tolerance():
+    # gamma = 1.0 and the euclid rows let the plan graze the obstacle, and
+    # solve_sqp accepts violations up to FEAS_TOL. The rows' back-off must
+    # keep every sampled position outside the true disk.
+    cfg = load_config(CONFIG)
+    for gamma, mode in ((1.0, None), (None, "euclid")):
+        scenario = _build_scenario(cfg, gamma, None, mode, cfg["seed"])
+        log = run_closed_loop(replace(scenario, duration=10.0))
+        assert len(log.records) == 200
+        assert min(min(r.distances) for r in log.records) >= 0.0
+        assert min(min(r.barriers) for r in log.records) >= 0.0
 
 
 def test_iterate_at_obstacle_center_uses_fallback_direction():
