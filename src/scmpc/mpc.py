@@ -40,8 +40,9 @@ __all__ = [
     "estimate_flops_sqp",
 ]
 
-# SQP termination: QP step and worst row violation at most these, within
-# at most MAX_SQP_ITER iterations.
+# SQP termination: worst row violation at most FEAS_TOL and QP step at most
+# OPT_TOL (or a full step that solve_sqp can certify as optimal), within at
+# most MAX_SQP_ITER iterations.
 OPT_TOL = 1e-6
 FEAS_TOL = 1e-6
 MAX_SQP_ITER = 50

@@ -36,7 +36,11 @@ def grid_search_best(problem, points=GRID_POINTS):
     """Best feasible objective over a dense grid on the input box.
 
     Returns +inf when no grid point is feasible. The inner four dimensions
-    are vectorized; any remaining leading dimensions are enumerated.
+    are vectorized; any remaining leading dimensions are enumerated, lowest
+    cost bound first. Only points costing less than the best feasible value
+    found so far are checked for feasibility, and outer points whose bound
+    cannot beat it are skipped. That changes no result: each point's cost
+    and row values are the same elementwise expressions on any subset.
     """
     nv = 2 * problem.n_steps
     lo, hi = problem.v_lo, problem.v_hi
@@ -68,39 +72,44 @@ def grid_search_best(problem, points=GRID_POINTS):
         pn = qr.map_next[i][:, n_out:] @ inner.T
         pp = qr.map_prev[i][:, n_out:] @ inner.T if qr.decay[i] != 0.0 else None
         quads.append((i, pn, pp))
+    consts = np.array([0.5 * float(vo @ hess[:n_out, :n_out] @ vo)
+                       + float(grad[:n_out] @ vo) for vo in outer])
+    # A lower bound of the cost at each outer point: each cross term at its
+    # extreme over the inner grid, less a margin far above the roundoff of
+    # the terms summed.
+    cross_min = (np.minimum(outer * cross.min(axis=1),
+                            outer * cross.max(axis=1)).sum(axis=1)
+                 if n_out else np.zeros(1))
+    cost_min = float(np.min(cost_inner))
+    bound = consts + cost_min + cross_min
+    bound -= 1e-9 * (1.0 + np.abs(consts) + abs(cost_min) + np.abs(cross_min))
     best = np.inf
-    for vo in outer:
+    for j in np.argsort(bound, kind="stable"):
+        if bound[j] >= best:
+            break
+        vo = outer[j]
+        cost = cost_inner + consts[j] + vo @ cross if n_out else cost_inner
+        cand = np.flatnonzero(cost < best)
         if lin_inner is not None:
-            lin = (lin_inner + (rows[:, :n_out] @ vo)[:, None]
-                   if n_out else lin_inner)
-            ok = np.all(lin <= rhs[:, None] + 1e-9, axis=0)
-        else:
-            ok = np.ones(inner.shape[0], dtype=bool)
-        if not ok.any():
-            continue
+            lin = (lin_inner[:, cand] + (rows[:, :n_out] @ vo)[:, None]
+                   if n_out else lin_inner[:, cand])
+            cand = cand[np.all(lin <= rhs[:, None] + 1e-9, axis=0)]
         for i, pn_inner, pp_inner in quads:
+            if not cand.size:
+                break
             center, radius_sq, decay = qr.center[i], qr.radius_sq[i], qr.decay[i]
             off = qr.off_next[i] + (qr.map_next[i][:, :n_out] @ vo if n_out else 0.0)
-            pn = pn_inner + off[:, None]
+            pn = pn_inner[:, cand] + off[:, None]
             val = ((pn[0] - center[0]) ** 2
                    + (pn[1] - center[1]) ** 2 - radius_sq)
             if decay != 0.0:
                 off0 = qr.off_prev[i] + (qr.map_prev[i][:, :n_out] @ vo
                                          if n_out else 0.0)
-                pp = pp_inner + off0[:, None]
+                pp = pp_inner[:, cand] + off0[:, None]
                 val = val - decay * ((pp[0] - center[0]) ** 2
                                      + (pp[1] - center[1]) ** 2
                                      - radius_sq)
-            ok &= val >= -1e-9
-            if not ok.any():
-                break
-        if not ok.any():
-            continue
-        if n_out:
-            const = (0.5 * float(vo @ hess[:n_out, :n_out] @ vo)
-                     + float(grad[:n_out] @ vo))
-            vals = cost_inner[ok] + const + (vo @ cross)[ok]
-        else:
-            vals = cost_inner[ok]
-        best = min(best, float(np.min(vals)))
+            cand = cand[val >= -1e-9]
+        if cand.size:
+            best = min(best, float(np.min(cost[cand])))
     return best + problem.cost_offset
