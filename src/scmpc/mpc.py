@@ -473,9 +473,8 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
             v = trial
             cost, g, aux, viol = point
         worst = float(np.max(viol, initial=0.0))
-        # A full step to the exact cost's QP minimizer with no nonlinear
-        # row active minimizes the cost over the affine rows alone; if it
-        # also meets the nonlinear rows, the next QP would return d = 0.
+        # A full step to the exact cost's QP minimizer with no nonlinear row
+        # active is already the solution if it meets the rows.
         solved = (alpha == 1.0 and qp.status == "optimal"
                   and hessian is problem.hessian
                   and not np.any(qp.multipliers[n_lin:]))
