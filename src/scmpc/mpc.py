@@ -179,7 +179,10 @@ def _floor_eigenvalues(w: np.ndarray) -> np.ndarray:
 
 @dataclass
 class QcqpProblem:
-    """Condensed problem over the stacked inputs V = (v_0, ..., v_{N-1})."""
+    """Condensed problem over the stacked inputs V = (v_0, ..., v_{N-1}).
+
+    free_minimizer is the cost's unconstrained minimizer, -H^-1 gradient.
+    """
 
     hessian: np.ndarray
     gradient: np.ndarray
@@ -194,6 +197,7 @@ class QcqpProblem:
     v_lo: np.ndarray
     v_hi: np.ndarray
     infeasible: bool = False
+    free_minimizer: np.ndarray | None = None
 
     def cost(self, v: np.ndarray) -> float:
         return float(0.5 * v @ self.hessian @ v + self.gradient @ v
@@ -263,8 +267,9 @@ class _CondensedWorkspace:
     """Constant matrices of the condensed problem for one configuration.
 
     Everything that does not depend on the measured state is precomputed
-    here: prediction maps, the cost Hessian, the affine description of the
-    linear rows, the closed-loop powers behind the terminal rows, and the
+    here: prediction maps, the cost Hessian and the map from z0 to the
+    cost's unconstrained minimizer, the affine description of the linear
+    rows, the closed-loop powers behind the terminal rows, and the
     barrier-row position maps.
     """
 
@@ -282,6 +287,7 @@ class _CondensedWorkspace:
         self.hessian = 2.0 * (G.T @ qt @ G + rt)
         self.hessian = 0.5 * (self.hessian + self.hessian.T)
         self.grad_map = 2.0 * (G.T @ qt @ F)
+        self.free_map = -np.linalg.solve(self.hessian, self.grad_map)
         self.offset_form = cfg.Q + F.T @ qt @ F
         self.F, self.G = F, G
         self.n_steps = n
@@ -376,6 +382,7 @@ def build_qcqp(z0, cfg: MpcConfig, model: LtiModel, terminal: TerminalData,
         v_lo=ws.v_lo,
         v_hi=ws.v_hi,
         infeasible=outside,
+        free_minimizer=ws.free_map @ z0,
     )
 
 
@@ -398,18 +405,26 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
     (None on the first iteration), so H may be a Lagrangian Hessian. The
     problem's hessian attribute is its cost Hessian when the cost is
     quadratic (None otherwise); a model whose H is that very object is the
-    exact cost. Each iteration solves the dense QP with the rows
+    exact cost. Its free_minimizer attribute is the cost's unconstrained
+    minimizer when the cost is strictly convex (None otherwise). Each
+    iteration solves the dense QP with the rows
     [lin_rows; J] x <= [lin_rhs; J v - g] and backtracks from the full step
     on an l1 merit function evaluated on the original rows (Nocedal &
-    Wright, ch. 18).
+    Wright, ch. 18). From the second iteration on, the QP is given the
+    previous QP's working set as a guess; the row layout is the same in
+    every iteration, and solve_qp verifies the guess before it uses it.
 
     Returns "optimal" once the worst violation is at most FEAS_TOL and
     either the QP step (or the step the line search took) is at most
     OPT_TOL, or the full step was taken to an optimal QP of the exact cost
     in which no nonlinear row has a nonzero multiplier. The latter point
     minimizes the convex cost over the affine rows alone, so a further
-    iteration would only confirm it; a typical warm-started step then
-    solves one QP.
+    iteration would only confirm it. Before any QP, a free minimizer that
+    meets every row within FEAS_TOL is returned as "optimal" after one
+    evaluation: no feasible point has a lower cost, however nonconvex the
+    rows are. That certificate counts as one SQP iteration and no QP
+    iteration, and it settles a typical warm-started step of the linear
+    scheme.
     """
     t0 = time.perf_counter()
     v = np.zeros(2 * problem.n_steps)
@@ -433,15 +448,23 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
     it = 0
     n_lin = len(problem.lin_rows)
     lam = None
+    guess = None
+    free = None if problem.infeasible else problem.free_minimizer
+    point = None if free is None else evaluate(free)
+    if point is not None and float(np.max(point[3], initial=0.0)) <= FEAS_TOL:
+        v, status, max_iter, it = free, "optimal", 0, 1
+    else:
+        point = evaluate(v)
     # The line search hands the values at the accepted point to the next
     # iteration, so each accepted point is evaluated once.
-    cost, g, aux, viol = evaluate(v)
+    cost, g, aux, viol = point
     for it in range(1, max_iter + 1):
         hessian, gradient, jac = problem.linearize(v, aux, lam)
         qp = solve_qp(hessian, gradient, np.vstack([problem.lin_rows, jac]),
                       np.concatenate([problem.lin_rhs, jac @ v - g]), x0=v,
-                      tol=1e-8)
+                      tol=1e-8, working_set=guess)
         qp_total += qp.iterations
+        guess = qp.active_set
         if qp.status == "infeasible":
             status = "infeasible"
             break
@@ -593,6 +616,7 @@ class _RolloutProblem:
 
     infeasible = False
     hessian = None  # the cost is not quadratic: no QP model is exact
+    free_minimizer = None
 
     def __init__(self, x0, cfg: MpcConfig, goal, obstacles, gamma: float):
         n = cfg.horizon

@@ -10,6 +10,12 @@ working set, take the blocking-ratio step, and drop the most negative
 multiplier when stationary. A step that no row blocks ends on the
 subproblem's minimizer, so its multipliers decide optimality or the drop
 at once, without a second solve that would only return a zero step.
+
+A caller that knows the working set of a nearby QP, such as the previous
+SQP iteration's, can pass it as a guess. The guess costs one KKT solve
+and is accepted only where that solve is a verified KKT point; otherwise
+the cold solve runs unchanged (guess and verify; Nocedal & Wright,
+ch. 16, and the online active set of Ferreau, Bock & Diehl, 2008).
 """
 
 from dataclasses import dataclass, field
@@ -29,6 +35,16 @@ class QpResult:
     max_violation: float = 0.0
 
 
+def _kkt_matrix(H, A):
+    """[[H, A'], [A, 0]] for the rows A held as equalities."""
+    n, k = H.shape[0], A.shape[0]
+    kkt = np.zeros((n + k, n + k))
+    kkt[:n, :n] = H
+    kkt[:n, n:] = A.T
+    kkt[n:, :n] = A
+    return kkt
+
+
 def _kkt_step(H, g, G, x, work):
     """Direction to the minimizer on the working-set manifold, plus duals."""
     n = H.shape[0]
@@ -38,13 +54,8 @@ def _kkt_step(H, g, G, x, work):
             return np.linalg.solve(H, -grad), np.empty(0)
         except np.linalg.LinAlgError:
             return np.linalg.lstsq(H, -grad, rcond=None)[0], np.empty(0)
-    A = G[work]
-    k = A.shape[0]
-    kkt = np.zeros((n + k, n + k))
-    kkt[:n, :n] = H
-    kkt[:n, n:] = A.T
-    kkt[n:, :n] = A
-    rhs = np.concatenate([-grad, np.zeros(k)])
+    kkt = _kkt_matrix(H, G[work])
+    rhs = np.concatenate([-grad, np.zeros(len(work))])
     try:
         sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
@@ -110,6 +121,40 @@ def _active_set_core(H, g, G, h, x, max_iter):
     return x, work, lam, it, "max_iter"
 
 
+def _verified_guess(H, g, G, h, work, tol):
+    """The minimizer on the guessed working set if it is the QP's solution.
+
+    One KKT solve gives x and the multipliers mu of the rows held as
+    equalities. The guess hits only if every row holds within tol, no
+    multiplier is below -1e-10 and the stationarity residual is at the
+    1e-8 level: those are the KKT conditions, which prove x optimal for a
+    convex QP. A hit returns x, the full multiplier vector and the worst
+    row residual. A guess with a repeated row or a singular KKT system is
+    a miss (None), like any guess that fails a check.
+    """
+    if len(set(work)) < len(work):
+        return None
+    n = H.shape[0]
+    A = G[work]
+    try:
+        sol = np.linalg.solve(_kkt_matrix(H, A),
+                              np.concatenate([-g, h[work]]))
+    except np.linalg.LinAlgError:
+        return None
+    x, mu = sol[:n], sol[n:]
+    if mu.size and float(np.min(mu)) < -1e-10:
+        return None
+    worst = float(np.max(G @ x - h))
+    if worst > tol:
+        return None
+    resid = H @ x + g + A.T @ mu
+    if float(np.max(np.abs(resid))) > 1e-8 * (1.0 + float(np.max(np.abs(g)))):
+        return None
+    lam = np.zeros(G.shape[0])
+    lam[work] = np.maximum(mu, 0.0)
+    return x, lam, max(worst, 0.0)
+
+
 def _repair(G, h, x, tol):
     """Project away tiny residual violations left by Phase 1."""
     for _ in range(4):
@@ -161,7 +206,8 @@ def _phase1(G, h, x0, tol, max_iter):
 
 
 def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
-             tol: float = 1e-8, max_iter: int | None = None) -> QpResult:
+             tol: float = 1e-8, max_iter: int | None = None, *,
+             working_set=None) -> QpResult:
     """Minimize 0.5 x'Hx + g'x subject to rows @ x <= rhs.
 
     Parameters
@@ -175,10 +221,16 @@ def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
         Starting guess; it is made feasible before the main iteration.
     tol : float
         Feasibility tolerance used by Phase 1 and for the final residuals.
+    working_set : sequence of int, optional
+        Guessed indices of the rows active at the solution. The minimizer
+        with these rows held as equalities is returned after one KKT solve
+        if it meets the KKT conditions; otherwise the guess counts one
+        iteration and the solve starts from x0 as without a guess.
 
     Returns the minimizer with the final working set, the full multiplier
-    vector (zeros on inactive rows), and the iteration count. KKT residuals
-    at an "optimal" exit are at the 1e-8 level for well-scaled data.
+    vector (zeros on inactive rows), and the iteration count, which counts
+    KKT solves. KKT residuals at an "optimal" exit are at the 1e-8 level
+    for well-scaled data.
     """
     H = np.asarray(hessian, dtype=float)
     g = np.asarray(gradient, dtype=float)
@@ -193,8 +245,17 @@ def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
     if max_iter is None:
         max_iter = max(200, 10 * (n + m))
 
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     iterations = 0
+    if working_set is not None:
+        work = list(working_set)
+        hit = _verified_guess(H, g, G, h, work, tol)
+        if hit is not None:
+            x, lam, worst = hit
+            return QpResult(x=x, status="optimal", iterations=1,
+                            active_set=sorted(work), multipliers=lam,
+                            max_violation=worst)
+        iterations = 1
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     worst = float(np.max(G @ x - h, initial=0.0))
     if worst > tol:
         x, worst, it1, capped = _phase1(G, h, x, tol, max_iter)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from scmpc import ConfigError, discretize_double_integrator, terminal_data
+from scmpc import (ConfigError, NumericalError, discretize_double_integrator,
+                   terminal_data)
 from scmpc.lti import (LtiModel, continuous_matrices, dlqr_gain,
                        riccati_solution, spectral_radius, terminal_weight)
 from scmpc.model import rk4_step
@@ -88,6 +89,16 @@ def test_riccati_residual_at_fixed_point():
     gain = np.linalg.solve(R2 + B.T @ P @ B, B.T @ P @ A)
     resid = P - (Q4 + A.T @ P @ A - A.T @ P @ B @ gain)
     assert np.max(np.abs(resid)) <= 1e-9
+
+
+def test_riccati_without_stabilizing_solution_raises():
+    # An unstable mode that the input cannot reach leaves no stabilizing
+    # solution: the doubling diverges, and that must raise, not return inf.
+    for A, B in ((np.diag([1.0, 2.0]), np.array([[1.0], [0.0]])),
+                 (np.array([[2.0]]), np.array([[0.0]]))):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError):
+            riccati_solution(LtiModel(A, B, 0.05), np.eye(len(A)), np.eye(1))
 
 
 def test_dlqr_stabilizes():

@@ -11,8 +11,8 @@ from scmpc import (ConfigError, MpcConfig, Obstacle, build_qcqp,
                    discretize_double_integrator, run_closed_loop, solve_sqp,
                    terminal_data)
 from scmpc.cli import _build_scenario, load_config
-from scmpc.mpc import (FEAS_TOL, LinearMpc, NonlinearMpc, _RolloutProblem,
-                       estimate_flops_ip, estimate_flops_sqp,
+from scmpc.mpc import (FEAS_TOL, OPT_TOL, LinearMpc, NonlinearMpc,
+                       _RolloutProblem, estimate_flops_ip, estimate_flops_sqp,
                        prediction_matrices)
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "nominal.json"
@@ -285,6 +285,129 @@ def test_sqp_exit_leaves_the_gauss_newton_baseline_alone(monkeypatch):
     assert sum(r.sqp_iterations for r in log.records) == 3049
     assert statuses.count("max_iter") == 54
     assert statuses.count("optimal") == 106
+
+
+def _recorded_solves(monkeypatch, scenario):
+    """(problem, warm_start, result) of each solve_sqp call of a run."""
+    solved = []
+    solve = scmpc.mpc.solve_sqp
+
+    def recording(problem, warm_start=None):
+        res = solve(problem, warm_start=warm_start)
+        solved.append((problem, warm_start, res))
+        return res
+
+    monkeypatch.setattr(scmpc.mpc, "solve_sqp", recording)
+    run_closed_loop(scenario)
+    monkeypatch.undo()
+    return solved
+
+
+def test_certified_plans_match_the_solve_without_certificate(monkeypatch):
+    # A typical nominal step returns the cost's unconstrained minimizer
+    # before any QP. Solving the same problem from the same warm start
+    # without the minimizer must give the same status, and its first QP
+    # must find the same plan. The SQP may then stop on its warm start,
+    # which its exit test allows to lie within OPT_TOL of that plan.
+    solved = _recorded_solves(monkeypatch, nominal_scenario(duration=50.0))
+    assert len(solved) == 1000
+    certified = [s for s in solved if s[2].qp_iterations_total == 0]
+    assert len(certified) >= 900
+    minimizers = []
+    solve_qp = scmpc.mpc.solve_qp
+
+    def recording(*args, **kwargs):
+        qp = solve_qp(*args, **kwargs)
+        minimizers.append(qp.x)
+        return qp
+
+    monkeypatch.setattr(scmpc.mpc, "solve_qp", recording)
+    for problem, warm_start, res in certified:
+        assert res.status == "optimal" and res.sqp_iterations == 1
+        minimizers.clear()
+        again = solve_sqp(replace(problem, free_minimizer=None),
+                          warm_start=warm_start)
+        assert again.status == res.status
+        plan = res.v_sequence.ravel()
+        np.testing.assert_allclose(minimizers[0], plan, rtol=0.0, atol=1e-9)
+        assert np.max(np.abs(again.v_sequence.ravel() - plan)) <= OPT_TOL
+
+
+def test_free_minimizer_through_the_barrier_is_not_certified(monkeypatch):
+    # At the nominal start the cost's unconstrained minimizer violates the
+    # barrier rows, so the step runs the SQP exactly as without it.
+    problem, warm_start, res = _recorded_solves(
+        monkeypatch, nominal_scenario(duration=0.05))[0]
+    assert np.min(problem.quad_rows.value(problem.free_minimizer)) < -FEAS_TOL
+    lin = problem.lin_rows @ problem.free_minimizer - problem.lin_rhs
+    assert np.max(lin) <= 0.0
+    again = solve_sqp(replace(problem, free_minimizer=None),
+                      warm_start=warm_start)
+    assert res.status == again.status == "optimal"
+    assert res.qp_iterations_total == again.qp_iterations_total > 0
+    assert res.sqp_iterations == again.sqp_iterations
+    np.testing.assert_array_equal(res.v_sequence, again.v_sequence)
+    assert res.cost == again.cost
+
+
+def test_sqp_exit_needs_an_optimal_qp(monkeypatch):
+    # The far obstacle's problem ends after one full step to an optimal QP
+    # with no barrier row active. The same minimizer from a QP labelled
+    # max_iter proves nothing, so the SQP must solve a second QP.
+    cfg = MpcConfig(horizon=8)
+    model, td = _setup(cfg)
+    far = replace(build_qcqp(np.array([7.0, -0.5, 7.0, 0.0]), cfg, model, td,
+                             [Obstacle(-8.0, 8.0, 0.5)]),
+                  free_minimizer=None)
+    assert solve_sqp(far).sqp_iterations == 1
+    solve_qp = scmpc.mpc.solve_qp
+    n_barrier = len(far.quad_rows)
+
+    def capped(*args, **kwargs):
+        qp = solve_qp(*args, **kwargs)
+        assert qp.status == "optimal"
+        assert not np.any(qp.multipliers[-n_barrier:])
+        return replace(qp, status="max_iter")
+
+    monkeypatch.setattr(scmpc.mpc, "solve_qp", capped)
+    res = solve_sqp(far)
+    assert res.status == "optimal" and res.sqp_iterations == 2
+
+
+class _DiskProblem:
+    """min 0.5 |v - (2, 0)|^2 subject to v_1^2 <= 2.25, solution (1.5, 0).
+
+    The QP model is the exact cost. The row linearized at 0 is slack
+    everywhere, so the first QP's minimizer (2, 0) has no row multiplier,
+    but the row is violated there: the merit function rejects the full
+    step and accepts half of it, a feasible point that is not optimal.
+    """
+
+    n_steps = 1
+    infeasible = False
+    free_minimizer = None
+    v_lo = np.full(2, -10.0)
+    v_hi = np.full(2, 10.0)
+    lin_rows = np.vstack([np.eye(2), -np.eye(2)])
+    lin_rhs = np.full(4, 10.0)
+    hessian = np.eye(2)
+    gradient = np.array([-2.0, 0.0])
+
+    def evaluate(self, v):
+        g = np.array([v[0] ** 2 - 2.25])
+        return float(0.5 * v @ v + self.gradient @ v), g, None
+
+    def linearize(self, v, aux, multipliers=None):
+        return self.hessian, self.gradient, np.array([[2.0 * v[0], 0.0]])
+
+    def predict(self, v):
+        return v.reshape(1, 2)
+
+
+def test_sqp_exit_needs_the_full_step():
+    res = solve_sqp(_DiskProblem())
+    assert res.status == "optimal"
+    np.testing.assert_allclose(res.v_sequence.ravel(), [1.5, 0.0], atol=1e-6)
 
 
 def test_sampled_plant_stays_outside_at_the_tolerance():

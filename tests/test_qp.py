@@ -272,3 +272,83 @@ def test_exit_on_unblocked_step_matches_confirming_loop():
             assert got[1] == want[1]
             np.testing.assert_allclose(got[2], want[2], rtol=0.0, atol=1e-10)
     assert drops >= 20 and capped > 600
+
+
+def _cold_and_guessed(rng, origin_feasible=False):
+    n = int(rng.integers(2, 9))
+    m = int(rng.integers(1, 21))
+    hessian, gradient, rows, rhs = _random_feasible_qp(rng, n, m, 3.0)
+    if origin_feasible:
+        rhs = np.abs(rng.normal(size=m)) + 1e-3
+    cold = solve_qp(hessian, gradient, rows, rhs)
+    return (hessian, gradient, rows, rhs), cold
+
+
+def _assert_same_result(got, want):
+    assert got.status == want.status
+    np.testing.assert_array_equal(got.x, want.x)
+    assert got.active_set == want.active_set
+    np.testing.assert_array_equal(got.multipliers, want.multipliers)
+    assert got.max_violation == want.max_violation
+
+
+def test_guessing_the_active_set_solves_in_one_iteration():
+    # From a feasible start the cold solve meets its working rows to
+    # roundoff, so the guess returns the same x. After Phase 1 the cold
+    # solve keeps those rows at Phase 1's residual (at most tol), where the
+    # guess meets them exactly: x then agrees to the tolerance's level.
+    rng = np.random.default_rng(31)
+    nondegenerate = active = 0
+    for trial in range(400):
+        origin_feasible = trial % 2 == 0
+        qp, cold = _cold_and_guessed(rng, origin_feasible)
+        hessian, gradient, rows, rhs = qp
+        assert cold.status == "optimal"
+        res = solve_qp(*qp, working_set=cold.active_set)
+        assert res.status == cold.status and res.iterations == 1
+        assert res.active_set == cold.active_set
+        np.testing.assert_allclose(res.x, cold.x, rtol=0.0,
+                                   atol=1e-10 if origin_feasible else 1e-8)
+        lam = res.multipliers
+        assert np.max(np.abs(hessian @ res.x + gradient + rows.T @ lam)) <= 1e-8
+        assert np.max(rows @ res.x - rhs) <= 1e-8 and np.min(lam) >= 0.0
+        # Nondegenerate: independent active rows, each with a multiplier
+        # bounded away from zero, and every other row strictly inactive.
+        work = cold.active_set
+        slack = rhs - rows @ cold.x
+        if (origin_feasible and np.all(cold.multipliers[work] > 1e-6)
+                and np.all(np.delete(slack, work) > 1e-6)
+                and np.linalg.matrix_rank(rows[work]) == len(work)):
+            np.testing.assert_allclose(lam, cold.multipliers, rtol=0.0,
+                                       atol=1e-8)
+            nondegenerate += len(work) > 0
+        active += len(work) > 0
+    assert nondegenerate > 120 and active > 250
+
+
+def test_wrong_guess_returns_the_cold_result():
+    rng = np.random.default_rng(32)
+    extra = dropped = duplicated = 0
+    for _ in range(400):
+        qp, cold = _cold_and_guessed(rng)
+        hessian, gradient, rows, rhs = qp
+        work = cold.active_set
+        slack = rhs - rows @ cold.x
+        guesses = []
+        loose = [i for i in range(len(rhs)) if i not in work and slack[i] > 1e-3]
+        if loose:
+            guesses.append(work + [int(rng.choice(loose))])
+            extra += 1
+        if work and np.max(cold.multipliers) > 1e-6:
+            binding = int(np.argmax(cold.multipliers))
+            guesses.append([i for i in work if i != binding])
+            dropped += 1
+        if work:
+            guesses.append(work + [work[0]])
+            duplicated += 1
+        for guess in guesses:
+            res = solve_qp(*qp, working_set=guess)
+            _assert_same_result(res, cold)
+            # The failed guess is one KKT solve of its own.
+            assert res.iterations == cold.iterations + 1
+    assert extra > 300 and dropped > 250 and duplicated > 250

@@ -1,0 +1,36 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "trajdiff.py"
+spec = importlib.util.spec_from_file_location("trajdiff", TOOL)
+trajdiff = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(trajdiff)
+
+NAMES = ["t", "x1", "x2", "v1", "v2", "distances", "sqp_iterations"]
+
+
+def _run(rows, calls, aborted=False):
+    return {"steps": rows, "calls": calls, "aborted": aborted,
+            "final_state": [0.0, 0.0, 0.0, 0.0]}
+
+
+def test_diff_run_reports_deviations_and_count_changes():
+    a = _run([[0.0, 1.0, 2.0, 0.1, 0.2, [0.5, 0.7], 3],
+              [0.05, 1.1, 2.1, 0.1, 0.2, [0.4, 0.6], 1]],
+             [["optimal", 3, 9], ["optimal", 1, 2]])
+    b = _run([[0.0, 1.0, 2.0 + 1e-7, 0.1, 0.2, [0.5, 0.7], 1],
+              [0.05, 1.1, 2.1, 0.1 + 3e-6, 0.2, [0.4, 0.6 + 1e-3], 2]],
+             [["optimal", 1, 0], ["max_iter", 2, 5]])
+    d = trajdiff.diff_run(a, b, NAMES)
+    assert d["max_dev"] == pytest.approx(1e-3)
+    assert d["at"] == "step 1 distances[1]"
+    assert d["groups"]["position"] == pytest.approx(1e-7)
+    assert d["groups"]["v"] == pytest.approx(3e-6)
+    assert d["min_dist"] == (0.4, 0.4)
+    assert d["sqp_more"] == 1 and d["sqp_fewer"] == 1
+    assert d["status_changed"] == 1
+    assert d["sqp"] == (4, 3) and d["qp"] == (11, 5)
+    same = trajdiff.diff_run(a, a, NAMES)
+    assert same["max_dev"] == 0.0 and same["at"] is None
