@@ -274,7 +274,7 @@ def test_exit_on_unblocked_step_matches_confirming_loop():
     assert drops >= 20 and capped > 600
 
 
-def _cold_and_guessed(rng, origin_feasible=False):
+def _random_qp_and_cold_solve(rng, origin_feasible=False):
     n = int(rng.integers(2, 9))
     m = int(rng.integers(1, 21))
     hessian, gradient, rows, rhs = _random_feasible_qp(rng, n, m, 3.0)
@@ -301,7 +301,7 @@ def test_guessing_the_active_set_solves_in_one_iteration():
     nondegenerate = active = 0
     for trial in range(400):
         origin_feasible = trial % 2 == 0
-        qp, cold = _cold_and_guessed(rng, origin_feasible)
+        qp, cold = _random_qp_and_cold_solve(rng, origin_feasible)
         hessian, gradient, rows, rhs = qp
         assert cold.status == "optimal"
         res = solve_qp(*qp, working_set=cold.active_set)
@@ -330,7 +330,7 @@ def test_wrong_guess_returns_the_cold_result():
     rng = np.random.default_rng(32)
     extra = dropped = duplicated = 0
     for _ in range(400):
-        qp, cold = _cold_and_guessed(rng)
+        qp, cold = _random_qp_and_cold_solve(rng)
         hessian, gradient, rows, rhs = qp
         work = cold.active_set
         slack = rhs - rows @ cold.x

@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -142,12 +143,11 @@ def diff_run(a, b, names):
         if abs(x - y) > worst:
             worst, where = abs(x - y), ("final", None)
     label = None
-    if where is not None:
-        k, key = where
-        label = f"step {k}" if k != "final" else "final state"
-        if key is not None:
-            i, j = key
-            label += f" {names[i]}" + (f"[{j}]" if j is not None else "")
+    if where == ("final", None):
+        label = "final state"
+    elif where is not None:
+        k, (i, j) = where
+        label = f"step {k} {names[i]}" + (f"[{j}]" if j is not None else "")
     status_changed = sum(x[0] != y[0] for x, y in zip(a["calls"], b["calls"]))
     sqp_delta = [sb[count] - sa[count]
                  for sa, sb in zip(a["steps"], b["steps"])]
@@ -162,17 +162,11 @@ def diff_run(a, b, names):
         "status_changed": status_changed,
         "sqp_more": sum(x > 0 for x in sqp_delta),
         "sqp_fewer": sum(x < 0 for x in sqp_delta),
-        "status": tuple(_status_counts(r["calls"]) for r in (a, b)),
+        "status": tuple(dict(Counter(c[0] for c in r["calls"]))
+                        for r in (a, b)),
         "sqp": tuple(sum(c[1] for c in r["calls"]) for r in (a, b)),
         "qp": tuple(sum(c[2] for c in r["calls"]) for r in (a, b)),
     }
-
-
-def _status_counts(calls):
-    counts = {}
-    for status, _, _ in calls:
-        counts[status] = counts.get(status, 0) + 1
-    return counts
 
 
 def diff(path_a, path_b):
