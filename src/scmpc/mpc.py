@@ -410,9 +410,11 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
     iteration solves the dense QP with the rows
     [lin_rows; J] x <= [lin_rhs; J v - g] and backtracks from the full step
     on an l1 merit function evaluated on the original rows (Nocedal &
-    Wright, ch. 18). From the second iteration on, the QP is given the
-    previous QP's working set as a guess; the row layout is the same in
-    every iteration, and solve_qp verifies the guess before it uses it.
+    Wright, ch. 18). The first QP starts its working set from the rows
+    that the current iterate meets or violates; from the second iteration
+    on, the QP starts from the previous QP's working set, since the row
+    layout is the same in every iteration. A right start set costs one
+    KKT solve; a wrong one only moves where the QP's dual loop starts.
 
     Returns "optimal" once the worst violation is at most FEAS_TOL and
     either the QP step (or the step the line search took) is at most

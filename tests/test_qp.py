@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from scmpc.qp import (QpResult, _active_set_core, _kkt_step, _ratio_test,
-                       solve_qp)
+from scmpc.qp import QpResult, solve_qp
 
 
 def _random_feasible_qp(rng, n, m, box_scale=1.0):
@@ -142,138 +141,6 @@ def test_capped_solves_return_a_result():
     assert capped > 100
 
 
-def _ratio_test_loop(gp, slack, h, work):
-    """The scalar blocking-ratio scan, kept as the reference."""
-    alpha = 1.0
-    blocker = -1
-    for i in range(gp.shape[0]):
-        if i in work or gp[i] <= 1e-12 * (1.0 + abs(h[i])):
-            continue
-        ratio = max(slack[i], 0.0) / gp[i]
-        if ratio < alpha - 1e-14:
-            alpha = ratio
-            blocker = i
-    return alpha, blocker
-
-
-def test_ratio_test_matches_scalar_loop():
-    rng = np.random.default_rng(23)
-    blocked = ties = 0
-    for trial in range(2000):
-        m = int(rng.integers(1, 40))
-        gp = rng.normal(size=m)
-        gp[rng.random(m) < 0.1] = 0.0
-        slack = np.abs(rng.normal(size=m)) * rng.choice([0.1, 1.0, 3.0])
-        slack[rng.random(m) < 0.1] *= -1e-12  # tiny violations clip to 0
-        h = rng.normal(size=m) * 10.0
-        work = sorted(rng.choice(m, size=int(rng.integers(0, m // 3 + 1)),
-                                 replace=False).tolist())
-        if trial % 2 and m >= 3:
-            # Plant ratios equal to, or within 1e-14 of, another row's and
-            # of the cutoff 1 - 1e-14, including rows after the first one.
-            i, j, k = rng.choice(m, size=3, replace=False)
-            gp[[i, j, k]] = np.abs(gp[[i, j, k]]) + 0.1
-            base = float(rng.uniform(0.2, 0.9))
-            slack[i] = base * gp[i]
-            slack[j] = (base + float(rng.choice([0.0, 3e-15, -3e-15, 2e-14,
-                                                  -2e-14]))) * gp[j]
-            slack[k] = (1.0 - float(rng.choice([0.0, 5e-15, 1e-14, 2e-14]))) * gp[k]
-            ties += 1
-        got = _ratio_test(gp, slack, h, work)
-        want = _ratio_test_loop(gp, slack, h, work)
-        assert got[1] == want[1]
-        assert got[0] == want[0]
-        blocked += want[1] >= 0
-    assert blocked > 500 and ties > 800
-
-
-def _active_set_core_confirming(H, g, G, h, x, max_iter):
-    """The working-set loop that re-solves after an unblocked step to find
-    p = 0 before it tests the multipliers, kept as the reference."""
-    m = G.shape[0]
-    work: list[int] = []
-    it = 0
-    while it < max_iter:
-        it += 1
-        p, mu = _kkt_step(H, g, G, x, work)
-        step_scale = 1e-11 * (1.0 + float(np.max(np.abs(x))))
-        if float(np.max(np.abs(p), initial=0.0)) <= step_scale:
-            if mu.size == 0 or float(np.min(mu)) >= -1e-10:
-                lam = np.zeros(m)
-                if work:
-                    lam[work] = np.maximum(mu, 0.0)
-                return x, work, lam, it, "optimal"
-            work.pop(int(np.argmin(mu)))
-            continue
-        alpha, blocker = _ratio_test(G @ p, h - G @ x, h, work)
-        x = x + alpha * p
-        if blocker >= 0:
-            work.append(blocker)
-    lam = np.zeros(m)
-    if work:
-        lam[work] = np.maximum(_kkt_step(H, g, G, x, work)[1], 0.0)
-    return x, work, lam, it, "max_iter"
-
-
-def _reference_states(H, g, G, h, x0, max_iter):
-    """The reference's result after each of its iterations, and whether
-    that iteration only confirmed an unblocked step that came before it."""
-    states, confirming = [], []
-    prev, before = (x0, []), None
-    for cap in range(1, max_iter + 1):
-        res = _active_set_core_confirming(H, g, G, h, x0, cap)
-        # Iteration cap confirms when iteration cap - 1 moved x and left
-        # the working set as it was.
-        confirming.append(before is not None and prev[1] == before[1]
-                          and not np.array_equal(prev[0], before[0]))
-        states.append(res)
-        before, prev = prev, (res[0], res[1])
-        if res[4] == "optimal":
-            break
-    return states, confirming
-
-
-def test_exit_on_unblocked_step_matches_confirming_loop():
-    # The exit skips exactly the reference's confirming KKT solves. With
-    # the same number of other solves, the iterate and the working set
-    # are the same, and the multipliers differ by roundoff only.
-    rng = np.random.default_rng(27)
-    drops = capped = 0
-    for _ in range(400):
-        n = int(rng.integers(2, 7))
-        m = int(rng.integers(5, 30))
-        a = rng.normal(size=(n, n))
-        hessian = a.T @ a + n * np.eye(n)
-        gradient = rng.normal(size=n) * 3.0
-        rows = rng.normal(size=(m, n))
-        rhs = np.abs(rng.normal(size=m)) + 1e-3  # x = 0 is feasible
-        x0 = np.zeros(n)
-        states, confirming = _reference_states(hessian, gradient, rows, rhs,
-                                               x0, 500)
-        solves = np.cumsum([not c for c in confirming])
-        # A confirming solve that found a negative multiplier: the exit
-        # takes the drop path.
-        drops += sum(c and s[1] != p[1] for c, s, p in
-                     zip(confirming[1:], states[1:], states))
-        want = states[-1]
-        assert want[4] == "optimal"
-        for cap in (1, 2, 3, 500):
-            got = _active_set_core(hessian, gradient, rows, rhs, x0, cap)
-            if cap < solves[-1]:
-                # The last reference state with as many solves that are
-                # not confirmations.
-                want = states[int(np.flatnonzero(solves == cap)[-1])]
-                capped += 1
-            else:
-                want = states[-1]
-                assert got[3] == solves[-1]
-            assert got[4] == want[4]
-            np.testing.assert_array_equal(got[0], want[0])
-            assert got[1] == want[1]
-            np.testing.assert_allclose(got[2], want[2], rtol=0.0, atol=1e-10)
-    assert drops >= 20 and capped > 600
-
-
 def _random_qp_and_cold_solve(rng, origin_feasible=False):
     n = int(rng.integers(2, 9))
     m = int(rng.integers(1, 21))
@@ -292,63 +159,200 @@ def _assert_same_result(got, want):
     assert got.max_violation == want.max_violation
 
 
+def _nondegenerate(rows, rhs, res):
+    """Independent active rows, each with a multiplier bounded away from
+    zero, and every other row strictly inactive."""
+    work = res.active_set
+    slack = rhs - rows @ res.x
+    return (np.all(res.multipliers[work] > 1e-6)
+            and np.all(np.delete(slack, work) > 1e-6)
+            and np.linalg.matrix_rank(rows[work]) == len(work))
+
+
 def test_guessing_the_active_set_solves_in_one_iteration():
-    # From a feasible start the cold solve meets its working rows to
-    # roundoff, so the guess returns the same x. After Phase 1 the cold
-    # solve keeps those rows at Phase 1's residual (at most tol), where the
-    # guess meets them exactly: x then agrees to the tolerance's level.
+    # The cold solve and the guess both end on one KKT solve on the same
+    # working rows, so x agrees to roundoff.
     rng = np.random.default_rng(31)
     nondegenerate = active = 0
     for trial in range(400):
-        origin_feasible = trial % 2 == 0
-        qp, cold = _random_qp_and_cold_solve(rng, origin_feasible)
+        qp, cold = _random_qp_and_cold_solve(rng, trial % 2 == 0)
         hessian, gradient, rows, rhs = qp
         assert cold.status == "optimal"
         res = solve_qp(*qp, working_set=cold.active_set)
         assert res.status == cold.status and res.iterations == 1
         assert res.active_set == cold.active_set
-        np.testing.assert_allclose(res.x, cold.x, rtol=0.0,
-                                   atol=1e-10 if origin_feasible else 1e-8)
+        np.testing.assert_allclose(res.x, cold.x, rtol=0.0, atol=1e-10)
         lam = res.multipliers
         assert np.max(np.abs(hessian @ res.x + gradient + rows.T @ lam)) <= 1e-8
         assert np.max(rows @ res.x - rhs) <= 1e-8 and np.min(lam) >= 0.0
-        # Nondegenerate: independent active rows, each with a multiplier
-        # bounded away from zero, and every other row strictly inactive.
-        work = cold.active_set
-        slack = rhs - rows @ cold.x
-        if (origin_feasible and np.all(cold.multipliers[work] > 1e-6)
-                and np.all(np.delete(slack, work) > 1e-6)
-                and np.linalg.matrix_rank(rows[work]) == len(work)):
+        if _nondegenerate(rows, rhs, cold):
             np.testing.assert_allclose(lam, cold.multipliers, rtol=0.0,
                                        atol=1e-8)
-            nondegenerate += len(work) > 0
-        active += len(work) > 0
+            nondegenerate += len(cold.active_set) > 0
+        active += len(cold.active_set) > 0
     assert nondegenerate > 120 and active > 250
 
 
 def test_wrong_guess_returns_the_cold_result():
+    # Loose guessed rows leave through their negative multipliers, missing
+    # rows enter as violated rows, and a guess with a repeated row or with
+    # more rows than unknowns is replaced by the empty set.
     rng = np.random.default_rng(32)
-    extra = dropped = duplicated = 0
+    kinds = dict.fromkeys(("extra", "dropped", "repeated", "oversized"), 0)
+    nondegenerate = 0
     for _ in range(400):
         qp, cold = _random_qp_and_cold_solve(rng)
         hessian, gradient, rows, rhs = qp
+        n, m = len(gradient), len(rhs)
         work = cold.active_set
         slack = rhs - rows @ cold.x
         guesses = []
-        loose = [i for i in range(len(rhs)) if i not in work and slack[i] > 1e-3]
+        loose = [i for i in range(m) if i not in work and slack[i] > 1e-3]
         if loose:
-            guesses.append(work + [int(rng.choice(loose))])
-            extra += 1
+            guesses.append(("extra", work + [int(rng.choice(loose))]))
         if work and np.max(cold.multipliers) > 1e-6:
             binding = int(np.argmax(cold.multipliers))
-            guesses.append([i for i in work if i != binding])
-            dropped += 1
+            guesses.append(("dropped", [i for i in work if i != binding]))
         if work:
-            guesses.append(work + [work[0]])
-            duplicated += 1
-        for guess in guesses:
+            guesses.append(("repeated", work + [work[0]]))
+        if m > n:
+            guesses.append(("oversized",
+                            rng.choice(m, size=n + 1, replace=False).tolist()))
+        check_multipliers = _nondegenerate(rows, rhs, cold)
+        for kind, guess in guesses:
             res = solve_qp(*qp, working_set=guess)
-            _assert_same_result(res, cold)
-            # The failed guess is one KKT solve of its own.
-            assert res.iterations == cold.iterations + 1
-    assert extra > 300 and dropped > 250 and duplicated > 250
+            assert res.status == cold.status
+            assert res.active_set == cold.active_set
+            np.testing.assert_allclose(res.x, cold.x, rtol=0.0, atol=1e-10)
+            if check_multipliers:
+                np.testing.assert_allclose(res.multipliers, cold.multipliers,
+                                           rtol=0.0, atol=1e-8)
+                nondegenerate += 1
+            kinds[kind] += 1
+    assert kinds["extra"] > 300 and kinds["dropped"] > 250
+    assert kinds["repeated"] > 250 and kinds["oversized"] > 200
+    assert nondegenerate > 300
+
+
+def test_repeated_binding_row():
+    # min 0.5 |x - (2, 2, 0)|^2 with x1 <= 1, a copy of that row (exact or
+    # scaled) and x2 <= 1. A start set holding both copies has a singular
+    # KKT system and is replaced by the empty set; the working set keeps
+    # one copy.
+    hessian, gradient = np.eye(3), -np.array([2.0, 2.0, 0.0])
+    solution = np.array([1.0, 1.0, 0.0])
+    for scale in (1.0, 0.7):
+        rows = np.array([[1.0, 0.0, 0.0], [scale, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        rhs = np.array([1.0, scale, 1.0])
+        for start in ({}, {"x0": solution}, {"working_set": [0, 1, 2]},
+                      {"working_set": [0, 0, 2]}):
+            res = solve_qp(hessian, gradient, rows, rhs, **start)
+            assert res.status == "optimal"
+            np.testing.assert_allclose(res.x, solution, rtol=0.0, atol=1e-12)
+            work = res.active_set
+            assert len(work) == 2 and 2 in work
+            lam = res.multipliers
+            assert np.min(lam) >= 0.0
+            assert np.max(np.abs(hessian @ res.x + gradient + rows.T @ lam)) <= 1e-12
+
+
+def test_binding_row_that_combines_two_others():
+    # Row c = 0.3 a + 0.2 b. Aiming at (3, 3, 0), the loop adds a and b
+    # first; c is then violated but in their span, so the working rows
+    # leave before c can enter. The solution has c alone active.
+    hessian, gradient = np.eye(3), -np.array([3.0, 3.0, 0.0])
+    rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, 0.2, 0.0]])
+    rhs = np.array([1.0, 1.0, 0.15])
+    res = solve_qp(hessian, gradient, rows, rhs)
+    assert res.status == "optimal" and res.active_set == [2]
+    lam = res.multipliers[2]
+    assert lam == pytest.approx(1.35 / 0.13, abs=1e-12)
+    np.testing.assert_allclose(res.x, [3.0 - 0.3 * lam, 3.0 - 0.2 * lam, 0.0],
+                               rtol=0.0, atol=1e-12)
+    # With c's rhs at 0.5 all three rows bind at (1, 1, 0). The start set
+    # taken there is dependent and gives way to the empty set, which costs
+    # its one failed KKT solve and nothing else.
+    vertex = np.array([1.0, 1.0, 0.0])
+    rhs[2] = rows[2] @ vertex
+    cold = solve_qp(hessian, gradient, rows, rhs)
+    res = solve_qp(hessian, gradient, rows, rhs, x0=vertex)
+    assert res.status == cold.status == "optimal"
+    np.testing.assert_allclose(res.x, vertex, rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(res.x, cold.x)
+    assert res.active_set == cold.active_set
+    assert res.iterations == cold.iterations + 1
+
+
+def test_rows_inconsistent_only_in_combination():
+    # x1 <= -1, x2 <= -1 and x1 + x2 >= -1: any two rows are consistent.
+    rows = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    rhs = np.array([-1.0, -1.0, 1.0])
+    rng = np.random.default_rng(33)
+    for _ in range(20):
+        a = rng.normal(size=(2, 2))
+        res = solve_qp(a.T @ a + np.eye(2), rng.normal(size=2) * 3.0, rows, rhs)
+        assert res.status == "infeasible"
+        assert res.active_set == [] and res.max_violation > 0.0
+
+
+def test_start_on_the_active_rows_solves_in_one_iteration():
+    rng = np.random.default_rng(34)
+    confirmed = 0
+    for _ in range(200):
+        qp, cold = _random_qp_and_cold_solve(rng)
+        hessian, gradient, rows, rhs = qp
+        if not cold.active_set or not _nondegenerate(rows, rhs, cold):
+            continue
+        res = solve_qp(*qp, x0=cold.x)
+        assert res.status == "optimal" and res.iterations == 1
+        assert res.active_set == cold.active_set
+        np.testing.assert_allclose(res.x, cold.x, rtol=0.0, atol=1e-10)
+        confirmed += 1
+    assert confirmed > 80
+
+
+def test_start_at_an_overdetermined_vertex_is_ignored():
+    # At x0 more rows are tight than there are unknowns, so the start set
+    # is replaced by the empty set before any KKT solve.
+    rng = np.random.default_rng(35)
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(n + 1, 20))
+        a = rng.normal(size=(n, n))
+        hessian = a.T @ a + n * np.eye(n)
+        gradient = rng.normal(size=n) * 3.0
+        rows = rng.normal(size=(m, n))
+        x0 = rng.normal(size=n)
+        rhs = rows @ x0 + np.abs(rng.normal(size=m)) + 1e-3
+        tight = rng.choice(m, size=int(rng.integers(n + 1, m + 1)),
+                           replace=False)
+        rhs[tight] = rows[tight] @ x0
+        res = solve_qp(hessian, gradient, rows, rhs, x0=x0)
+        _assert_same_result(res, solve_qp(hessian, gradient, rows, rhs))
+        assert res.iterations == solve_qp(hessian, gradient, rows, rhs).iterations
+
+
+def test_start_violation_below_tol_is_not_kept():
+    # x0 violates one row by 5e-9, within tol, and the cost pulls across
+    # that row. The row starts in the working set and is then met exactly,
+    # not at the start's residual.
+    rng = np.random.default_rng(36)
+    kept = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(1, 21))
+        a = rng.normal(size=(n, n))
+        hessian = a.T @ a + n * np.eye(n)
+        rows = rng.normal(size=(m, n))
+        x0 = rng.normal(size=n)
+        rhs = rows @ x0 + np.abs(rng.normal(size=m)) + 0.5
+        i = int(rng.integers(m))
+        rhs[i] = rows[i] @ x0 - 5e-9
+        gradient = -hessian @ (x0 + rows[i]) + rng.normal(size=n) * 0.1
+        res = solve_qp(hessian, gradient, rows, rhs, x0=x0)
+        assert res.status == "optimal"
+        work = res.active_set
+        assert np.all(np.abs(rows[work] @ res.x - rhs[work])
+                      <= 1e-12 * (1.0 + np.abs(rhs[work])))
+        kept += i in work
+    assert kept > 150

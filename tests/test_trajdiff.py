@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -32,5 +33,22 @@ def test_diff_run_reports_deviations_and_count_changes():
     assert d["sqp_more"] == 1 and d["sqp_fewer"] == 1
     assert d["status_changed"] == 1
     assert d["sqp"] == (4, 3) and d["qp"] == (11, 5)
+    assert d["qp_max"] == (9, 5)
+    assert d["sqp_changed"] == [(0, -2), (1, 1)]
     same = trajdiff.diff_run(a, a, NAMES)
     assert same["max_dev"] == 0.0 and same["at"] is None
+    assert same["sqp_changed"] == []
+
+
+def test_diff_prints_the_worst_step_and_the_changed_steps(tmp_path, capsys):
+    a = _run([[0.0, 1.0, 2.0, 0.1, 0.2, [0.5], 3]], [["optimal", 3, 9]])
+    b = _run([[0.0, 1.0, 2.0, 0.1, 0.2, [0.5], 2]], [["optimal", 2, 4]])
+    paths = []
+    for name, run in (("a.json", a), ("b.json", b)):
+        path = tmp_path / name
+        path.write_text(json.dumps({"fields": NAMES, "runs": {"r": run}}))
+        paths.append(str(path))
+    trajdiff.diff(*paths)
+    out = capsys.readouterr().out
+    assert "QP iterations 9 / 4, worst step 9 / 4" in out
+    assert "SQP count changed at step (delta): 0 (-1)" in out

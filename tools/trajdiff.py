@@ -18,7 +18,9 @@ step field but the SQP count (and where it is, and the largest in the
 position and in the virtual input v on their own), the minimum obstacle
 distance on both sides and whether it agrees to 7 decimals, the step and
 abort counts, the number of steps whose status differs, the steps that
-take more and fewer SQP iterations, and the SQP and QP iteration totals.
+take more and fewer SQP iterations, the SQP and QP iteration totals, and
+the largest QP iteration count of one step. A second line lists each step
+whose SQP count changed, with the change.
 """
 
 import argparse
@@ -162,10 +164,13 @@ def diff_run(a, b, names):
         "status_changed": status_changed,
         "sqp_more": sum(x > 0 for x in sqp_delta),
         "sqp_fewer": sum(x < 0 for x in sqp_delta),
+        "sqp_changed": [(k, int(x)) for k, x in enumerate(sqp_delta) if x],
         "status": tuple(dict(Counter(c[0] for c in r["calls"]))
                         for r in (a, b)),
         "sqp": tuple(sum(c[1] for c in r["calls"]) for r in (a, b)),
         "qp": tuple(sum(c[2] for c in r["calls"]) for r in (a, b)),
+        "qp_max": tuple(max((c[2] for c in r["calls"]), default=0)
+                        for r in (a, b)),
     }
 
 
@@ -193,7 +198,11 @@ def diff(path_a, path_b):
               f"steps with more / fewer SQP iterations "
               f"{d['sqp_more']} / {d['sqp_fewer']}; "
               f"SQP iterations {d['sqp'][0]} / {d['sqp'][1]}; "
-              f"QP iterations {d['qp'][0]} / {d['qp'][1]}")
+              f"QP iterations {d['qp'][0]} / {d['qp'][1]}, "
+              f"worst step {d['qp_max'][0]} / {d['qp_max'][1]}")
+        if d["sqp_changed"]:
+            print("  SQP count changed at step (delta): " + ", ".join(
+                f"{k} ({x:+d})" for k, x in d["sqp_changed"]))
 
 
 def main(argv=None):
