@@ -24,7 +24,7 @@ import numpy as np
 
 from .dfl import DflGuard, decoupling_matrix, map_x_array_to_z, map_z_to_x
 from .errors import ConfigError, InfeasibleError
-from .lti import discretize_double_integrator, riccati_solution, terminal_data
+from .lti import discretize_double_integrator, terminal_data
 from .model import ExtendedState, RobotParams
 from .mpc import FEAS_TOL, MpcConfig, estimate_flops_ip, estimate_flops_sqp
 from .safety import Obstacle, sample_terminal_box, terminal_safety_check
@@ -456,10 +456,6 @@ def verify_report(config_path=None) -> bool:
                    f"residual {lyap:.2e}"))
     checks.append(("terminal closed loop is a contraction",
                    td.spectral_radius < 1.0, f"rho {td.spectral_radius:.6f}"))
-    P = riccati_solution(model, mpc_cfg.Q, mpc_cfg.R)
-    r_res = float(np.max(np.abs(td.Qbar - P)))
-    checks.append(("terminal weight matches Riccati fixed point <= 1e-8",
-                   r_res <= 1e-8, f"gap {r_res:.2e}"))
 
     z0 = rng.uniform(-1.0, 1.0, size=4)
     cost = 0.0

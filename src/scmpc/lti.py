@@ -1,10 +1,10 @@
 """Discrete prediction model and terminal-cost machinery.
 
 Exact zero-order-hold discretization of the pair of double integrators,
-an infinite-horizon LQR gain from a structure-preserving doubling
-iteration on the discrete Riccati equation, and the terminal weight from
-the discrete Lyapunov equation that makes the finite horizon cost match
-the infinite-horizon one under the terminal controller.
+and the terminal controller: the infinite-horizon LQR gain and, as the
+terminal weight, the Riccati solution from a structure-preserving doubling
+iteration, which makes the finite horizon cost match the infinite-horizon
+one under that controller.
 """
 
 from dataclasses import dataclass
@@ -19,8 +19,6 @@ __all__ = [
     "continuous_matrices",
     "discretize_double_integrator",
     "riccati_solution",
-    "dlqr_gain",
-    "terminal_weight",
     "spectral_radius",
     "terminal_data",
 ]
@@ -37,7 +35,7 @@ class LtiModel:
 
 @dataclass(frozen=True)
 class TerminalData:
-    """Terminal controller gain, Lyapunov weight, and closed-loop radius."""
+    """Terminal controller gain, terminal weight, and closed-loop radius."""
 
     K: np.ndarray
     Qbar: np.ndarray
@@ -113,37 +111,6 @@ def riccati_solution(model: LtiModel, Q: np.ndarray, R: np.ndarray) -> np.ndarra
     )
 
 
-def dlqr_gain(model: LtiModel, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Infinite-horizon discrete LQR gain.
-
-    The sign is carried inside K, so the closed loop is A + B K.
-    """
-    P = riccati_solution(model, Q, R)
-    BtP = model.B.T @ P
-    return -np.linalg.solve(R + BtP @ model.B, BtP @ model.A)
-
-
-def terminal_weight(model: LtiModel, K: np.ndarray, Q: np.ndarray,
-                    R: np.ndarray) -> np.ndarray:
-    """Solve Qbar - Acl' Qbar Acl = Q + K' R K for the terminal weight.
-
-    Uses the doubling iteration for the convergent series; requires the
-    closed loop A + B K to be a contraction.
-    """
-    A_cl = model.A + model.B @ K
-    if spectral_radius(A_cl) >= 1.0:
-        raise ConfigError("terminal gain not stabilizing")
-    S = Q + K.T @ R @ K
-    M = A_cl.copy()
-    for _ in range(200):
-        increment = M.T @ S @ M
-        S = S + increment
-        if np.max(np.abs(increment)) <= 1e-16 * max(1.0, np.max(np.abs(S))):
-            break
-        M = M @ M
-    return 0.5 * (S + S.T)
-
-
 def spectral_radius(M: np.ndarray) -> float:
     """Largest eigenvalue magnitude, from the LAPACK QR eigensolver."""
     M = np.asarray(M, dtype=float)
@@ -153,8 +120,16 @@ def spectral_radius(M: np.ndarray) -> float:
 
 
 def terminal_data(model: LtiModel, Q: np.ndarray, R: np.ndarray) -> TerminalData:
-    """Bundle LQR gain, terminal weight, and closed-loop spectral radius."""
-    K = dlqr_gain(model, Q, R)
-    Qbar = terminal_weight(model, K, Q, R)
+    """LQR gain, terminal weight, and closed-loop spectral radius.
+
+    The gain K = -(R + B'PB)^-1 B'PA comes from the Riccati solution P; the
+    sign is carried inside K, so the closed loop is A + B K. Substituting K
+    into the Riccati equation gives P - Acl' P Acl = Q + K' R K, so P is
+    also the Lyapunov solution that makes the terminal cost the
+    infinite-horizon cost under K, and it is the terminal weight.
+    """
+    P = riccati_solution(model, Q, R)
+    BtP = model.B.T @ P
+    K = -np.linalg.solve(R + BtP @ model.B, BtP @ model.A)
     rho = spectral_radius(model.A + model.B @ K)
-    return TerminalData(K=K, Qbar=Qbar, spectral_radius=rho)
+    return TerminalData(K=K, Qbar=P, spectral_radius=rho)
