@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .lti import LtiModel, TerminalData, discretize_double_integrator, terminal_data
+from .model import unicycle_rhs
 from .qp import solve_qp
 from .safety import Obstacle
 
@@ -575,28 +576,23 @@ def _unicycle_jacobians(x, u):
     return fx, fu
 
 
-def _unicycle_rhs(x, u):
-    c, s = math.cos(x[2]), math.sin(x[2])
-    return np.array([u[0] * c, u[0] * s, u[1]])
-
-
 def _rk4_with_jacobians(x, u, ts):
     """RK4 step of the unicycle plus exact step Jacobians A, B."""
     eye = np.eye(3)
-    k1 = _unicycle_rhs(x, u)
+    k1 = unicycle_rhs(x, u)
     j1x, j1u = _unicycle_jacobians(x, u)
     x2 = x + 0.5 * ts * k1
-    k2 = _unicycle_rhs(x2, u)
+    k2 = unicycle_rhs(x2, u)
     f2x, f2u = _unicycle_jacobians(x2, u)
     j2x = f2x @ (eye + 0.5 * ts * j1x)
     j2u = f2x @ (0.5 * ts * j1u) + f2u
     x3 = x + 0.5 * ts * k2
-    k3 = _unicycle_rhs(x3, u)
+    k3 = unicycle_rhs(x3, u)
     f3x, f3u = _unicycle_jacobians(x3, u)
     j3x = f3x @ (eye + 0.5 * ts * j2x)
     j3u = f3x @ (0.5 * ts * j2u) + f3u
     x4 = x + ts * k3
-    k4 = _unicycle_rhs(x4, u)
+    k4 = unicycle_rhs(x4, u)
     f4x, f4u = _unicycle_jacobians(x4, u)
     j4x = f4x @ (eye + ts * j3x)
     j4u = f4x @ (ts * j3u) + f4u

@@ -47,8 +47,8 @@ class TerminalSafetyReport:
     n_samples: int
 
 
-def barrier_xy(px: float, py: float, obs: Obstacle) -> float:
-    """Barrier value at a planar point."""
+def barrier_xy(px, py, obs: Obstacle):
+    """Barrier value at a planar point, or elementwise on arrays of them."""
     return (px - obs.x) ** 2 + (py - obs.y) ** 2 - obs.radius**2
 
 
@@ -65,8 +65,8 @@ def terminal_safety_check(model: LtiModel, K: np.ndarray, gamma: float,
         raise ConfigError("terminal_samples must be nonempty")
     A_cl = model.A + model.B @ K
     succ = samples @ A_cl.T
-    h_now = (samples[:, 0] - obs.x) ** 2 + (samples[:, 2] - obs.y) ** 2 - obs.radius**2
-    h_next = (succ[:, 0] - obs.x) ** 2 + (succ[:, 2] - obs.y) ** 2 - obs.radius**2
+    h_now = barrier_xy(samples[:, 0], samples[:, 2], obs)
+    h_next = barrier_xy(succ[:, 0], succ[:, 2], obs)
     margins = h_next - (1.0 - gamma) * h_now
     worst = float(np.min(margins))
     return TerminalSafetyReport(passed=bool(worst > 0.0), worst_margin=worst,
@@ -92,7 +92,6 @@ def sample_terminal_box(pos_bound: float, vel_bound: float, obstacles,
         batch[:, 3] *= vel_bound
         keep = np.ones(batch.shape[0], dtype=bool)
         for obs in obstacles:
-            h = (batch[:, 0] - obs.x) ** 2 + (batch[:, 2] - obs.y) ** 2 - obs.radius**2
-            keep &= h >= 0.0
+            keep &= barrier_xy(batch[:, 0], batch[:, 2], obs) >= 0.0
         out = np.vstack([out, batch[keep]])
     return out[:n_samples]
