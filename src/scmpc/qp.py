@@ -64,6 +64,9 @@ def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
              working_set=None) -> QpResult:
     """Minimize 0.5 x'Hx + g'x subject to rows @ x <= rhs.
 
+    Runs the dual active-set loop of the module docstring from a start
+    working set; there is no Phase 1.
+
     Parameters
     ----------
     hessian, gradient : ndarray
@@ -72,8 +75,9 @@ def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
         Inequality rows G (m x n) and right-hand side h (m,). Omit both
         for an unconstrained solve.
     x0 : ndarray, optional
-        Start point. It need not be feasible: the rows it meets or
-        violates within tol form the starting working set.
+        Start point, used only to choose the start working set: the rows
+        it meets or violates within tol. It need not be feasible; the
+        iterates start from the minimizer over the start set.
     tol : float
         Violation up to which a row counts as met, at the start and in
         the optimality test.
