@@ -15,10 +15,9 @@ multiplier that decreases proves the rows inconsistent.
 
 The working set may start from a guess, such as the previous SQP
 iteration's, or from the rows that a start point x0 meets or violates
-(the online active set idea of Ferreau, Bock & Diehl, 2008). Negative
-multipliers of a start set are dropped one KKT solve at a time, and a
-start set with more rows than unknowns, or whose KKT system has no
-accurate solution, is replaced by the empty set.
+(as in the online active set of Ferreau, Bock & Diehl, 2008). Negative
+start multipliers are dropped one KKT solve at a time; a start set with
+more rows than unknowns, or with dependent rows, gives way to the empty set.
 """
 
 from dataclasses import dataclass, field
@@ -41,8 +40,10 @@ class QpResult:
 def _kkt_solve(H, A, top, bottom):
     """Solve [[H, A'], [A, 0]] [x; mu] = [top; bottom] for x and mu.
 
-    Returns None when the system is singular or the computed solution
-    does not satisfy it, as happens for a dependent set of rows A.
+    Also returns the largest residual of the computed solution relative to
+    1 + max|rhs|, which is large for a dependent set of rows A whose
+    equations the right-hand side makes inconsistent. A system found
+    singular returns None.
     """
     n, k = H.shape[0], A.shape[0]
     kkt = np.zeros((n + k, n + k))
@@ -54,9 +55,8 @@ def _kkt_solve(H, A, top, bottom):
         sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
         return None
-    if not np.max(np.abs(kkt @ sol - rhs)) <= 1e-9 * (1.0 + np.max(np.abs(rhs))):
-        return None
-    return sol[:n], sol[n:]
+    resid = np.max(np.abs(kkt @ sol - rhs)) / (1.0 + np.max(np.abs(rhs)))
+    return sol[:n], sol[n:], float(resid)
 
 
 def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
@@ -88,7 +88,9 @@ def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
 
     Returns the minimizer with the final working set, the full multiplier
     vector (zeros on inactive rows), and the iteration count, which counts
-    KKT solves. The working rows hold as equalities to roundoff. A
+    KKT solves. The working rows hold as equalities to roundoff, and an
+    optimal exit meets every row within tol; where an ill-conditioned
+    solve leaves a working row violated by more, the exit is max_iter. A
     max_iter exit returns the current iterate with the multipliers of its
     working set; an infeasible exit returns no working set.
     """
@@ -108,13 +110,10 @@ def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     if working_set is not None:
         work = list(working_set)
-    elif x0 is not None:
-        work = np.flatnonzero(G @ x - h >= -tol).tolist()
     else:
-        work = []
+        work = [] if x0 is None else np.flatnonzero(G @ x - h >= -tol).tolist()
     if len(work) > n:
         work = []
-    lam = np.zeros(len(work))
     status = "max_iter"
     p, t = -1, 0.0  # the violated row being added and its multiplier
     for it in range(1, max_iter + 1):
@@ -124,11 +123,13 @@ def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
         else:
             # Until a row is added the second column probes the start set:
             # these distinct right-hand sides are consistent for
-            # independent rows only, so dependent rows fail the solve.
+            # independent rows only, so dependent rows leave a residual.
             n_p, probe = np.zeros(n), np.sqrt(np.arange(2.0, len(work) + 2.0))
         sol = _kkt_solve(H, A, np.column_stack([-g, -n_p]),
                          np.column_stack([h[work], probe]))
-        if sol is None:
+        if sol is None or (p < 0 and not sol[2] <= 1e-9):
+            # A failed first solve rejects the start set; a later one can
+            # only be a singular system, which ends the loop.
             if it > 1:
                 break
             work, lam = [], np.zeros(0)
@@ -149,17 +150,21 @@ def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
                 ratios = np.maximum(mu_w[falling], 0.0) / -dmu[falling]
                 drop = int(falling[np.argmin(ratios)])
                 t_drop = max(float(np.min(ratios)), t)
-            # H dx = -(n_p + A' dmu) cancels to roundoff when row p lies in
-            # the span of the working rows: no step can reduce its violation.
+            # No step can reduce the violation of row p when it lies in the
+            # span of the working rows: always with n of them, and otherwise
+            # when H dx = -(n_p + A' dmu) cancels to roundoff or the curvature
+            # q = dx' H dx = -n_p' dx is not positive.
+            q = -float(n_p @ dx)
             cancel = np.max(np.abs(n_p)) + np.max(np.abs(A.T @ dmu), initial=0.0)
-            if np.max(np.abs(H @ dx)) <= 1e-10 * cancel:
+            if (len(work) == n or q <= 0.0
+                    or np.max(np.abs(H @ dx)) <= 1e-10 * cancel):
                 if drop < 0:
-                    x = x_w + t * dx
+                    x, work, lam = x_w + t * dx, [], np.zeros(0)
                     status = "infeasible"
                     break
                 t_full = np.inf
             else:
-                t_full = float(n_p @ x_w - h[p]) / -float(n_p @ dx)
+                t_full = float(n_p @ x_w - h[p]) / q
             if t_drop < t_full:
                 t = t_drop
                 x, lam = x_w + t * dx, mu_w + t * dmu
@@ -172,17 +177,16 @@ def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
             lam = np.delete(lam, drop)
             continue
         viol = G @ x - h
+        worst = float(np.max(viol))
         viol[work] = -np.inf
         p, t = int(np.argmax(viol)), 0.0
         if viol[p] <= tol:
-            status = "optimal"
+            if worst <= tol:
+                status = "optimal"
             break
 
     multipliers = np.zeros(m)
-    if status == "infeasible":
-        work = []
-    else:
-        multipliers[work] = np.maximum(lam, 0.0)
+    multipliers[work] = np.maximum(lam, 0.0)
     return QpResult(x=x, status=status, iterations=it,
                     active_set=sorted(work), multipliers=multipliers,
                     max_violation=float(np.max(G @ x - h, initial=0.0)))

@@ -284,15 +284,44 @@ def test_binding_row_that_combines_two_others():
 
 
 def test_rows_inconsistent_only_in_combination():
-    # x1 <= -1, x2 <= -1 and x1 + x2 >= -1: any two rows are consistent.
-    rows = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-    rhs = np.array([-1.0, -1.0, 1.0])
+    # x1 <= -1, x2 <= -1 and x1 + x2 >= -1; then x1 + d x2 <= -1,
+    # x1 - d x2 <= -1 and x1 >= 1, where the first two meet at a vertex
+    # whose KKT system grows ill-conditioned as d shrinks. Any two rows of
+    # either set are consistent.
+    sets = [(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
+             np.array([-1.0, -1.0, 1.0]))]
+    for d in (1e-3, 1e-5, 1e-7):
+        sets.append((np.array([[1.0, d], [1.0, -d], [-1.0, 0.0]]),
+                     -np.ones(3)))
     rng = np.random.default_rng(33)
-    for _ in range(20):
-        a = rng.normal(size=(2, 2))
-        res = solve_qp(a.T @ a + np.eye(2), rng.normal(size=2) * 3.0, rows, rhs)
-        assert res.status == "infeasible"
-        assert res.active_set == [] and res.max_violation > 0.0
+    for rows, rhs in sets:
+        for _ in range(20):
+            a = rng.normal(size=(2, 2))
+            res = solve_qp(a.T @ a + np.eye(2), rng.normal(size=2) * 3.0,
+                           rows, rhs)
+            assert res.status == "infeasible"
+            assert res.active_set == [] and res.max_violation > 0.0
+
+
+def test_optimal_means_every_row_is_met():
+    # Rows nearly parallel to one direction, with random signs, give badly
+    # conditioned KKT systems and solutions far out. Whatever the status,
+    # an optimal one has every row, working rows included, within tol.
+    rng = np.random.default_rng(37)
+    optimal = 0
+    for _ in range(1000):
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(n + 1, 3 * n + 2))
+        rows = rng.normal(size=n) + 10.0 ** rng.uniform(-7, 0) * rng.normal(size=(m, n))
+        rows *= rng.choice([-1.0, 1.0], size=(m, 1))
+        a = rng.normal(size=(n, n))
+        res = solve_qp(a.T @ a + np.eye(n), rng.normal(size=n) * 10.0, rows,
+                       rng.normal(size=m))
+        assert len(res.active_set) <= n
+        if res.status == "optimal":
+            assert res.max_violation <= 1e-8
+            optimal += 1
+    assert optimal > 300
 
 
 def test_start_on_the_active_rows_solves_in_one_iteration():
