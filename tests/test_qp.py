@@ -356,9 +356,10 @@ def test_start_at_an_overdetermined_vertex_is_ignored():
         tight = rng.choice(m, size=int(rng.integers(n + 1, m + 1)),
                            replace=False)
         rhs[tight] = rows[tight] @ x0
+        cold = solve_qp(hessian, gradient, rows, rhs)
         res = solve_qp(hessian, gradient, rows, rhs, x0=x0)
-        _assert_same_result(res, solve_qp(hessian, gradient, rows, rhs))
-        assert res.iterations == solve_qp(hessian, gradient, rows, rhs).iterations
+        _assert_same_result(res, cold)
+        assert res.iterations == cold.iterations
 
 
 def test_start_violation_below_tol_is_not_kept():
