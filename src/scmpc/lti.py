@@ -126,10 +126,15 @@ def terminal_data(model: LtiModel, Q: np.ndarray, R: np.ndarray) -> TerminalData
     sign is carried inside K, so the closed loop is A + B K. Substituting K
     into the Riccati equation gives P - Acl' P Acl = Q + K' R K, so P is
     also the Lyapunov solution that makes the terminal cost the
-    infinite-horizon cost under K, and it is the terminal weight.
+    infinite-horizon cost under K, and it is the terminal weight. That
+    holds only for a contraction A + B K; weights that leave a mode
+    undetectable, such as Q = 0, give a P whose gain is not one and raise
+    ConfigError.
     """
     P = riccati_solution(model, Q, R)
     BtP = model.B.T @ P
     K = -np.linalg.solve(R + BtP @ model.B, BtP @ model.A)
     rho = spectral_radius(model.A + model.B @ K)
+    if rho >= 1.0:
+        raise ConfigError("terminal gain not stabilizing")
     return TerminalData(K=K, Qbar=P, spectral_radius=rho)

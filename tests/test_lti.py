@@ -136,12 +136,12 @@ def test_terminal_weight_is_infinite_horizon_cost():
 
 
 def test_terminal_weight_rejects_unstable_gain():
-    # With an unstable mode the input cannot reach, no gain stabilizes the
-    # loop, so there is no terminal weight either.
-    model = LtiModel(np.diag([1.0, 2.0]), np.array([[1.0], [0.0]]), 0.05)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NumericalError):
-        terminal_data(model, np.eye(2), np.eye(1))
+    # Q = 0 leaves every position mode undetectable: the Riccati solution
+    # is P = 0 with gain K = 0, whose closed loop A has radius 1, so P is
+    # no terminal weight.
+    m = discretize_double_integrator(0.05)
+    with pytest.raises(ConfigError, match="not stabilizing"):
+        terminal_data(m, np.zeros((4, 4)), R2)
 
 
 def test_cost_decrease_identity():
