@@ -37,13 +37,12 @@ class QpResult:
     max_violation: float = 0.0
 
 
-def _kkt_solve(H, A, top, bottom):
+def _kkt_solve(H, A, top, bottom, residual=False):
     """Solve [[H, A'], [A, 0]] [x; mu] = [top; bottom] for x and mu.
 
-    Also returns the largest residual of the computed solution relative to
-    1 + max|rhs|, which is large for a dependent set of rows A whose
-    equations the right-hand side makes inconsistent. A system found
-    singular returns None.
+    With residual, the third value is the largest residual relative to
+    1 + max|rhs|, large for dependent rows A whose equations the right-hand
+    side makes inconsistent (else it is 0). A singular system returns None.
     """
     n, k = H.shape[0], A.shape[0]
     kkt = np.zeros((n + k, n + k))
@@ -55,7 +54,8 @@ def _kkt_solve(H, A, top, bottom):
         sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
         return None
-    resid = np.max(np.abs(kkt @ sol - rhs)) / (1.0 + np.max(np.abs(rhs)))
+    resid = (np.max(np.abs(kkt @ sol - rhs)) / (1.0 + np.max(np.abs(rhs)))
+             if residual else 0.0)
     return sol[:n], sol[n:], float(resid)
 
 
@@ -92,7 +92,8 @@ def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
     optimal exit meets every row within tol; where an ill-conditioned
     solve leaves a working row violated by more, the exit is max_iter. A
     max_iter exit returns the current iterate with the multipliers of its
-    working set; an infeasible exit returns no working set.
+    working set, which for max_iter = 0 is the start point (x0, or zero)
+    with no working set; an infeasible exit returns no working set.
     """
     H = np.asarray(hessian, dtype=float)
     g = np.asarray(gradient, dtype=float)
@@ -106,15 +107,14 @@ def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
     m = G.shape[0]
     if max_iter is None:
         max_iter = max(200, 10 * (n + m))
-
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     if working_set is not None:
         work = list(working_set)
     else:
         work = [] if x0 is None else np.flatnonzero(G @ x - h >= -tol).tolist()
-    if len(work) > n:
-        work = []
-    status = "max_iter"
+    if len(work) > n or max_iter < 1:
+        work = []  # with no KKT solve there are no working multipliers
+    status, it, lam = "max_iter", 0, np.zeros(0)
     p, t = -1, 0.0  # the violated row being added and its multiplier
     for it in range(1, max_iter + 1):
         A = G[work]
@@ -126,7 +126,7 @@ def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
             # independent rows only, so dependent rows leave a residual.
             n_p, probe = np.zeros(n), np.sqrt(np.arange(2.0, len(work) + 2.0))
         sol = _kkt_solve(H, A, np.column_stack([-g, -n_p]),
-                         np.column_stack([h[work], probe]))
+                         np.column_stack([h[work], probe]), residual=p < 0)
         if sol is None or (p < 0 and not sol[2] <= 1e-9):
             # A failed first solve rejects the start set; a later one can
             # only be a singular system, which ends the loop.

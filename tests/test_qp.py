@@ -141,6 +141,21 @@ def test_capped_solves_return_a_result():
     assert capped > 100
 
 
+def test_zero_iteration_cap_returns_the_start_point():
+    # No KKT solve is made, so no working set has multipliers yet.
+    rng = np.random.default_rng(23)
+    hessian, gradient, rows, rhs = _random_feasible_qp(rng, 4, 12)
+    start = rng.normal(size=4)
+    for kwargs, x in [({}, np.zeros(4)), ({"x0": start}, start),
+                      ({"working_set": [0, 1]}, np.zeros(4))]:
+        res = solve_qp(hessian, gradient, rows, rhs, max_iter=0, **kwargs)
+        assert res.status == "max_iter"
+        assert res.iterations == 0
+        assert res.active_set == []
+        np.testing.assert_array_equal(res.multipliers, np.zeros(12))
+        np.testing.assert_array_equal(res.x, x)
+
+
 def _random_qp_and_cold_solve(rng, origin_feasible=False):
     n = int(rng.integers(2, 9))
     m = int(rng.integers(1, 21))
