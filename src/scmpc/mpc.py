@@ -14,6 +14,13 @@ The nonlinear baseline hands the same SQP driver a single-shooting
 problem on the unicycle model discretized with RK4, relinearizing the
 rollout every iteration. It is kept for timing comparisons and
 trajectory cross-checks.
+
+Both problems state the safety constraint through one function,
+_barrier_rows: the discrete-time barrier condition
+h(p_{k+1}) >= (1 - gamma) h(p_k) per obstacle and step (Agrawal and
+Sreenath, RSS 2017), on the condensed predictions or on the rollout. Both
+controllers solve through one helper that, after an infeasible SQP, solves
+once more at doubled gamma and reports the iterations of both solves.
 """
 
 import math
@@ -120,53 +127,69 @@ class MpcConfig:
             raise ConfigError("R must be positive definite")
 
 
+def _barrier_rows(pos, center, radius_sq, decay, sens=None):
+    """Barrier decay rows h_o(p_{k+1}) - decay * h_o(p_k) and their Jacobian.
+
+    pos holds the positions p_0, ..., p_N (N+1, 2), center and radius_sq
+    the obstacles (n_obs, 2) and (n_obs,), and h_o(p) = |p - c_o|^2 - r_o^2.
+    The n_obs * N rows are obstacle-major: row o * N + k bounds step k + 1
+    against obstacle o. With the position sensitivities sens (N+1, 2, nv)
+    the (n_obs * N, nv) Jacobian is returned too, else None.
+    """
+    d = pos[None] - center[:, None]
+    h = np.einsum("oki,oki->ok", d, d) - radius_sq[:, None]
+    rows = (h[:, 1:] - decay * h[:, :-1]).ravel()
+    if sens is None:
+        return rows, None
+    dh = 2.0 * np.einsum("kin,oki->okn", sens, d)
+    return rows, (dh[:, 1:] - decay * dh[:, :-1]).reshape(-1, sens.shape[2])
+
+
 @dataclass
 class QuadraticRow:
-    """The barrier constraints c_k(V) >= 0 on the stacked input sequence.
+    """The barrier constraints c(V) >= 0 on the stacked input sequence.
 
-    Row k holds c_k(V) = |p1_k(V) - c_k|^2 - r_k^2
-    - decay_k * (|p0_k(V) - c_k|^2 - r_k^2) with affine position maps
-    p_k(V) = offset_k + map_k @ V. The K rows are stacked: maps are
-    (K, 2, nv), offsets and centers (K, 2), radius_sq and decay (K,). The
-    baseline per-step rows use decay = 0, which drops the second term.
-    r_k^2 is the obstacle's squared radius plus 2 * FEAS_TOL: solve_sqp
-    accepts row violations up to FEAS_TOL, and the back-off keeps such a
-    plan's positions outside the true disk.
+    The rows are _barrier_rows on the predicted positions
+    p_k(V) = offsets_k + maps_k @ V, k = 0, ..., N: maps (N+1, 2, nv) with
+    maps_0 = 0, since p_0 is the measured position, and offsets (N+1, 2).
+    gram (N+1, nv, nv) holds maps_k' maps_k. The cbf rows use
+    decay = 1 - gamma; the euclid rows use decay = 0, which bounds each
+    h_o(p_{k+1}) >= 0 on its own. radius_sq is each obstacle's squared
+    radius plus 2 * FEAS_TOL: solve_sqp accepts row violations up to
+    FEAS_TOL, and the back-off keeps such a plan's positions outside the
+    true disk.
     """
 
-    map_next: np.ndarray
-    off_next: np.ndarray
-    map_prev: np.ndarray
-    off_prev: np.ndarray
+    maps: np.ndarray
+    offsets: np.ndarray
     center: np.ndarray
     radius_sq: np.ndarray
-    decay: np.ndarray
-    gram_next: np.ndarray
-    gram_prev: np.ndarray
+    decay: float
+    gram: np.ndarray
 
     def __len__(self) -> int:
-        return self.radius_sq.shape[0]
+        return len(self.radius_sq) * (len(self.offsets) - 1)
 
     def value(self, v: np.ndarray) -> np.ndarray:
-        """The K row values at v."""
-        d1 = self.off_next + self.map_next @ v - self.center
-        d0 = self.off_prev + self.map_prev @ v - self.center
-        return (np.einsum("ki,ki->k", d1, d1) - self.radius_sq
-                - self.decay * (np.einsum("ki,ki->k", d0, d0) - self.radius_sq))
+        """The row values at v."""
+        return _barrier_rows(self.offsets + self.maps @ v, self.center,
+                             self.radius_sq, self.decay)[0]
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
         """The (K, nv) Jacobian of the row values at v."""
-        d1 = self.off_next + self.map_next @ v - self.center
-        d0 = self.off_prev + self.map_prev @ v - self.center
-        return (2.0 * np.einsum("kin,ki->kn", self.map_next, d1)
-                - (2.0 * self.decay)[:, None]
-                * np.einsum("kin,ki->kn", self.map_prev, d0))
+        return _barrier_rows(self.offsets + self.maps @ v, self.center,
+                             self.radius_sq, self.decay, self.maps)[1]
 
     def curvature(self, weights: np.ndarray) -> np.ndarray:
-        """The (nv, nv) weighted sum of the constant row Hessians."""
-        return 2.0 * (np.tensordot(weights, self.gram_next, axes=1)
-                      - np.tensordot(weights * self.decay, self.gram_prev,
-                                     axes=1))
+        """The (nv, nv) weighted sum of the constant row Hessians.
+
+        Row (o, k) has the Hessian 2 (gram_{k+1} - decay gram_k).
+        """
+        per_step = weights.reshape(-1, len(self.gram) - 1).sum(axis=0)
+        coeff = np.zeros(len(self.gram))
+        coeff[1:] += per_step
+        coeff[:-1] -= self.decay * per_step
+        return 2.0 * np.tensordot(coeff, self.gram, axes=1)
 
 
 def _floor_eigenvalues(w: np.ndarray) -> np.ndarray:
@@ -228,9 +251,11 @@ class QcqpProblem:
         if stuck.size:
             # Iterate sits at the obstacle center; push along the
             # direction from the center toward the initial state.
-            d = self.z0[[0, 2]] - rows.center[stuck]
+            # Row o * N + k bounds step k + 1 against obstacle o.
+            d = self.z0[[0, 2]] - rows.center[stuck // self.n_steps]
             d[np.einsum("ki,ki->k", d, d) < 1e-18] = (1.0, 0.0)
-            grad[stuck] = 2.0 * np.einsum("kin,ki->kn", rows.map_next[stuck], d)
+            grad[stuck] = 2.0 * np.einsum(
+                "kin,ki->kn", rows.maps[stuck % self.n_steps + 1], d)
         if multipliers is None or not np.any(multipliers):
             return self.hessian, self.gradient, -grad
         w = _floor_eigenvalues(self.hessian - rows.curvature(multipliers))
@@ -275,7 +300,7 @@ class _CondensedWorkspace:
     """
 
     def __init__(self, cfg: MpcConfig, model: LtiModel, terminal: TerminalData,
-                 obstacles, mode: str):
+                 obstacles):
         n = cfg.horizon
         nc = cfg.constraint_horizon
         nv = 2 * n
@@ -319,32 +344,15 @@ class _CondensedWorkspace:
         self.h_const = np.concatenate(h_const)
         self.h_lin = np.vstack(h_lin)
 
-        # Barrier rows, obstacle-major: row i * n + k bounds step k against
-        # obstacle i. The k = 0 cbf row reads its previous position from z0.
-        self.mode = mode
-        n_obs = len(obstacles)
-        map_next = np.stack([G[[4 * k, 4 * k + 2]] for k in range(n)])
-        f_next = np.stack([F[[4 * k, 4 * k + 2]] for k in range(n)])
-        map_prev = np.zeros_like(map_next)
-        f_prev = np.zeros_like(f_next)
-        if mode == "cbf":
-            map_prev[1:] = map_next[:-1]
-            f_prev[0] = sel
-            f_prev[1:] = f_next[:-1]
-        self.quad_map_next = np.tile(map_next, (n_obs, 1, 1))
-        self.quad_map_prev = np.tile(map_prev, (n_obs, 1, 1))
-        self.quad_gram_next = np.einsum("kin,kim->knm", self.quad_map_next,
-                                        self.quad_map_next)
-        self.quad_gram_prev = np.einsum("kin,kim->knm", self.quad_map_prev,
-                                        self.quad_map_prev)
-        self.quad_f_next = np.tile(f_next, (n_obs, 1, 1))
-        self.quad_f_prev = np.tile(f_prev, (n_obs, 1, 1))
-        self.quad_center = np.repeat(
-            np.array([obs.center() for obs in obstacles]).reshape(n_obs, 2),
-            n, axis=0)
-        self.quad_radius_sq = np.repeat(
-            np.array([obs.radius**2 + 2.0 * FEAS_TOL for obs in obstacles],
-                     dtype=float), n)
+        # Barrier positions p_0, ..., p_N: p_0 is the measured position.
+        self.pos_maps = np.concatenate([np.zeros((1, 2, nv)),
+                                        G_pos.reshape(n, 2, nv)])
+        self.pos_f = np.concatenate([sel[None], F_pos.reshape(n, 2, 4)])
+        self.pos_gram = np.einsum("kin,kim->knm", self.pos_maps, self.pos_maps)
+        self.center = np.array([obs.center() for obs in obstacles],
+                               dtype=float).reshape(-1, 2)
+        self.radius_sq = np.array([obs.radius**2 + 2.0 * FEAS_TOL
+                                   for obs in obstacles], dtype=float)
 
 
 def build_qcqp(z0, cfg: MpcConfig, model: LtiModel, terminal: TerminalData,
@@ -359,14 +367,11 @@ def build_qcqp(z0, cfg: MpcConfig, model: LtiModel, terminal: TerminalData,
         raise ConfigError(f"unsupported problem mode '{mode}'")
     z0 = np.asarray(z0, dtype=float).ravel()
     if workspace is None:
-        workspace = _CondensedWorkspace(cfg, model, terminal, obstacles, mode)
+        workspace = _CondensedWorkspace(cfg, model, terminal, obstacles)
     ws = workspace
-    decay = 1.0 - cfg.gamma if ws.mode == "cbf" else 0.0
     quad_rows = QuadraticRow(
-        ws.quad_map_next, ws.quad_f_next @ z0, ws.quad_map_prev,
-        ws.quad_f_prev @ z0, ws.quad_center, ws.quad_radius_sq,
-        np.full(len(ws.quad_radius_sq), decay), ws.quad_gram_next,
-        ws.quad_gram_prev)
+        ws.pos_maps, ws.pos_f @ z0, ws.center, ws.radius_sq,
+        1.0 - cfg.gamma if mode == "cbf" else 0.0, ws.pos_gram)
     pos0 = z0[[0, 2]]
     outside = bool(np.any(pos0 > cfg.pos_max) or np.any(pos0 < cfg.pos_min))
     return QcqpProblem(
@@ -521,13 +526,33 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
     )
 
 
+def _solve_relaxing_gamma(make_problem, cfg: MpcConfig, warm_start,
+                          relax: bool = True) -> SolveResult:
+    """solve_sqp on make_problem(cfg), relaxing the barrier decay once.
+
+    After an infeasible result with gamma < 1 (and relax set), the problem
+    is rebuilt with gamma doubled, capped at 1, and solved from the same
+    warm start. The retry's status, plan and cost are returned, with the
+    SQP iterations, QP KKT solves and solve time of both solves.
+    """
+    res = solve_sqp(make_problem(cfg), warm_start=warm_start)
+    if res.status != "infeasible" or not relax or cfg.gamma >= 1.0:
+        return res
+    relaxed = replace(cfg, gamma=min(2.0 * cfg.gamma, 1.0))
+    retry = solve_sqp(make_problem(relaxed), warm_start=warm_start)
+    retry.sqp_iterations += res.sqp_iterations
+    retry.qp_iterations_total += res.qp_iterations_total
+    retry.solve_time += res.solve_time
+    return retry
+
+
 class LinearMpc:
     """Receding-horizon controller on the linear coordinates.
 
     Owns the discrete model, terminal data, the condensed workspace, and
-    the shifted warm start. On an infeasible step the barrier decay is
+    the shifted warm start. On an infeasible cbf step the barrier decay is
     relaxed once (gamma doubled, capped at 1); a second failure is
-    reported as infeasible.
+    reported as infeasible. The euclid rows do not depend on gamma.
     """
 
     def __init__(self, cfg: MpcConfig, obstacles=(), goal=(0.0, 0.0),
@@ -542,22 +567,17 @@ class LinearMpc:
         self.obstacles = [Obstacle(o.x - goal[0], o.y - goal[1], o.radius)
                           for o in obstacles]
         self.workspace = _CondensedWorkspace(cfg, self.model, self.terminal,
-                                             self.obstacles, mode)
+                                             self.obstacles)
         self._warm = None
 
     def solve(self, z0) -> SolveResult:
         t0 = time.perf_counter()
         z0s = np.asarray(z0, dtype=float).ravel() - self.goal_z
-        problem = build_qcqp(z0s, self.cfg, self.model, self.terminal,
-                             self.obstacles, mode=self.mode,
-                             workspace=self.workspace)
-        res = solve_sqp(problem, warm_start=self._warm)
-        if res.status == "infeasible" and self.mode == "cbf" and self.cfg.gamma < 1.0:
-            relaxed = replace(self.cfg, gamma=min(2.0 * self.cfg.gamma, 1.0))
-            problem = build_qcqp(z0s, relaxed, self.model, self.terminal,
-                                 self.obstacles, mode=self.mode,
-                                 workspace=self.workspace)
-            res = solve_sqp(problem, warm_start=self._warm)
+        res = _solve_relaxing_gamma(
+            lambda cfg: build_qcqp(z0s, cfg, self.model, self.terminal,
+                                   self.obstacles, mode=self.mode,
+                                   workspace=self.workspace),
+            self.cfg, self._warm, relax=self.mode == "cbf")
         if res.status != "infeasible":
             flat = res.v_sequence.ravel()
             tail = self.terminal.K @ res.z_prediction[-1]
@@ -607,7 +627,7 @@ class _RolloutProblem:
 
     Single shooting: the RK4 rollout from x0 eliminates the states. The
     affine rows are the input box; the nonlinear rows are the position box
-    and the barrier decay rows, obstacle-major as in QuadraticRow, on the
+    and the barrier decay rows of _barrier_rows, as -c <= 0, on the
     rolled-out positions. linearize() is the Gauss-Newton model of the cost
     and the rows' Jacobian from the rollout sensitivities.
     """
@@ -616,7 +636,7 @@ class _RolloutProblem:
     hessian = None  # the cost is not quadratic: no QP model is exact
     free_minimizer = None
 
-    def __init__(self, x0, cfg: MpcConfig, goal, obstacles, gamma: float):
+    def __init__(self, x0, cfg: MpcConfig, goal, obstacles):
         n = cfg.horizon
         self.x0, self.goal, self.ts = x0, goal, cfg.ts
         self.n_steps = n
@@ -631,7 +651,7 @@ class _RolloutProblem:
         self.center = np.array([o.center() for o in obstacles],
                                dtype=float).reshape(-1, 2)
         self.radius_sq = np.array([o.radius**2 for o in obstacles], dtype=float)
-        self.decay = 1.0 - gamma
+        self.decay = 1.0 - cfg.gamma
 
     def rollout(self, u):
         """States (N+1, 3) and their sensitivities dx_k/dU (N+1, 3, 2N)."""
@@ -656,12 +676,11 @@ class _RolloutProblem:
         cost = float(np.einsum("ki,kij,kj->", err, self.weights, err)
                      + u @ self.input_weight @ u)
         pos = states[1:, :2]
-        d = states[None, :, :2] - self.center[:, None, :]
-        h = np.einsum("oki,oki->ok", d, d) - self.radius_sq[:, None]
+        rows, _ = _barrier_rows(states[:, :2], self.center, self.radius_sq,
+                                self.decay)
         g = np.concatenate([(pos - self.pos_max).ravel(),
-                            (self.pos_min - pos).ravel(),
-                            (self.decay * h[:, :-1] - h[:, 1:]).ravel()])
-        return cost, g, (states, sens, d)
+                            (self.pos_min - pos).ravel(), -rows])
+        return cost, g, (states, sens)
 
     def linearize(self, u, aux, multipliers=None):
         """Gauss-Newton model of the cost and the rows' Jacobian at u.
@@ -669,16 +688,15 @@ class _RolloutProblem:
         The multipliers are ignored: the model keeps the Gauss-Newton
         Hessian without the rows' curvature.
         """
-        states, sens, d = aux
+        states, sens = aux
         s, w = sens[1:], self.weights[1:]
         off = states[1:] - s @ u - self.goal
         hess = 2.0 * (self.input_weight + np.einsum("kin,kim->nm", s, w @ s))
         grad = 2.0 * np.einsum("kin,kij,kj->n", s, w, off)
-        dh = 2.0 * np.einsum("kin,oki->okn", sens[:, :2], d)
+        _, dh = _barrier_rows(states[:, :2], self.center, self.radius_sq,
+                              self.decay, sens[:, :2])
         jac_pos = s[:, :2].reshape(-1, 2 * self.n_steps)
-        jac = np.vstack([jac_pos, -jac_pos,
-                         (self.decay * dh[:, :-1] - dh[:, 1:]).reshape(
-                             -1, 2 * self.n_steps)])
+        jac = np.vstack([jac_pos, -jac_pos, -dh])
         return 0.5 * (hess + hess.T), grad, jac
 
 
@@ -700,15 +718,9 @@ class NonlinearMpc:
     def solve(self, x0) -> SolveResult:
         t0 = time.perf_counter()
         x0 = np.asarray(x0, dtype=float).ravel()[:3]
-        gamma = self.cfg.gamma
-        res = solve_sqp(_RolloutProblem(x0, self.cfg, self.goal,
-                                        self.obstacles, gamma),
-                        warm_start=self._warm)
-        if res.status == "infeasible" and gamma < 1.0:
-            res = solve_sqp(_RolloutProblem(x0, self.cfg, self.goal,
-                                            self.obstacles,
-                                            min(2.0 * gamma, 1.0)),
-                            warm_start=self._warm)
+        res = _solve_relaxing_gamma(
+            lambda cfg: _RolloutProblem(x0, cfg, self.goal, self.obstacles),
+            self.cfg, self._warm)
         if res.status != "infeasible":
             u = res.v_sequence.ravel()
             self._warm = np.concatenate([u[2:], u[-2:]])

@@ -66,12 +66,19 @@ def grid_search_best(problem, points=GRID_POINTS):
                                   hess[n_out:, n_out:], inner)
                   + inner @ grad[n_out:])
     cross = hess[:n_out, n_out:] @ inner.T if n_out else None
+    # Row o * N + k bounds position k + 1 against obstacle o, decaying
+    # from position k: (map_next, off_next, map_prev, off_prev, center,
+    # radius_sq) of each row, with the block's one decay.
     qr = problem.quad_rows
+    decay = qr.decay
     quads = []
     for i in range(len(qr)):
-        pn = qr.map_next[i][:, n_out:] @ inner.T
-        pp = qr.map_prev[i][:, n_out:] @ inner.T if qr.decay[i] != 0.0 else None
-        quads.append((i, pn, pp))
+        o, k = divmod(i, problem.n_steps)
+        row = (qr.maps[k + 1], qr.offsets[k + 1], qr.maps[k], qr.offsets[k],
+               qr.center[o], qr.radius_sq[o])
+        pn = row[0][:, n_out:] @ inner.T
+        pp = row[2][:, n_out:] @ inner.T if decay != 0.0 else None
+        quads.append((row, pn, pp))
     consts = np.array([0.5 * float(vo @ hess[:n_out, :n_out] @ vo)
                        + float(grad[:n_out] @ vo) for vo in outer])
     # A lower bound of the cost at each outer point: each cross term at its
@@ -94,17 +101,16 @@ def grid_search_best(problem, points=GRID_POINTS):
             lin = (lin_inner[:, cand] + (rows[:, :n_out] @ vo)[:, None]
                    if n_out else lin_inner[:, cand])
             cand = cand[np.all(lin <= rhs[:, None] + 1e-9, axis=0)]
-        for i, pn_inner, pp_inner in quads:
+        for row, pn_inner, pp_inner in quads:
             if not cand.size:
                 break
-            center, radius_sq, decay = qr.center[i], qr.radius_sq[i], qr.decay[i]
-            off = qr.off_next[i] + (qr.map_next[i][:, :n_out] @ vo if n_out else 0.0)
+            map_next, off_next, map_prev, off_prev, center, radius_sq = row
+            off = off_next + (map_next[:, :n_out] @ vo if n_out else 0.0)
             pn = pn_inner[:, cand] + off[:, None]
             val = ((pn[0] - center[0]) ** 2
                    + (pn[1] - center[1]) ** 2 - radius_sq)
             if decay != 0.0:
-                off0 = qr.off_prev[i] + (qr.map_prev[i][:, :n_out] @ vo
-                                         if n_out else 0.0)
+                off0 = off_prev + (map_prev[:, :n_out] @ vo if n_out else 0.0)
                 pp = pp_inner[:, cand] + off0[:, None]
                 val = val - decay * ((pp[0] - center[0]) ** 2
                                      + (pp[1] - center[1]) ** 2

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -51,8 +52,11 @@ def test_constraint_row_counts():
     n, nc = 8, 10
     assert prob.lin_rows.shape[0] == 2 * 2 * n + 2 * 2 * n + (nc + 1) * (2 * 2 + 2 * 2)
     assert len(prob.quad_rows) == n * len(obstacles)
-    assert prob.quad_rows.map_next.shape == (n, 2, 2 * n)
-    assert prob.quad_rows.off_prev.shape == (n, 2)
+    # One position map per predicted position p_0, ..., p_N, shared by all
+    # obstacles, with its Gram matrix.
+    assert prob.quad_rows.maps.shape == (n + 1, 2, 2 * n)
+    assert prob.quad_rows.offsets.shape == (n + 1, 2)
+    assert prob.quad_rows.gram.shape == (n + 1, 2 * n, 2 * n)
     # positive-definite cost in the condensed form
     np.testing.assert_allclose(prob.hessian, prob.hessian.T, atol=1e-12)
     assert np.min(np.linalg.eigvalsh(prob.hessian)) > 0.0
@@ -60,8 +64,10 @@ def test_constraint_row_counts():
     prob = build_qcqp(np.array([7.0, -0.5, 7.0, 0.0]), cfg, model, td,
                       obstacles + [Obstacle(-2.0, 0.0, 0.5)])
     assert len(prob.quad_rows) == 2 * n
-    assert prob.quad_rows.map_prev.shape == (2 * n, 2, 2 * n)
-    assert prob.quad_rows.decay.shape == (2 * n,)
+    assert prob.quad_rows.maps.shape == (n + 1, 2, 2 * n)
+    assert prob.quad_rows.center.shape == (2, 2)
+    assert prob.quad_rows.radius_sq.shape == (2,)
+    assert np.ndim(prob.quad_rows.decay) == 0
 
 
 def _reference_rows(cfg, model, z0, obstacles, mode):
@@ -126,11 +132,13 @@ def test_stacked_barrier_rows_match_per_row_formulas():
                                mode=mode).quad_rows
             ref = _reference_rows(cfg, model, z0, obstacles, mode)
             assert len(block) == len(ref) == 2 * cfg.horizon
+            # p_0 is the measured position; only the cbf rows read it.
+            assert not np.any(block.maps[0])
+            np.testing.assert_array_equal(block.offsets[0], z0[[0, 2]])
             if mode == "cbf":
-                assert not np.any(block.map_prev[0])
-                assert not np.any(block.map_prev[cfg.horizon])
+                assert block.decay == 1.0 - cfg.gamma
             else:
-                assert not np.any(block.decay)
+                assert block.decay == 0.0
             for _ in range(5):
                 v = rng.uniform(-3.0, 3.0, size=2 * cfg.horizon)
                 want = np.array([_reference_value(r, v) for r in ref])
@@ -303,6 +311,47 @@ def _recorded_solves(monkeypatch, scenario):
     return solved
 
 
+def test_relaxed_step_reports_both_solves(monkeypatch):
+    # On the obstacle course (N = 14, noise seed 0) the first SQP of step 20
+    # meets an infeasible QP and the retry at 2 gamma certifies its free
+    # minimizer. The step must report the SQP iterations and QP KKT solves
+    # of both solves, not only the retry's 1 and 0.
+    tool = Path(__file__).resolve().parents[1] / "tools" / "trajdiff.py"
+    spec = importlib.util.spec_from_file_location("trajdiff", tool)
+    trajdiff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trajdiff)
+    course = trajdiff.run_set(CONFIG)["course-seed0-30s"]
+    solved = []
+    steps = []
+    solve_sqp_ = scmpc.mpc.solve_sqp
+    solve = LinearMpc.solve
+
+    def recording_sqp(problem, warm_start=None):
+        res = solve_sqp_(problem, warm_start=warm_start)
+        solved.append((res.status, res.sqp_iterations, res.qp_iterations_total))
+        return res
+
+    def recording(controller, z0):
+        first = len(solved)
+        res = solve(controller, z0)
+        steps.append((res, solved[first:]))
+        return res
+
+    monkeypatch.setattr(scmpc.mpc, "solve_sqp", recording_sqp)
+    monkeypatch.setattr(LinearMpc, "solve", recording)
+    log = run_closed_loop(replace(course, duration=21 * course.mpc.ts))
+    assert len(log.records) == len(steps) == 21
+    for res, calls in steps:
+        assert res.sqp_iterations == sum(c[1] for c in calls)
+        assert res.qp_iterations_total == sum(c[2] for c in calls)
+    res, calls = steps[20]
+    assert [c[0] for c in calls] == ["infeasible", "optimal"]
+    assert res.status == "optimal"
+    assert (res.sqp_iterations, res.qp_iterations_total) == (2, 9)
+    assert log.records[20].sqp_iterations == 2
+    assert all(len(c) == 1 for _, c in steps[:20])
+
+
 def test_certified_plans_match_the_solve_without_certificate(monkeypatch):
     # A typical nominal step returns the cost's unconstrained minimizer
     # before any QP. Solving the same problem from the same warm start
@@ -425,16 +474,26 @@ def test_sampled_plant_stays_outside_at_the_tolerance():
 
 def test_iterate_at_obstacle_center_uses_fallback_direction():
     # The zero warm start predicts the first position exactly on the
-    # center, where the k = 0 barrier row has a zero gradient.
+    # center of the second obstacle, where its k = 0 barrier row (row N)
+    # has a zero gradient.
     cfg = MpcConfig(horizon=8, **LOOSE)
+    n = cfg.horizon
     model, td = _setup(cfg)
     z0 = np.array([1.0, -4.0, 0.0, 0.0])
     probe = build_qcqp(z0, cfg, model, td, [Obstacle(5.0, 5.0, 0.1)])
-    center = probe.quad_rows.off_next[0]
-    prob = build_qcqp(z0, cfg, model, td, [Obstacle(center[0], center[1], 0.1)])
-    v0 = np.zeros(2 * cfg.horizon)
-    assert prob.quad_rows.value(v0)[0] < 0.0
-    assert not np.any(prob.quad_rows.gradient(v0)[0])
+    center = probe.quad_rows.offsets[1]
+    prob = build_qcqp(z0, cfg, model, td, [Obstacle(-5.0, 5.0, 0.1),
+                                           Obstacle(center[0], center[1], 0.1)])
+    v0 = np.zeros(2 * n)
+    c = prob.quad_rows.value(v0)
+    assert c[n] < 0.0
+    assert not np.any(prob.quad_rows.gradient(v0)[n])
+    # The stuck row pushes its step's position away from its own obstacle,
+    # along the direction from that center toward the initial position.
+    _, _, jac = prob.linearize(v0, c)
+    away = z0[[0, 2]] - center
+    np.testing.assert_allclose(jac[n], -2.0 * prob.quad_rows.maps[1].T @ away,
+                               rtol=0.0, atol=1e-12)
     res = solve_sqp(prob, warm_start=v0)
     assert res.status != "infeasible"
     assert np.all(np.isfinite(res.v_sequence))
@@ -610,10 +669,10 @@ def test_nmpc_regulates_without_obstacle():
 
 
 def test_rollout_problem_derivatives_match_finite_differences():
-    cfg = MpcConfig(horizon=4)
+    cfg = MpcConfig(horizon=4, gamma=0.3)
     obstacles = [Obstacle(1.5, -1.0, 0.5), Obstacle(2.5, -2.5, 0.4)]
     prob = _RolloutProblem(np.array([3.0, -2.0, 0.5]), cfg,
-                           np.array([0.0, 0.0, 0.0]), obstacles, gamma=0.3)
+                           np.array([0.0, 0.0, 0.0]), obstacles)
     rng = np.random.default_rng(25)
     u = rng.uniform(-1.0, 1.0, size=8)
     _, g, aux = prob.evaluate(u)
