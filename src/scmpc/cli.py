@@ -49,17 +49,42 @@ class RunManifest:
     sweep: bool = False
 
 
-def _require_keys(section: dict, allowed, where: str):
+def _require_keys(section, allowed, where: str):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     for key in section:
         if key not in allowed:
             raise ConfigError(f"unknown key {where}.{key}")
 
 
-def _get(section: dict, key: str, default, where: str):
+def _value(section: dict, key: str, default, where: str, kind=float):
+    """section[key] (default if absent) converted by kind.
+
+    A missing required key (default None) or a value kind cannot convert
+    raises ConfigError naming the key.
+    """
     value = section.get(key, default)
     if value is None:
         raise ConfigError(f"missing key {where}.{key}")
-    return value
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}.{key} has an invalid value {value!r} "
+                          f"({exc})") from None
+
+
+def _list(kind, size=None):
+    """A converter to a list of kind values, of the given length if any."""
+    def convert(value):
+        out = [kind(v) for v in value]
+        if size is not None and len(out) != size:
+            raise ValueError(f"expected {size} entries")
+        return out
+    return convert
+
+
+def _array(value):
+    return np.asarray(value, dtype=float)
 
 
 def load_config(path) -> dict:
@@ -72,45 +97,39 @@ def load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}")
     _require_keys(raw, {"seed", "robot", "scenario", "mpc", "dfl", "sweep",
                         "timing"}, "config")
-    out = {"seed": int(raw.get("seed", 0))}
+    out = {"seed": _value(raw, "seed", 0, "config", int)}
 
     robot = raw.get("robot", {})
     _require_keys(robot, {"wheel_radius", "axle_length"}, "robot")
     out["robot"] = RobotParams(
-        wheel_radius=float(robot.get("wheel_radius", 0.1)),
-        axle_length=float(robot.get("axle_length", 0.5)),
+        wheel_radius=_value(robot, "wheel_radius", 0.1, "robot"),
+        axle_length=_value(robot, "axle_length", 0.5, "robot"),
     )
 
     sc = raw.get("scenario", {})
     _require_keys(sc, {"start", "goal", "duration", "mode", "substeps",
                        "obstacles", "noise"}, "scenario")
-    start = _get(sc, "start", [7.0, 7.0, math.pi, 0.5], "scenario")
-    if len(start) != 4:
-        raise ConfigError("scenario.start must have 4 entries")
-    out["start"] = ExtendedState(*[float(v) for v in start])
-    goal = sc.get("goal", [0.0, 0.0])
-    if len(goal) != 2:
-        raise ConfigError("scenario.goal must have 2 entries")
-    out["goal"] = (float(goal[0]), float(goal[1]))
-    out["duration"] = float(sc.get("duration", 30.0))
-    out["mode"] = str(sc.get("mode", "cbf"))
-    out["substeps"] = int(sc.get("substeps", 1))
+    out["start"] = ExtendedState(*_value(sc, "start", [7.0, 7.0, math.pi, 0.5],
+                                         "scenario", _list(float, 4)))
+    out["goal"] = tuple(_value(sc, "goal", [0.0, 0.0], "scenario",
+                               _list(float, 2)))
+    out["duration"] = _value(sc, "duration", 30.0, "scenario")
+    out["mode"] = _value(sc, "mode", "cbf", "scenario", str)
+    out["substeps"] = _value(sc, "substeps", 1, "scenario", int)
     obstacles = []
-    for i, entry in enumerate(sc.get("obstacles", [])):
-        _require_keys(entry, {"x", "y", "radius"}, f"scenario.obstacles[{i}]")
-        obstacles.append(Obstacle(float(_get(entry, "x", None, "obstacle")),
-                                  float(_get(entry, "y", None, "obstacle")),
-                                  float(_get(entry, "radius", None, "obstacle"))))
+    for i, entry in enumerate(_value(sc, "obstacles", [], "scenario", list)):
+        where = f"scenario.obstacles[{i}]"
+        _require_keys(entry, {"x", "y", "radius"}, where)
+        obstacles.append(Obstacle(*[_value(entry, key, None, where)
+                                    for key in ("x", "y", "radius")]))
     out["obstacles"] = tuple(obstacles)
     noise = sc.get("noise", {})
     _require_keys(noise, {"enabled", "variance", "mask"}, "scenario.noise")
-    mask = noise.get("mask", [True, True, True])
-    if len(mask) != 3:
-        raise ConfigError("scenario.noise.mask must have 3 entries")
     out["noise"] = {
-        "enabled": bool(noise.get("enabled", False)),
-        "variance": float(noise.get("variance", 0.05)),
-        "mask": tuple(bool(m) for m in mask),
+        "enabled": _value(noise, "enabled", False, "scenario.noise", bool),
+        "variance": _value(noise, "variance", 0.05, "scenario.noise"),
+        "mask": tuple(_value(noise, "mask", [True, True, True],
+                             "scenario.noise", _list(bool, 3))),
     }
 
     mp = raw.get("mpc", {})
@@ -118,21 +137,17 @@ def load_config(path) -> dict:
                        "r", "v_min", "v_max", "pos_min", "pos_max", "u_min",
                        "u_max", "nmpc_q", "nmpc_r", "nmpc_p"}, "mpc")
     kwargs = {}
-    if "horizon" in mp:
-        kwargs["horizon"] = int(mp["horizon"])
-    if "constraint_horizon" in mp:
-        kwargs["constraint_horizon"] = int(mp["constraint_horizon"])
-    if "gamma" in mp:
-        kwargs["gamma"] = float(mp["gamma"])
-    if "ts" in mp:
-        kwargs["ts"] = float(mp["ts"])
-    for json_key, attr in (("q", "Q"), ("r", "R"), ("nmpc_q", "nmpc_Q"),
-                           ("nmpc_r", "nmpc_R"), ("nmpc_p", "nmpc_P")):
-        if json_key in mp:
-            kwargs[attr] = np.asarray(mp[json_key], dtype=float)
-    for key in ("v_min", "v_max", "pos_min", "pos_max", "u_min", "u_max"):
+    for key, kind in (("horizon", int), ("constraint_horizon", int),
+                      ("gamma", float), ("ts", float)):
         if key in mp:
-            kwargs[key] = np.asarray(mp[key], dtype=float)
+            kwargs[key] = _value(mp, key, None, "mpc", kind)
+    for json_key, attr in (("q", "Q"), ("r", "R"), ("nmpc_q", "nmpc_Q"),
+                           ("nmpc_r", "nmpc_R"), ("nmpc_p", "nmpc_P"),
+                           ("v_min", "v_min"), ("v_max", "v_max"),
+                           ("pos_min", "pos_min"), ("pos_max", "pos_max"),
+                           ("u_min", "u_min"), ("u_max", "u_max")):
+        if json_key in mp:
+            kwargs[attr] = _value(mp, json_key, None, "mpc", _array)
     try:
         out["mpc"] = MpcConfig(**kwargs)
     except ConfigError as exc:
@@ -140,21 +155,21 @@ def load_config(path) -> dict:
 
     dfl = raw.get("dfl", {})
     _require_keys(dfl, {"zeta_threshold"}, "dfl")
-    out["guard"] = DflGuard(zeta_threshold=float(dfl.get("zeta_threshold", 0.01)))
+    out["guard"] = DflGuard(zeta_threshold=_value(dfl, "zeta_threshold", 0.01,
+                                                  "dfl"))
 
     sweep = raw.get("sweep", {})
     _require_keys(sweep, {"gamma", "horizon", "mode"}, "sweep")
-    out["sweep"] = {
-        "gamma": [float(g) for g in sweep.get("gamma", [])],
-        "horizon": [int(n) for n in sweep.get("horizon", [])],
-        "mode": [str(m) for m in sweep.get("mode", [])],
-    }
+    out["sweep"] = {key: _value(sweep, key, [], "sweep", _list(kind))
+                    for key, kind in (("gamma", float), ("horizon", int),
+                                      ("mode", str))}
 
     timing = raw.get("timing", {})
     _require_keys(timing, {"horizons", "duration"}, "timing")
     out["timing"] = {
-        "horizons": [int(n) for n in timing.get("horizons", [8, 10, 12, 14])],
-        "duration": float(timing.get("duration", 8.0)),
+        "horizons": _value(timing, "horizons", [8, 10, 12, 14], "timing",
+                           _list(int)),
+        "duration": _value(timing, "duration", 8.0, "timing"),
     }
     return out
 
@@ -511,30 +526,27 @@ def main(argv=None) -> int:
     ver.add_argument("--config", default=None)
 
     args = parser.parse_args(argv)
-    if args.command == "simulate":
-        manifest = RunManifest(config_path=Path(args.config),
-                               out_dir=Path(args.out), gamma=args.gamma,
-                               horizon=args.horizon, mode=args.mode,
-                               seed=args.seed, sweep=args.sweep)
-        return run(manifest)
-    if args.command == "compare-timing":
-        manifest = RunManifest(config_path=Path(args.config),
-                               out_dir=Path(args.out), seed=args.seed)
-        horizons = None
-        if args.horizons:
-            horizons = [int(tok) for tok in args.horizons.split(",")]
-        try:
-            compare_timing(manifest, horizons)
-        except ConfigError as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 3
-        except InfeasibleError as exc:
-            print(f"run aborted infeasible: {exc}", file=sys.stderr)
-            return 2
-        return 0
-    if args.command == "verify":
+    try:
+        if args.command == "simulate":
+            return run(RunManifest(config_path=Path(args.config),
+                                   out_dir=Path(args.out), gamma=args.gamma,
+                                   horizon=args.horizon, mode=args.mode,
+                                   seed=args.seed, sweep=args.sweep))
+        if args.command == "compare-timing":
+            horizons = None
+            if args.horizons:
+                horizons = [int(tok) for tok in args.horizons.split(",")]
+            compare_timing(RunManifest(config_path=Path(args.config),
+                                       out_dir=Path(args.out), seed=args.seed),
+                           horizons)
+            return 0
         return 0 if verify_report(args.config) else 1
-    return 3
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 3
+    except InfeasibleError as exc:
+        print(f"run aborted infeasible: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

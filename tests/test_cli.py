@@ -93,6 +93,15 @@ def test_bad_config_value_exits_three(cli_config_file, tmp_path, capsys):
     code = run(RunManifest(config_path=Path(cfg), out_dir=tmp_path / "x"))
     assert code == 3
     assert "gamma" in capsys.readouterr().err
+    # Values of the wrong type exit 3 through the CLI as well, naming the key.
+    for key, value in (("mpc.gamma", "fast"), ("mpc.horizon", "eight"),
+                       ("scenario.start", 5), ("seed", "abc"),
+                       ("scenario.noise.variance", "big"),
+                       ("scenario.noise", 5)):
+        cfg = cli_config_file({key: value})
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "x")]) == 3
+        assert key in capsys.readouterr().err
 
 
 def test_unknown_key_exits_three(cli_config_file, tmp_path, capsys):
@@ -217,6 +226,16 @@ def test_verify_subcommand(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+def test_missing_config_exits_three_in_every_subcommand(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert main(["verify", "--config", missing]) == 3
+    assert main(["compare-timing", "--config", missing,
+                 "--out", str(tmp_path / "t")]) == 3
+    assert main(["simulate", "--config", missing,
+                 "--out", str(tmp_path / "s")]) == 3
+    assert capsys.readouterr().err.count("config file not found") == 3
 
 
 def test_verify_terminal_safety_is_goal_centered(cli_config_file, capsys):
