@@ -83,10 +83,6 @@ def _list(kind, size=None):
     return convert
 
 
-def _array(value):
-    return np.asarray(value, dtype=float)
-
-
 def load_config(path) -> dict:
     """Parse and validate the JSON config into plain python values."""
     try:
@@ -147,7 +143,8 @@ def load_config(path) -> dict:
                            ("pos_min", "pos_min"), ("pos_max", "pos_max"),
                            ("u_min", "u_min"), ("u_max", "u_max")):
         if json_key in mp:
-            kwargs[attr] = _value(mp, json_key, None, "mpc", _array)
+            kwargs[attr] = _value(mp, json_key, None, "mpc",
+                                  lambda v: np.asarray(v, dtype=float))
     try:
         out["mpc"] = MpcConfig(**kwargs)
     except ConfigError as exc:
