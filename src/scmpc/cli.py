@@ -532,7 +532,11 @@ def main(argv=None) -> int:
         if args.command == "compare-timing":
             horizons = None
             if args.horizons:
-                horizons = [int(tok) for tok in args.horizons.split(",")]
+                try:
+                    horizons = [int(tok) for tok in args.horizons.split(",")]
+                except ValueError:
+                    raise ConfigError(f"--horizons has an invalid value "
+                                      f"{args.horizons!r}") from None
             compare_timing(RunManifest(config_path=Path(args.config),
                                        out_dir=Path(args.out), seed=args.seed),
                            horizons)

@@ -228,7 +228,7 @@ def test_verify_subcommand(capsys):
     assert "FAIL" not in out
 
 
-def test_missing_config_exits_three_in_every_subcommand(tmp_path, capsys):
+def test_config_errors_exit_three_in_every_subcommand(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["verify", "--config", missing]) == 3
     assert main(["compare-timing", "--config", missing,
@@ -236,6 +236,9 @@ def test_missing_config_exits_three_in_every_subcommand(tmp_path, capsys):
     assert main(["simulate", "--config", missing,
                  "--out", str(tmp_path / "s")]) == 3
     assert capsys.readouterr().err.count("config file not found") == 3
+    assert main(["compare-timing", "--config", missing, "--horizons", "8,x",
+                 "--out", str(tmp_path / "t")]) == 3
+    assert "--horizons" in capsys.readouterr().err
 
 
 def test_verify_terminal_safety_is_goal_centered(cli_config_file, capsys):

@@ -323,11 +323,11 @@ def test_relaxed_step_reports_both_solves(monkeypatch):
     course = trajdiff.run_set(CONFIG)["course-seed0-30s"]
     solved = []
     steps = []
-    solve_sqp_ = scmpc.mpc.solve_sqp
+    sqp = scmpc.mpc.solve_sqp
     solve = LinearMpc.solve
 
     def recording_sqp(problem, warm_start=None):
-        res = solve_sqp_(problem, warm_start=warm_start)
+        res = sqp(problem, warm_start=warm_start)
         solved.append((res.status, res.sqp_iterations, res.qp_iterations_total))
         return res
 
