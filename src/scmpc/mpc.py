@@ -19,8 +19,15 @@ Both problems state the safety constraint through one function,
 _barrier_rows: the discrete-time barrier condition
 h(p_{k+1}) >= (1 - gamma) h(p_k) per obstacle and step (Agrawal and
 Sreenath, RSS 2017), on the condensed predictions or on the rollout. Both
-controllers solve through one helper that, after an infeasible SQP, solves
-once more at doubled gamma and reports the iterations of both solves.
+controllers solve through one helper that, after an infeasible solve,
+solves once more at doubled gamma and reports the iterations of both
+solves.
+
+Before any QCQP is built, the linear scheme certifies the cost's free
+(unconstrained) minimizer from maps precomputed per configuration: if it
+meets every row within FEAS_TOL, no feasible plan has a lower cost, however
+nonconvex the barrier rows are, so it is the solution. This settles a
+typical warm-started step; it counts as one SQP iteration and no QP.
 """
 
 import math
@@ -203,10 +210,7 @@ def _floor_eigenvalues(w: np.ndarray) -> np.ndarray:
 
 @dataclass
 class QcqpProblem:
-    """Condensed problem over the stacked inputs V = (v_0, ..., v_{N-1}).
-
-    free_minimizer is the cost's unconstrained minimizer, -H^-1 gradient.
-    """
+    """Condensed problem over the stacked inputs V = (v_0, ..., v_{N-1})."""
 
     hessian: np.ndarray
     gradient: np.ndarray
@@ -221,7 +225,6 @@ class QcqpProblem:
     v_lo: np.ndarray
     v_hi: np.ndarray
     infeasible: bool = False
-    free_minimizer: np.ndarray | None = None
 
     def cost(self, v: np.ndarray) -> float:
         return float(0.5 * v @ self.hessian @ v + self.gradient @ v
@@ -295,8 +298,9 @@ class _CondensedWorkspace:
     Everything that does not depend on the measured state is precomputed
     here: prediction maps, the cost Hessian and the map from z0 to the
     cost's unconstrained minimizer, the affine description of the linear
-    rows, the closed-loop powers behind the terminal rows, and the
-    barrier-row position maps.
+    rows, the closed-loop powers behind the terminal rows, the barrier-row
+    position maps, and the stacked map behind the free-minimizer
+    certificate.
     """
 
     def __init__(self, cfg: MpcConfig, model: LtiModel, terminal: TerminalData,
@@ -319,6 +323,7 @@ class _CondensedWorkspace:
         self.n_steps = n
         self.v_lo = np.tile(cfg.v_min, n)
         self.v_hi = np.tile(cfg.v_max, n)
+        self.pos_box = (*map(float, cfg.pos_min), *map(float, cfg.pos_max))
 
         pos_idx = np.array([4 * k + c for k in range(n) for c in (0, 2)])
         G_pos, F_pos = G[pos_idx], F[pos_idx]
@@ -354,14 +359,71 @@ class _CondensedWorkspace:
         self.radius_sq = np.array([obs.radius**2 + 2.0 * FEAS_TOL
                                    for obs in obstacles], dtype=float)
 
+        # Everything the certificate reads is linear in z0: one product with
+        # free_stack gives the free plan free_map @ z0, the prediction offset
+        # F z0, value @ z0 (the cost at the plan is z0' value z0), the plan's
+        # positions p_0, ..., p_N, and its affine-row values before the
+        # constant part, lin_rows @ plan - h_lin @ z0.
+        value = self.offset_form + 0.5 * self.grad_map.T @ self.free_map
+        free_pos = self.pos_f + self.pos_maps @ self.free_map
+        self.free_stack = np.vstack([self.free_map, F, 0.5 * (value + value.T),
+                                     free_pos.reshape(-1, 4),
+                                     self.lin_rows @ self.free_map - self.h_lin])
+
+    def inside(self, z0: np.ndarray) -> bool:
+        """Whether the measured position lies in the position box (a NaN
+        position does not)."""
+        x_lo, y_lo, x_hi, y_hi = self.pos_box
+        return bool(x_lo <= z0[0] <= x_hi and y_lo <= z0[2] <= y_hi)
+
+    def certify(self, z0: np.ndarray, decay: float):
+        """The cost's free minimizer at z0 as the solution, if it is one.
+
+        Returns an "optimal" SolveResult of one SQP iteration and no QP
+        when z0 lies in the position box and the plan free_map @ z0 meets
+        the affine rows and the barrier rows at this decay within FEAS_TOL;
+        else None. No feasible plan has a lower cost, however nonconvex the
+        barrier rows are. The prediction is F z0 + G V, as
+        QcqpProblem.predict computes it.
+        """
+        t0 = time.perf_counter()
+        if not self.inside(z0):
+            return None
+        n = self.n_steps
+        # Row offsets of the blocks in free_stack after the plan.
+        i_f, i_c, i_p, i_lin = 2 * n, 6 * n, 6 * n + 4, 8 * n + 6
+        out = self.free_stack @ z0
+        if not (out[i_lin:] - self.h_const).max() <= FEAS_TOL:
+            return None
+        rows, _ = _barrier_rows(out[i_p:i_lin].reshape(n + 1, 2), self.center,
+                                self.radius_sq, decay)
+        if rows.size and not rows.min() >= -FEAS_TOL:
+            return None
+        v = out[:i_f]
+        stacked = out[i_f:i_c] + self.G @ v
+        return SolveResult(
+            status="optimal",
+            v_sequence=v.reshape(n, 2),
+            z_prediction=np.concatenate([z0, stacked]).reshape(n + 1, 4),
+            cost=float(z0 @ out[i_c:i_p]),
+            sqp_iterations=1,
+            qp_iterations_total=0,
+            solve_time=time.perf_counter() - t0,
+        )
+
+
+def _decay(cfg: MpcConfig, mode: str) -> float:
+    """The barrier rows' decay: 1 - gamma for cbf, 0 for euclid."""
+    return 1.0 - cfg.gamma if mode == "cbf" else 0.0
+
 
 def build_qcqp(z0, cfg: MpcConfig, model: LtiModel, terminal: TerminalData,
                obstacles, mode: str = "cbf", workspace=None) -> QcqpProblem:
     """Assemble the condensed problem for the measured linear state z0.
 
     z0 and the obstacles are expected in goal-centered coordinates (the
-    regulation target at the origin). A z0 outside the position box flags
-    the problem infeasible immediately.
+    regulation target at the origin). A z0 outside the position box (or
+    with a NaN position) flags the problem infeasible immediately.
     """
     if mode not in ("cbf", "euclid"):
         raise ConfigError(f"unsupported problem mode '{mode}'")
@@ -369,11 +431,8 @@ def build_qcqp(z0, cfg: MpcConfig, model: LtiModel, terminal: TerminalData,
     if workspace is None:
         workspace = _CondensedWorkspace(cfg, model, terminal, obstacles)
     ws = workspace
-    quad_rows = QuadraticRow(
-        ws.pos_maps, ws.pos_f @ z0, ws.center, ws.radius_sq,
-        1.0 - cfg.gamma if mode == "cbf" else 0.0, ws.pos_gram)
-    pos0 = z0[[0, 2]]
-    outside = bool(np.any(pos0 > cfg.pos_max) or np.any(pos0 < cfg.pos_min))
+    quad_rows = QuadraticRow(ws.pos_maps, ws.pos_f @ z0, ws.center,
+                             ws.radius_sq, _decay(cfg, mode), ws.pos_gram)
     return QcqpProblem(
         hessian=ws.hessian,
         gradient=ws.grad_map @ z0,
@@ -387,8 +446,7 @@ def build_qcqp(z0, cfg: MpcConfig, model: LtiModel, terminal: TerminalData,
         n_steps=ws.n_steps,
         v_lo=ws.v_lo,
         v_hi=ws.v_hi,
-        infeasible=outside,
-        free_minimizer=ws.free_map @ z0,
+        infeasible=not ws.inside(z0),
     )
 
 
@@ -411,9 +469,7 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
     (None on the first iteration), so H may be a Lagrangian Hessian. The
     problem's hessian attribute is its cost Hessian when the cost is
     quadratic (None otherwise); a model whose H is that very object is the
-    exact cost. Its free_minimizer attribute is the cost's unconstrained
-    minimizer when the cost is strictly convex (None otherwise). Each
-    iteration solves the dense QP with the rows
+    exact cost. Each iteration solves the dense QP with the rows
     [lin_rows; J] x <= [lin_rhs; J v - g] and backtracks from the full step
     on an l1 merit function evaluated on the original rows (Nocedal &
     Wright, ch. 18). The first QP starts its working set from the rows
@@ -427,12 +483,9 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
     OPT_TOL, or the full step was taken to an optimal QP of the exact cost
     in which no nonlinear row has a nonzero multiplier. The latter point
     minimizes the convex cost over the affine rows alone, so a further
-    iteration would only confirm it. Before any QP, a free minimizer that
-    meets every row within FEAS_TOL is returned as "optimal" after one
-    evaluation: no feasible point has a lower cost, however nonconvex the
-    rows are. That certificate counts as one SQP iteration and no QP
-    iteration, and it settles a typical warm-started step of the linear
-    scheme.
+    iteration would only confirm it. There is no shortcut before the first
+    QP: the linear scheme certifies the cost's free minimizer before it
+    builds a problem for this driver (_CondensedWorkspace.certify).
     """
     t0 = time.perf_counter()
     v = np.zeros(2 * problem.n_steps)
@@ -457,15 +510,9 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
     n_lin = len(problem.lin_rows)
     lam = None
     guess = None
-    free = None if problem.infeasible else problem.free_minimizer
-    point = None if free is None else evaluate(free)
-    if point is not None and float(np.max(point[3], initial=0.0)) <= FEAS_TOL:
-        v, status, max_iter, it = free, "optimal", 0, 1
-    else:
-        point = evaluate(v)
     # The line search hands the values at the accepted point to the next
     # iteration, so each accepted point is evaluated once.
-    cost, g, aux, viol = point
+    cost, g, aux, viol = evaluate(v)
     for it in range(1, max_iter + 1):
         hessian, gradient, jac = problem.linearize(v, aux, lam)
         qp = solve_qp(hessian, gradient, np.vstack([problem.lin_rows, jac]),
@@ -526,20 +573,20 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
     )
 
 
-def _solve_relaxing_gamma(make_problem, cfg: MpcConfig, warm_start,
+def _solve_relaxing_gamma(solve, cfg: MpcConfig,
                           relax: bool = True) -> SolveResult:
-    """solve_sqp on make_problem(cfg), relaxing the barrier decay once.
+    """solve(cfg), relaxing the barrier decay once.
 
-    After an infeasible result with gamma < 1 (and relax set), the problem
-    is rebuilt with gamma doubled, capped at 1, and solved from the same
-    warm start. The retry's status, plan and cost are returned, with the
-    SQP iterations, QP KKT solves and solve time of both solves.
+    solve(cfg) is one solve of the controller's problem at cfg's gamma.
+    After an infeasible result with gamma < 1 (and relax set), it is called
+    once more with gamma doubled, capped at 1. The retry's status, plan and
+    cost are returned, with the SQP iterations, QP KKT solves and solve
+    time of both solves.
     """
-    res = solve_sqp(make_problem(cfg), warm_start=warm_start)
+    res = solve(cfg)
     if res.status != "infeasible" or not relax or cfg.gamma >= 1.0:
         return res
-    relaxed = replace(cfg, gamma=min(2.0 * cfg.gamma, 1.0))
-    retry = solve_sqp(make_problem(relaxed), warm_start=warm_start)
+    retry = solve(replace(cfg, gamma=min(2.0 * cfg.gamma, 1.0)))
     retry.sqp_iterations += res.sqp_iterations
     retry.qp_iterations_total += res.qp_iterations_total
     retry.solve_time += res.solve_time
@@ -550,7 +597,9 @@ class LinearMpc:
     """Receding-horizon controller on the linear coordinates.
 
     Owns the discrete model, terminal data, the condensed workspace, and
-    the shifted warm start. On an infeasible cbf step the barrier decay is
+    the shifted warm start. Each solve at one gamma first certifies the
+    cost's free minimizer from the workspace and builds the QCQP only when
+    that fails. On an infeasible cbf step the barrier decay is
     relaxed once (gamma doubled, capped at 1); a second failure is
     reported as infeasible. The euclid rows do not depend on gamma.
     """
@@ -573,17 +622,29 @@ class LinearMpc:
     def solve(self, z0) -> SolveResult:
         t0 = time.perf_counter()
         z0s = np.asarray(z0, dtype=float).ravel() - self.goal_z
-        res = _solve_relaxing_gamma(
-            lambda cfg: build_qcqp(z0s, cfg, self.model, self.terminal,
-                                   self.obstacles, mode=self.mode,
-                                   workspace=self.workspace),
-            self.cfg, self._warm, relax=self.mode == "cbf")
+        res = _solve_relaxing_gamma(lambda cfg: self._solve_once(z0s, cfg),
+                                    self.cfg, relax=self.mode == "cbf")
         if res.status != "infeasible":
             flat = res.v_sequence.ravel()
             tail = self.terminal.K @ res.z_prediction[-1]
             self._warm = np.concatenate([flat[2:], tail])
             res.z_prediction = res.z_prediction + self.goal_z
         res.solve_time = time.perf_counter() - t0
+        return res
+
+    def _solve_once(self, z0: np.ndarray, cfg: MpcConfig) -> SolveResult:
+        """One solve at cfg's gamma from the goal-centered state z0.
+
+        The free minimizer is certified from the workspace first; only when
+        the certificate fails is the QCQP built and solved by SQP from the
+        warm start.
+        """
+        res = self.workspace.certify(z0, _decay(cfg, self.mode))
+        if res is None:
+            res = solve_sqp(build_qcqp(z0, cfg, self.model, self.terminal,
+                                       self.obstacles, mode=self.mode,
+                                       workspace=self.workspace),
+                            warm_start=self._warm)
         return res
 
 
@@ -634,7 +695,6 @@ class _RolloutProblem:
 
     infeasible = False
     hessian = None  # the cost is not quadratic: no QP model is exact
-    free_minimizer = None
 
     def __init__(self, x0, cfg: MpcConfig, goal, obstacles):
         n = cfg.horizon
@@ -719,8 +779,10 @@ class NonlinearMpc:
         t0 = time.perf_counter()
         x0 = np.asarray(x0, dtype=float).ravel()[:3]
         res = _solve_relaxing_gamma(
-            lambda cfg: _RolloutProblem(x0, cfg, self.goal, self.obstacles),
-            self.cfg, self._warm)
+            lambda cfg: solve_sqp(_RolloutProblem(x0, cfg, self.goal,
+                                                  self.obstacles),
+                                  warm_start=self._warm),
+            self.cfg)
         if res.status != "infeasible":
             u = res.v_sequence.ravel()
             self._warm = np.concatenate([u[2:], u[-2:]])

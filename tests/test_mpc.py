@@ -1,10 +1,13 @@
 import importlib.util
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 import scmpc.mpc
 from conftest import nominal_scenario
@@ -251,26 +254,43 @@ def test_startup_transient_converges_in_few_iterations(monkeypatch):
         assert "max_iter" not in statuses
 
 
-def test_sqp_exit_stops_only_where_a_resolve_confirms(monkeypatch):
-    # solve_sqp stops after a full step to the exact cost's QP minimizer
-    # with no barrier row active. Re-solving from each returned plan must
-    # then confirm it in one iteration without moving it.
-    solved = []
-    solve = scmpc.mpc.solve_sqp
+def _recorded_attempts(monkeypatch, scenario):
+    """(controller, z0, cfg, warm start, result) of each solve at one gamma
+    (LinearMpc._solve_once) of a run, z0 goal-centered."""
+    attempts = []
+    solve_once = LinearMpc._solve_once
 
-    def recording(problem, warm_start=None):
-        res = solve(problem, warm_start=warm_start)
-        solved.append((problem, res))
+    def recording(controller, z0, cfg):
+        warm_start = controller._warm
+        res = solve_once(controller, z0, cfg)
+        attempts.append((controller, z0, cfg, warm_start, res))
         return res
 
-    monkeypatch.setattr(scmpc.mpc, "solve_sqp", recording)
-    run_closed_loop(nominal_scenario(duration=2.05))
+    monkeypatch.setattr(LinearMpc, "_solve_once", recording)
+    run_closed_loop(scenario)
     monkeypatch.undo()
-    assert len(solved) == 41
+    return attempts
+
+
+def _attempt_problem(controller, z0, cfg):
+    """The QCQP that a recorded attempt builds when it is not certified."""
+    return build_qcqp(z0, cfg, controller.model, controller.terminal,
+                      controller.obstacles, mode=controller.mode,
+                      workspace=controller.workspace)
+
+
+def test_sqp_exit_stops_only_where_a_resolve_confirms(monkeypatch):
+    # A solve at one gamma stops on a certified free minimizer, or after a
+    # full step to the exact cost's QP minimizer with no barrier row active.
+    # Re-solving its QCQP by SQP from each returned plan must then confirm
+    # the plan in one iteration without moving it.
+    attempts = _recorded_attempts(monkeypatch, nominal_scenario(duration=2.05))
+    assert len(attempts) == 41
     # Without the exit every warm-started step takes at least two.
-    assert sum(res.sqp_iterations == 1 for _, res in solved) >= 20
-    for problem, res in solved:
-        again = solve_sqp(problem, warm_start=res.v_sequence.ravel())
+    assert sum(a[4].sqp_iterations == 1 for a in attempts) >= 20
+    for controller, z0, cfg, _, res in attempts:
+        again = solve_sqp(_attempt_problem(controller, z0, cfg),
+                          warm_start=res.v_sequence.ravel())
         assert res.status == again.status == "optimal"
         assert again.sqp_iterations == 1
         np.testing.assert_array_equal(again.v_sequence, res.v_sequence)
@@ -295,27 +315,12 @@ def test_sqp_exit_leaves_the_gauss_newton_baseline_alone(monkeypatch):
     assert statuses.count("optimal") == 106
 
 
-def _recorded_solves(monkeypatch, scenario):
-    """(problem, warm_start, result) of each solve_sqp call of a run."""
-    solved = []
-    solve = scmpc.mpc.solve_sqp
-
-    def recording(problem, warm_start=None):
-        res = solve(problem, warm_start=warm_start)
-        solved.append((problem, warm_start, res))
-        return res
-
-    monkeypatch.setattr(scmpc.mpc, "solve_sqp", recording)
-    run_closed_loop(scenario)
-    monkeypatch.undo()
-    return solved
-
-
 def test_relaxed_step_reports_both_solves(monkeypatch):
     # On the obstacle course (N = 14, noise seed 0) the first SQP of step 20
     # meets an infeasible QP and the retry at 2 gamma certifies its free
-    # minimizer. The step must report the SQP iterations and QP KKT solves
-    # of both solves, not only the retry's 1 and 0.
+    # minimizer before building a QCQP. The step must report the SQP
+    # iterations and QP KKT solves of both solves, not only the retry's 1
+    # and 0.
     tool = Path(__file__).resolve().parents[1] / "tools" / "trajdiff.py"
     spec = importlib.util.spec_from_file_location("trajdiff", tool)
     trajdiff = importlib.util.module_from_spec(spec)
@@ -323,11 +328,11 @@ def test_relaxed_step_reports_both_solves(monkeypatch):
     course = trajdiff.run_set(CONFIG)["course-seed0-30s"]
     solved = []
     steps = []
-    sqp = scmpc.mpc.solve_sqp
+    solve_once = LinearMpc._solve_once
     solve = LinearMpc.solve
 
-    def recording_sqp(problem, warm_start=None):
-        res = sqp(problem, warm_start=warm_start)
+    def recording_once(controller, z0, cfg):
+        res = solve_once(controller, z0, cfg)
         solved.append((res.status, res.sqp_iterations, res.qp_iterations_total))
         return res
 
@@ -337,7 +342,7 @@ def test_relaxed_step_reports_both_solves(monkeypatch):
         steps.append((res, solved[first:]))
         return res
 
-    monkeypatch.setattr(scmpc.mpc, "solve_sqp", recording_sqp)
+    monkeypatch.setattr(LinearMpc, "_solve_once", recording_once)
     monkeypatch.setattr(LinearMpc, "solve", recording)
     log = run_closed_loop(replace(course, duration=21 * course.mpc.ts))
     assert len(log.records) == len(steps) == 21
@@ -354,13 +359,14 @@ def test_relaxed_step_reports_both_solves(monkeypatch):
 
 def test_certified_plans_match_the_solve_without_certificate(monkeypatch):
     # A typical nominal step returns the cost's unconstrained minimizer
-    # before any QP. Solving the same problem from the same warm start
-    # without the minimizer must give the same status, and its first QP
-    # must find the same plan. The SQP may then stop on its warm start,
-    # which its exit test allows to lie within OPT_TOL of that plan.
-    solved = _recorded_solves(monkeypatch, nominal_scenario(duration=50.0))
-    assert len(solved) == 1000
-    certified = [s for s in solved if s[2].qp_iterations_total == 0]
+    # before any QCQP is built. Solving that step's QCQP by SQP from the
+    # same warm start must give the same status, and its first QP must find
+    # the same plan. The SQP may then stop on its warm start, which its exit
+    # test allows to lie within OPT_TOL of that plan.
+    attempts = _recorded_attempts(monkeypatch,
+                                  nominal_scenario(duration=50.0))
+    assert len(attempts) == 1000
+    certified = [a for a in attempts if a[4].qp_iterations_total == 0]
     assert len(certified) >= 900
     minimizers = []
     solve_qp = scmpc.mpc.solve_qp
@@ -371,10 +377,10 @@ def test_certified_plans_match_the_solve_without_certificate(monkeypatch):
         return qp
 
     monkeypatch.setattr(scmpc.mpc, "solve_qp", recording)
-    for problem, warm_start, res in certified:
+    for controller, z0, cfg, warm_start, res in certified:
         assert res.status == "optimal" and res.sqp_iterations == 1
         minimizers.clear()
-        again = solve_sqp(replace(problem, free_minimizer=None),
+        again = solve_sqp(_attempt_problem(controller, z0, cfg),
                           warm_start=warm_start)
         assert again.status == res.status
         plan = res.v_sequence.ravel()
@@ -382,16 +388,34 @@ def test_certified_plans_match_the_solve_without_certificate(monkeypatch):
         assert np.max(np.abs(again.v_sequence.ravel() - plan)) <= OPT_TOL
 
 
+def test_certified_steps_build_no_qcqp(monkeypatch):
+    # build_qcqp and solve_sqp run once per solve that the certificate
+    # leaves open, and never for a certified one.
+    calls = Counter()
+    for name in ("build_qcqp", "solve_sqp"):
+        def counted(*args, _name=name, _fn=getattr(scmpc.mpc, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(scmpc.mpc, name, counted)
+    attempts = _recorded_attempts(monkeypatch,
+                                  nominal_scenario(duration=50.0))
+    open_ = sum(a[4].qp_iterations_total > 0 for a in attempts)
+    assert len(attempts) == 1000
+    assert calls["build_qcqp"] == calls["solve_sqp"] == open_ == 18
+
+
 def test_free_minimizer_through_the_barrier_is_not_certified(monkeypatch):
     # At the nominal start the cost's unconstrained minimizer violates the
-    # barrier rows, so the step runs the SQP exactly as without it.
-    problem, warm_start, res = _recorded_solves(
+    # barrier rows, so the step builds the QCQP and runs the SQP on it.
+    controller, z0, cfg, warm_start, res = _recorded_attempts(
         monkeypatch, nominal_scenario(duration=0.05))[0]
-    assert np.min(problem.quad_rows.value(problem.free_minimizer)) < -FEAS_TOL
-    lin = problem.lin_rows @ problem.free_minimizer - problem.lin_rhs
-    assert np.max(lin) <= 0.0
-    again = solve_sqp(replace(problem, free_minimizer=None),
-                      warm_start=warm_start)
+    problem = _attempt_problem(controller, z0, cfg)
+    free = controller.workspace.free_map @ z0
+    assert np.min(problem.quad_rows.value(free)) < -FEAS_TOL
+    assert np.max(problem.lin_rows @ free - problem.lin_rhs) <= 0.0
+    assert controller.workspace.certify(z0, 1.0 - cfg.gamma) is None
+    again = solve_sqp(problem, warm_start=warm_start)
     assert res.status == again.status == "optimal"
     assert res.qp_iterations_total == again.qp_iterations_total > 0
     assert res.sqp_iterations == again.sqp_iterations
@@ -405,9 +429,8 @@ def test_sqp_exit_needs_an_optimal_qp(monkeypatch):
     # max_iter proves nothing, so the SQP must solve a second QP.
     cfg = MpcConfig(horizon=8)
     model, td = _setup(cfg)
-    far = replace(build_qcqp(np.array([7.0, -0.5, 7.0, 0.0]), cfg, model, td,
-                             [Obstacle(-8.0, 8.0, 0.5)]),
-                  free_minimizer=None)
+    far = build_qcqp(np.array([7.0, -0.5, 7.0, 0.0]), cfg, model, td,
+                     [Obstacle(-8.0, 8.0, 0.5)])
     assert solve_sqp(far).sqp_iterations == 1
     solve_qp = scmpc.mpc.solve_qp
     n_barrier = len(far.quad_rows)
@@ -434,7 +457,6 @@ class _DiskProblem:
 
     n_steps = 1
     infeasible = False
-    free_minimizer = None
     v_lo = np.full(2, -10.0)
     v_hi = np.full(2, 10.0)
     lin_rows = np.vstack([np.eye(2), -np.eye(2)])
@@ -517,10 +539,12 @@ def test_single_step_closed_form():
 def test_out_of_box_state_flags_infeasible():
     cfg = MpcConfig()
     model, td = _setup(cfg)
-    prob = build_qcqp(np.array([20.0, 0.0, 0.0, 0.0]), cfg, model, td, [])
-    assert prob.infeasible
-    res = solve_sqp(prob)
-    assert res.status == "infeasible"
+    # A NaN position is not inside the box either.
+    for z0 in ([20.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0]):
+        prob = build_qcqp(np.array(z0), cfg, model, td, [])
+        assert prob.infeasible
+        res = solve_sqp(prob)
+        assert res.status == "infeasible"
 
 
 def _stacked_kkt_oracle(cfg, model, td, z0):
@@ -722,3 +746,74 @@ def test_nmpc_slower_than_linear_scheme_per_step():
         lin_times.append(lin.solve(z0).solve_time)
         nl_times.append(nl.solve(x0).solve_time)
     assert np.median(nl_times) > np.median(lin_times)
+
+
+@settings(max_examples=300, deadline=None)
+@given(horizon=st.integers(1, 10),
+       gamma=st.floats(1e-3, 1.0),
+       mode=st.sampled_from(["cbf", "euclid"]),
+       z0=st.tuples(st.floats(-12.0, 12.0), st.floats(-3.0, 3.0),
+                    st.floats(-12.0, 12.0), st.floats(-3.0, 3.0)),
+       obstacles=st.lists(st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0),
+                                    st.floats(0.1, 2.0)), max_size=3),
+       v_max=st.sampled_from([10.0, 50.0]))
+# Just outside the position box, with the free plan back inside it and
+# meeting every row: only the box test of z0 itself rejects it.
+@example(horizon=8, gamma=0.1, mode="cbf", z0=(10.02, -1.0, 0.0, 0.0),
+         obstacles=[], v_max=50.0)
+def test_workspace_certificate_matches_the_qcqp_rows(horizon, gamma, mode, z0,
+                                                     obstacles, v_max):
+    # The certificate decides from the workspace's stacked map what the rows
+    # of build_qcqp's problem decide at the free minimizer, up to roundoff
+    # at the tolerance, and a certified plan is that minimizer bit for bit.
+    cfg = MpcConfig(horizon=horizon, gamma=gamma, v_min=[-v_max, -v_max],
+                    v_max=[v_max, v_max])
+    controller = LinearMpc(cfg, [Obstacle(*o) for o in obstacles], mode=mode)
+    ws = controller.workspace
+    z0 = np.array(z0)
+    problem = _attempt_problem(controller, z0, cfg)
+    res = ws.certify(z0, 1.0 - gamma if mode == "cbf" else 0.0)
+    if problem.infeasible:
+        event("outside the position box")
+        assert res is None
+        assert controller._solve_once(z0, cfg).status == "infeasible"
+        return
+    v = ws.free_map @ z0
+    worst = max(np.max(problem.lin_rows @ v - problem.lin_rhs),
+                np.max(-problem.quad_rows.value(v), initial=-np.inf))
+    if abs(worst - FEAS_TOL) > 1e-9:
+        assert (res is not None) == (worst <= FEAS_TOL)
+    event("certified" if res is not None else "not certified")
+    if res is not None:
+        assert res.status == "optimal"
+        assert (res.sqp_iterations, res.qp_iterations_total) == (1, 0)
+        np.testing.assert_array_equal(res.v_sequence.ravel(), v)
+        np.testing.assert_array_equal(res.z_prediction, problem.predict(v))
+        cost = problem.cost(v)
+        assert abs(res.cost - cost) <= 1e-12 * (1.0 + abs(cost))
+
+
+def test_certificate_takes_barrier_violations_up_to_feas_tol():
+    # An obstacle sized so that the free plan's worst barrier row is
+    # violated by 0.5 or 2 FEAS_TOL: only the first plan is certified.
+    cfg = MpcConfig(horizon=8)
+    z0 = np.array([2.0, -0.5, 1.0, 0.3])
+    ws = LinearMpc(cfg).workspace
+    pos = ws.pos_f @ z0 + ws.pos_maps @ (ws.free_map @ z0)
+    center = pos[4] + np.array([0.0, -1.0])
+    dist_sq = np.sum((pos - center) ** 2, axis=1)
+    for mode, decay in (("euclid", 0.0), ("cbf", 1.0 - cfg.gamma)):
+        # Row k is dist_sq[k + 1] - decay dist_sq[k] - (1 - decay) r^2 for
+        # the backed-off squared radius r^2 = radius^2 + 2 FEAS_TOL.
+        base = np.min(dist_sq[1:] - decay * dist_sq[:-1])
+        for violation, certified in ((0.5 * FEAS_TOL, True),
+                                     (2.0 * FEAS_TOL, False)):
+            r_sq = (base + violation) / (1.0 - decay)
+            obstacle = Obstacle(center[0], center[1],
+                                math.sqrt(r_sq - 2.0 * FEAS_TOL))
+            controller = LinearMpc(cfg, [obstacle], mode=mode)
+            rows = _attempt_problem(controller, z0, cfg).quad_rows
+            worst = -np.min(rows.value(ws.free_map @ z0))
+            assert abs(worst - violation) < 1e-3 * FEAS_TOL
+            res = controller.workspace.certify(z0, decay)
+            assert (res is not None) == certified

@@ -52,3 +52,18 @@ def test_diff_prints_the_worst_step_and_the_changed_steps(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "QP iterations 9 / 4, worst step 9 / 4" in out
     assert "SQP count changed at step (delta): 0 (-1)" in out
+
+
+def test_diff_lists_the_runs_that_only_one_dump_has(tmp_path, capsys):
+    run = _run([[0.0, 1.0, 2.0, 0.1, 0.2, [0.5], 1]], [["optimal", 1, 0]])
+    paths = []
+    for name, runs in (("a.json", {"shared": run, "old": run}),
+                       ("b.json", {"shared": run, "new": run})):
+        path = tmp_path / name
+        path.write_text(json.dumps({"fields": NAMES, "runs": runs}))
+        paths.append(str(path))
+    trajdiff.diff(*paths)
+    lines = capsys.readouterr().out.splitlines()
+    assert f"old: missing from {paths[1]}" in lines
+    assert f"new: missing from {paths[0]}" in lines
+    assert sum(line.startswith("shared: max dev") for line in lines) == 1

@@ -13,14 +13,15 @@ Compare two checkouts from the root of either:
     PYTHONPATH=src python tools/trajdiff.py dump new.json
     python tools/trajdiff.py diff old.json new.json
 
-The diff prints one line per run: the largest absolute deviation of any
-step field but the SQP count (and where it is, and the largest in the
-position and in the virtual input v on their own), the minimum obstacle
-distance on both sides and whether it agrees to 7 decimals, the step and
-abort counts, the number of steps whose status differs, the steps that
-take more and fewer SQP iterations, the SQP and QP iteration totals, and
-the largest QP iteration count of one step. A second line lists each step
-whose SQP count changed, with the change.
+The diff prints one line per run that both dumps have: the largest
+absolute deviation of any step field but the SQP count (and where it is,
+and the largest in the position and in the virtual input v on their own),
+the minimum obstacle distance on both sides and whether it agrees to 7
+decimals, the step and abort counts, the number of steps whose status
+differs, the steps that take more and fewer SQP iterations, the SQP and QP
+iteration totals, and the largest QP iteration count of one step. A second
+line lists each step whose SQP count changed, with the change. A run that
+only one dump has is listed as missing from the other.
 """
 
 import argparse
@@ -175,7 +176,8 @@ def diff_run(a, b, names):
 
 
 def diff(path_a, path_b):
-    """Print one line per run shared by the two dumps."""
+    """Print one line per run shared by the two dumps, and one per run
+    that only one of them has."""
     a = json.loads(Path(path_a).read_text())
     b = json.loads(Path(path_b).read_text())
     if a["fields"] != b["fields"]:
@@ -203,6 +205,9 @@ def diff(path_a, path_b):
         if d["sqp_changed"]:
             print("  SQP count changed at step (delta): " + ", ".join(
                 f"{k} ({x:+d})" for k, x in d["sqp_changed"]))
+    for name in b["runs"]:
+        if name not in a["runs"]:
+            print(f"{name}: missing from {path_a}")
 
 
 def main(argv=None):
