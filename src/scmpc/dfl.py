@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import ExtendedState, extended_rhs
+from .model import ExtendedState
 
 __all__ = [
     "DflGuard",
@@ -37,6 +37,17 @@ class DflGuard:
             raise ConfigError("zeta_threshold must be positive")
 
 
+def _linearizing_law(x3, zeta, v1, v2, zeta_threshold):
+    """cos x3, sin x3 and the input (accel, turn) of the linearizing law."""
+    c, sn = math.cos(x3), math.sin(x3)
+    accel = v1 * c + v2 * sn
+    if zeta > zeta_threshold:
+        turn = (-v1 * sn + v2 * c) / zeta
+    else:
+        turn = 0.0
+    return c, sn, accel, turn
+
+
 def dfl_control(s: ExtendedState, v, guard: DflGuard):
     """Map a virtual acceleration v = (v1, v2) to the extended-model input
     (accel, turn).
@@ -45,13 +56,8 @@ def dfl_control(s: ExtendedState, v, guard: DflGuard):
     is zeroed whenever zeta is at or below the guard threshold; the
     acceleration channel stays active so the speed can recover.
     """
-    v1, v2 = v[0], v[1]
-    c, sn = math.cos(s.x3), math.sin(s.x3)
-    accel = v1 * c + v2 * sn
-    if s.zeta > guard.zeta_threshold:
-        turn = (-v1 * sn + v2 * c) / s.zeta
-    else:
-        turn = 0.0
+    _, _, accel, turn = _linearizing_law(s.x3, s.zeta, v[0], v[1],
+                                         guard.zeta_threshold)
     return accel, turn
 
 
@@ -95,12 +101,19 @@ def decoupling_matrix(s: ExtendedState):
     return mat, det
 
 
-def closed_loop_rhs(x: np.ndarray, v, guard: DflGuard) -> np.ndarray:
+def closed_loop_rhs(x, v, guard: DflGuard) -> tuple:
     """Extended dynamics with the linearizing feedback in the loop.
 
     The virtual input v is held constant while the feedback law is
     re-evaluated at the instantaneous state, so in linear coordinates the
     flow is exactly the double-integrator flow (away from the guard).
+
+    x is a 4-sequence of floats (x1, x2, heading, zeta) and the derivative
+    is a tuple of floats, equal bit for bit to
+    ``extended_rhs(x, dfl_control(ExtendedState(*x), v, guard))``; the law
+    and the kinematics share one cos/sin evaluation.
     """
-    state = ExtendedState(float(x[0]), float(x[1]), float(x[2]), float(x[3]))
-    return extended_rhs(x, dfl_control(state, v, guard))
+    zeta = x[3]
+    c, sn, accel, turn = _linearizing_law(x[2], zeta, v[0], v[1],
+                                          guard.zeta_threshold)
+    return (zeta * c, zeta * sn, turn, accel)

@@ -78,43 +78,56 @@ def unicycle_to_wheel(u: UnicycleInput, p: RobotParams) -> WheelSpeeds:
     return WheelSpeeds(omega_r, omega_l)
 
 
-def unicycle_rhs(x: np.ndarray, u) -> np.ndarray:
-    """Unicycle dynamics on a raw 3-vector (x1, x2, heading)."""
+def unicycle_rhs(x, u):
+    """Unicycle dynamics on a 3-sequence (x1, x2, heading), as a tuple."""
     u1, u2 = u
-    return np.array([u1 * math.cos(x[2]), u1 * math.sin(x[2]), u2])
+    return (u1 * math.cos(x[2]), u1 * math.sin(x[2]), u2)
 
 
-def extended_rhs(x: np.ndarray, control) -> np.ndarray:
-    """Extended dynamics on a raw 4-vector (x1, x2, heading, zeta).
+def extended_rhs(x, control):
+    """Extended dynamics on a 4-sequence (x1, x2, heading, zeta), as a tuple.
 
     control = (accel, turn_rate): zeta integrates the forward acceleration
     and the heading integrates the turn rate.
     """
     accel, turn_rate = control
-    return np.array(
-        [x[3] * math.cos(x[2]), x[3] * math.sin(x[2]), turn_rate, accel]
-    )
+    return (x[3] * math.cos(x[2]), x[3] * math.sin(x[2]), turn_rate, accel)
 
 
-def rk4_step(fn, state: np.ndarray, u, ts: float) -> np.ndarray:
+def rk4_step(fn, state, u, ts: float) -> list:
     """One classical 4th-order Runge-Kutta step with the input held constant.
+
+    The stages are combined entry by entry on floats, in the order of the
+    vector form: s + (ts/2) k for the midpoints and
+    s + (ts/6) (((k1 + 2 k2) + 2 k3) + k4) for the step. Elementwise IEEE
+    arithmetic is the same either way, so the result equals the numpy
+    array expression bit for bit.
 
     Parameters
     ----------
     fn : callable
-        Dynamics ``fn(state, u) -> derivative`` on n-vectors.
-    state : ndarray
-        Current state.
+        Dynamics ``fn(state, u) -> derivative``; the state it receives is
+        a list of floats, and the derivative may be any sequence of n
+        numbers.
+    state : sequence of float
+        Current state, n entries.
     u : object
         Input, passed through unchanged to ``fn``.
     ts : float
         Step length, seconds. Must be positive.
+
+    Returns
+    -------
+    list of float
+        The state after the step.
     """
     if not ts > 0.0:
         raise ConfigError("ts must be positive")
+    half = 0.5 * ts
     k1 = fn(state, u)
-    k2 = fn(state + 0.5 * ts * k1, u)
-    k3 = fn(state + 0.5 * ts * k2, u)
-    k4 = fn(state + ts * k3, u)
-    return state + (ts / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
+    k2 = fn([s + half * k for s, k in zip(state, k1)], u)
+    k3 = fn([s + half * k for s, k in zip(state, k2)], u)
+    k4 = fn([s + ts * k for s, k in zip(state, k3)], u)
+    sixth = ts / 6.0
+    return [s + sixth * (a + 2.0 * b + 2.0 * c + d)
+            for s, a, b, c, d in zip(state, k1, k2, k3, k4)]

@@ -144,7 +144,7 @@ def _barrier_rows(pos, center, radius_sq, decay, sens=None):
     the (n_obs * N, nv) Jacobian is returned too, else None.
     """
     d = pos[None] - center[:, None]
-    h = np.einsum("oki,oki->ok", d, d) - radius_sq[:, None]
+    h = (d * d).sum(axis=2) - radius_sq[:, None]
     rows = (h[:, 1:] - decay * h[:, :-1]).ravel()
     if sens is None:
         return rows, None
@@ -200,7 +200,21 @@ class QuadraticRow:
 
 
 def _floor_eigenvalues(w: np.ndarray) -> np.ndarray:
-    """w with its eigenvalues raised to at least 1e-3 of the largest |eig|."""
+    """w with its eigenvalues raised to at least 1e-3 of the largest |eig|.
+
+    A Cholesky factorization of w - 2e-3 |w|_F I first settles the common
+    case: |w|_F bounds every |eig|, so if it succeeds the smallest
+    eigenvalue clears the floor by a margin far above roundoff, and w is
+    returned without an eigendecomposition. A w with a NaN or inf entry
+    skips the test, since numpy's Cholesky passes NaN through silently.
+    """
+    shift = 2e-3 * np.linalg.norm(w)
+    if np.isfinite(shift):
+        try:
+            np.linalg.cholesky(w - shift * np.eye(len(w)))
+            return w
+        except np.linalg.LinAlgError:
+            pass
     vals, vecs = np.linalg.eigh(w)
     floor = 1e-3 * float(np.max(np.abs(vals)))
     if vals[0] >= floor:
@@ -660,20 +674,20 @@ def _unicycle_jacobians(x, u):
 def _rk4_with_jacobians(x, u, ts):
     """RK4 step of the unicycle plus exact step Jacobians A, B."""
     eye = np.eye(3)
-    k1 = unicycle_rhs(x, u)
+    k1 = np.array(unicycle_rhs(x, u))
     j1x, j1u = _unicycle_jacobians(x, u)
     x2 = x + 0.5 * ts * k1
-    k2 = unicycle_rhs(x2, u)
+    k2 = np.array(unicycle_rhs(x2, u))
     f2x, f2u = _unicycle_jacobians(x2, u)
     j2x = f2x @ (eye + 0.5 * ts * j1x)
     j2u = f2x @ (0.5 * ts * j1u) + f2u
     x3 = x + 0.5 * ts * k2
-    k3 = unicycle_rhs(x3, u)
+    k3 = np.array(unicycle_rhs(x3, u))
     f3x, f3u = _unicycle_jacobians(x3, u)
     j3x = f3x @ (eye + 0.5 * ts * j2x)
     j3u = f3x @ (0.5 * ts * j2u) + f3u
     x4 = x + ts * k3
-    k4 = unicycle_rhs(x4, u)
+    k4 = np.array(unicycle_rhs(x4, u))
     f4x, f4u = _unicycle_jacobians(x4, u)
     j4x = f4x @ (eye + ts * j3x)
     j4u = f4x @ (ts * j3u) + f4u

@@ -177,13 +177,15 @@ def run_closed_loop(sc: Scenario) -> TrajectoryLog:
             raise InfeasibleError(
                 "initial state lies inside an obstacle, the run is infeasible at k=0"
             )
+    # The plant state is a list of floats: (x1, x2, heading, zeta), without
+    # zeta in nmpc mode.
+    x = [float(v) for v in sc.start.as_array()]
     if sc.mode == "nmpc":
         controller = NonlinearMpc(sc.mpc, obstacles=sc.obstacles, goal=sc.goal)
-        x = sc.start.as_array()[:3]
+        x = x[:3]
     else:
         controller = LinearMpc(sc.mpc, obstacles=sc.obstacles, goal=sc.goal,
                                mode=sc.mode)
-        x = sc.start.as_array()
     rng = np.random.default_rng(np.random.SeedSequence(sc.noise.seed))
     ts = sc.mpc.ts
     n_steps = int(round(sc.duration / ts))

@@ -1,9 +1,12 @@
 """Independent reference computations used by the solver checks.
 
 These deliberately avoid the code paths they certify: the grid search
-enumerates the input box directly, and the instance generator builds
-problems through the public constructors only.
+enumerates the input box directly, the instance generator builds
+problems through the public constructors only, and the plant step and
+the eigenvalue floor are the numpy array forms the float code replaced.
 """
+
+import math
 
 import numpy as np
 
@@ -119,3 +122,40 @@ def grid_search_best(problem, points=GRID_POINTS):
         if cand.size:
             best = min(best, float(np.min(cost[cand])))
     return best + problem.cost_offset
+
+
+def rk4_step_array(fn, state, u, ts):
+    """Classical RK4 step on numpy arrays, the vector form of the plant step."""
+    k1 = fn(state, u)
+    k2 = fn(state + 0.5 * ts * k1, u)
+    k3 = fn(state + 0.5 * ts * k2, u)
+    k4 = fn(state + ts * k3, u)
+    return state + (ts / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def unicycle_rhs_array(x, u):
+    """Unicycle dynamics on a 3-array."""
+    u1, u2 = u
+    return np.array([u1 * math.cos(x[2]), u1 * math.sin(x[2]), u2])
+
+
+def closed_loop_rhs_array(x, v, zeta_threshold):
+    """Extended dynamics under the linearizing law in the array form: the
+    law on the state's entries converted to float, then the extended model
+    on the 4-array."""
+    x3, zeta = float(x[2]), float(x[3])
+    c, sn = math.cos(x3), math.sin(x3)
+    accel = v[0] * c + v[1] * sn
+    turn = (-v[0] * sn + v[1] * c) / zeta if zeta > zeta_threshold else 0.0
+    return np.array([x[3] * math.cos(x[2]), x[3] * math.sin(x[2]), turn,
+                     accel])
+
+
+def floor_eigenvalues_eigh(w):
+    """w with its eigenvalues raised to at least 1e-3 of the largest |eig|,
+    always through the eigendecomposition; w itself if nothing is floored."""
+    vals, vecs = np.linalg.eigh(w)
+    floor = 1e-3 * float(np.max(np.abs(vals)))
+    if vals[0] >= floor:
+        return w
+    return (vecs * np.maximum(vals, floor)) @ vecs.T

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
-from scmpc import ConfigError
+from oracles import closed_loop_rhs_array, rk4_step_array, unicycle_rhs_array
+from scmpc import ConfigError, DflGuard
+from scmpc.dfl import closed_loop_rhs
 from scmpc.model import (RobotParams, UnicycleInput, extended_rhs, rk4_step,
                          unicycle_rhs, unicycle_to_wheel)
 
@@ -95,3 +99,64 @@ def test_rk4_matches_arc_closed_form():
         th,
     ])
     np.testing.assert_allclose(out, expect, atol=1e-8)
+
+
+GUARD = DflGuard(zeta_threshold=0.01)
+POSE = st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0),
+                 st.floats(-10.0, 10.0))
+V = st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))
+TS = st.floats(1e-9, 0.1)
+
+
+def _plant_steps(fn, fn_array, x, u, ts, substeps):
+    """The float steps of the simulator and the array steps of the oracle,
+    from the same start, as lists of floats after each substep."""
+    h = ts / substeps
+    xs, xa = [float(c) for c in x], np.array(x, dtype=float)
+    for _ in range(substeps):
+        xs = rk4_step(fn, xs, u, h)
+        xa = rk4_step_array(fn_array, xa, u, h)
+        assert type(xs) is list and all(type(c) is float for c in xs)
+        yield xs, xa.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(pose=POSE,
+       zeta=st.one_of(st.floats(-1.0, 5.0),
+                      st.sampled_from([0.0, -0.0, GUARD.zeta_threshold,
+                                       math.nextafter(GUARD.zeta_threshold, 1.0),
+                                       math.nextafter(GUARD.zeta_threshold, 0.0),
+                                       -GUARD.zeta_threshold])),
+       v=V, ts=TS, substeps=st.integers(1, 3))
+@example(pose=(1.0, -2.0, 0.3), zeta=GUARD.zeta_threshold, v=(50.0, -50.0),
+         ts=0.1, substeps=1)
+@example(pose=(0.0, 0.0, math.pi), zeta=0.0, v=(0.0, 0.0), ts=0.05,
+         substeps=2)
+@example(pose=(7.0, 7.0, -2.0), zeta=-0.4, v=(-3.0, 12.0), ts=1e-6,
+         substeps=3)
+def test_float_plant_step_equals_the_array_step(pose, zeta, v, ts, substeps):
+    # The closed-loop plant of cbf and euclid mode: every entry after every
+    # substep is the array form's, bit for bit.
+    if zeta > GUARD.zeta_threshold:
+        event("zeta above the guard")
+    elif zeta == GUARD.zeta_threshold:
+        event("zeta at the guard")
+    else:
+        event("zeta below the guard")
+    fn = lambda s, vv: closed_loop_rhs(s, vv, GUARD)
+    fn_array = lambda s, vv: closed_loop_rhs_array(s, vv, GUARD.zeta_threshold)
+    for xs, xa in _plant_steps(fn, fn_array, (*pose, zeta), v, ts, substeps):
+        assert len(xs) == 4
+        for a, b in zip(xs, xa):
+            assert a == b
+
+
+@settings(max_examples=200, deadline=None)
+@given(pose=POSE, u=V, ts=TS, substeps=st.integers(1, 3))
+def test_float_unicycle_step_equals_the_array_step(pose, u, ts, substeps):
+    # The plant of nmpc mode, driven by (u1, u2) directly.
+    for xs, xa in _plant_steps(unicycle_rhs, unicycle_rhs_array, pose, u, ts,
+                               substeps):
+        assert len(xs) == 3
+        for a, b in zip(xs, xa):
+            assert a == b

@@ -16,8 +16,8 @@ from scmpc import (ConfigError, MpcConfig, Obstacle, build_qcqp,
                    terminal_data)
 from scmpc.cli import _build_scenario, load_config
 from scmpc.mpc import (FEAS_TOL, OPT_TOL, LinearMpc, NonlinearMpc,
-                       _RolloutProblem, estimate_flops_ip, estimate_flops_sqp,
-                       prediction_matrices)
+                       _floor_eigenvalues, _RolloutProblem, estimate_flops_ip,
+                       estimate_flops_sqp, prediction_matrices)
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "nominal.json"
 
@@ -151,6 +151,51 @@ def test_stacked_barrier_rows_match_per_row_formulas():
                 got = block.gradient(v)
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+# Eigenvalues relative to the largest |eig|, which is 1: near the floor of
+# 1e-3 and near the Cholesky pre-test's shift of 2e-3 |w|_F.
+_NEAR_FLOOR = st.sampled_from([1e-3, math.nextafter(1e-3, 0.0), 0.999e-3,
+                               1.001e-3, 2e-3, 1.9e-3, 2.1e-3, 5e-3, 0.0,
+                               -1e-3])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rest=st.lists(st.one_of(_NEAR_FLOOR, st.floats(1e-3, 1.0)),
+                    max_size=12),
+       low=st.one_of(st.just([]), st.lists(st.floats(-1.0, 1e-3), min_size=1,
+                                           max_size=3)),
+       scale=st.floats(1e-4, 1e4),
+       seed=st.integers(0, 2**32 - 1))
+def test_floor_eigenvalues_matches_the_eigh_reference(rest, low, scale, seed):
+    # The pre-test only skips the eigendecomposition: the result is the
+    # reference's, and w itself whenever nothing is floored.
+    from oracles import floor_eigenvalues_eigh
+    vals = scale * np.array([1.0] + rest + low)
+    if vals.min() > 2e-3 * np.linalg.norm(vals):
+        event("above the pre-test shift")
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(
+        size=(len(vals), len(vals))))
+    w = (q * vals) @ q.T
+    w = 0.5 * (w + w.T)
+    ref = floor_eigenvalues_eigh(w)
+    out = _floor_eigenvalues(w)
+    event("nothing floored" if ref is w else "floored")
+    assert (out is w) == (ref is w)
+    np.testing.assert_array_equal(out, ref)
+
+
+def test_floor_eigenvalues_skips_eigh_on_a_well_conditioned_matrix(
+        monkeypatch):
+    def no_eigh(w):
+        raise AssertionError("eigh called")
+
+    w = np.diag([4.0, 1.0, 0.5]) + 0.1
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert _floor_eigenvalues(w) is w
+    # NaN passes through numpy's Cholesky silently, so it is left to eigh.
+    with pytest.raises(AssertionError, match="eigh called"):
+        _floor_eigenvalues(np.full((2, 2), np.nan))
 
 
 def test_row_curvature_matches_finite_differences_of_gradient():

@@ -208,6 +208,17 @@ def test_nmpc_mode_closed_loop():
     assert all(r.v1 == 0.0 and r.v2 == 0.0 for r in log.records)
 
 
+def test_final_state_is_a_float_array_of_the_plant():
+    # The plant runs on floats; the log still hands back a float64 array:
+    # (x1, x2, heading, zeta), or the pose alone in nmpc mode.
+    for mode, size in (("cbf", 4), ("euclid", 4), ("nmpc", 3)):
+        log = run_closed_loop(nominal_scenario(mode=mode, duration=0.5))
+        assert isinstance(log.final_state, np.ndarray)
+        assert log.final_state.dtype == np.float64
+        assert log.final_state.shape == (size,)
+        assert np.all(np.isfinite(log.final_state))
+
+
 def test_readme_library_example_runs(capsys):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)

@@ -67,3 +67,41 @@ def test_diff_lists_the_runs_that_only_one_dump_has(tmp_path, capsys):
     assert f"old: missing from {paths[1]}" in lines
     assert f"new: missing from {paths[0]}" in lines
     assert sum(line.startswith("shared: max dev") for line in lines) == 1
+
+
+def _write(tmp_path, name, runs):
+    path = tmp_path / name
+    path.write_text(json.dumps({"fields": NAMES, "runs": runs}))
+    return str(path)
+
+
+def test_diff_exits_one_on_any_difference_and_zero_when_identical(tmp_path):
+    run = _run([[0.0, 1.0, 2.0, 0.1, 0.2, [0.5], 1]], [["optimal", 1, 0]])
+    changes = {
+        "step field": lambda r: r["steps"][0].__setitem__(2, 2.0 + 2**-51),
+        "list entry": lambda r: r["steps"][0][5].__setitem__(0, 0.4),
+        "sqp count": lambda r: r["steps"][0].__setitem__(6, 2),
+        "final state": lambda r: r["final_state"].__setitem__(3, -0.0),
+        "status": lambda r: r["calls"][0].__setitem__(0, "max_iter"),
+        "qp count": lambda r: r["calls"][0].__setitem__(2, 1),
+        "steps": lambda r: r["steps"].append(list(r["steps"][0])),
+        "aborted": lambda r: r.__setitem__("aborted", True),
+    }
+    a = _write(tmp_path, "a.json", {"r": run})
+    assert trajdiff.main(["diff", a, a]) is None
+    nan = json.loads(json.dumps(run))
+    nan["steps"][0][3] = float("nan")
+    b = _write(tmp_path, "nan.json", {"r": nan})
+    assert trajdiff.main(["diff", b, b]) is None  # NaN matches NaN
+    for label, change in changes.items():
+        other = json.loads(json.dumps(run))
+        change(other)
+        b = _write(tmp_path, "b.json", {"r": other})
+        with pytest.raises(SystemExit) as exc:
+            trajdiff.main(["diff", a, b])
+        assert exc.value.code == 1, label
+    b = _write(tmp_path, "b.json", {"r": run, "extra": run})
+    for pair in ((a, b), (b, a)):
+        with pytest.raises(SystemExit) as exc:
+            trajdiff.main(["diff", *pair])
+        assert exc.value.code == 1

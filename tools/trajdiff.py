@@ -22,6 +22,11 @@ differs, the steps that take more and fewer SQP iterations, the SQP and QP
 iteration totals, and the largest QP iteration count of one step. A second
 line lists each step whose SQP count changed, with the change. A run that
 only one dump has is listed as missing from the other.
+
+diff exits 0 when the two dumps are bit-identical: the same runs, and in
+each every step field, the final state, every call's status and SQP and
+QP counts, the step count and the abort flag. Otherwise it names the runs
+that differ on a last line and exits 1.
 """
 
 import argparse
@@ -131,6 +136,12 @@ def _min_distance(run, names):
     return min((min(s[col]) for s in run["steps"] if s[col]), default=math.nan)
 
 
+def _dumped(run):
+    """The run as JSON text: floats in shortest round-trip form, so equal
+    text means equal bits (NaN matches NaN, -0.0 differs from 0.0)."""
+    return json.dumps(run, sort_keys=True)
+
+
 def diff_run(a, b, names):
     """Largest deviation and count deltas between two dumps of one run."""
     count = names.index(COUNT)
@@ -155,6 +166,7 @@ def diff_run(a, b, names):
     sqp_delta = [sb[count] - sa[count]
                  for sa, sb in zip(a["steps"], b["steps"])]
     return {
+        "identical": _dumped(a) == _dumped(b),
         "max_dev": worst,
         "at": label,
         "groups": {g: max(per_field[names.index(f)] for f in members)
@@ -177,17 +189,21 @@ def diff_run(a, b, names):
 
 def diff(path_a, path_b):
     """Print one line per run shared by the two dumps, and one per run
-    that only one of them has."""
+    that only one of them has. Returns whether the dumps are bit-identical."""
     a = json.loads(Path(path_a).read_text())
     b = json.loads(Path(path_b).read_text())
     if a["fields"] != b["fields"]:
         sys.exit("the dumps record different StepRecord fields")
     names = a["fields"]
+    differ = []
     for name in a["runs"]:
         if name not in b["runs"]:
             print(f"{name}: missing from {path_b}")
+            differ.append(name)
             continue
         d = diff_run(a["runs"][name], b["runs"][name], names)
+        if not d["identical"]:
+            differ.append(name)
         da, db = d["min_dist"]
         same = f"{da:.7f}" == f"{db:.7f}"
         groups = ", ".join(f"{g} {dev:.2e}" for g, dev in d["groups"].items())
@@ -208,6 +224,12 @@ def diff(path_a, path_b):
     for name in b["runs"]:
         if name not in a["runs"]:
             print(f"{name}: missing from {path_a}")
+            differ.append(name)
+    if differ:
+        print(f"{len(differ)} runs differ: {', '.join(differ)}")
+    else:
+        print(f"all {len(a['runs'])} runs bit-identical")
+    return not differ
 
 
 def main(argv=None):
@@ -222,8 +244,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "dump":
         dump(args.out, args.config)
-    else:
-        diff(args.a, args.b)
+    elif not diff(args.a, args.b):
+        sys.exit(1)
 
 
 if __name__ == "__main__":
