@@ -73,6 +73,22 @@ def _value(section: dict, key: str, default, where: str, kind=float):
                           f"({exc})") from None
 
 
+def _integer(value):
+    """An integral JSON number as an int; booleans and fractions fail."""
+    integral = isinstance(value, int) or (isinstance(value, float)
+                                          and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError("expected an integer")
+    return int(value)
+
+
+def _boolean(value):
+    """A JSON true or false; strings and numbers fail."""
+    if not isinstance(value, bool):
+        raise ValueError("expected true or false")
+    return value
+
+
 def _list(kind, size=None):
     """A converter to a list of kind values, of the given length if any."""
     def convert(value):
@@ -93,7 +109,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}")
     _require_keys(raw, {"seed", "robot", "scenario", "mpc", "dfl", "sweep",
                         "timing"}, "config")
-    out = {"seed": _value(raw, "seed", 0, "config", int)}
+    out = {"seed": _value(raw, "seed", 0, "config", _integer)}
 
     robot = raw.get("robot", {})
     _require_keys(robot, {"wheel_radius", "axle_length"}, "robot")
@@ -111,7 +127,7 @@ def load_config(path) -> dict:
                                _list(float, 2)))
     out["duration"] = _value(sc, "duration", 30.0, "scenario")
     out["mode"] = _value(sc, "mode", "cbf", "scenario", str)
-    out["substeps"] = _value(sc, "substeps", 1, "scenario", int)
+    out["substeps"] = _value(sc, "substeps", 1, "scenario", _integer)
     obstacles = []
     for i, entry in enumerate(_value(sc, "obstacles", [], "scenario", list)):
         where = f"scenario.obstacles[{i}]"
@@ -122,10 +138,11 @@ def load_config(path) -> dict:
     noise = sc.get("noise", {})
     _require_keys(noise, {"enabled", "variance", "mask"}, "scenario.noise")
     out["noise"] = {
-        "enabled": _value(noise, "enabled", False, "scenario.noise", bool),
+        "enabled": _value(noise, "enabled", False, "scenario.noise",
+                          _boolean),
         "variance": _value(noise, "variance", 0.05, "scenario.noise"),
         "mask": tuple(_value(noise, "mask", [True, True, True],
-                             "scenario.noise", _list(bool, 3))),
+                             "scenario.noise", _list(_boolean, 3))),
     }
 
     mp = raw.get("mpc", {})
@@ -133,7 +150,7 @@ def load_config(path) -> dict:
                        "r", "v_min", "v_max", "pos_min", "pos_max", "u_min",
                        "u_max", "nmpc_q", "nmpc_r", "nmpc_p"}, "mpc")
     kwargs = {}
-    for key, kind in (("horizon", int), ("constraint_horizon", int),
+    for key, kind in (("horizon", _integer), ("constraint_horizon", _integer),
                       ("gamma", float), ("ts", float)):
         if key in mp:
             kwargs[key] = _value(mp, key, None, "mpc", kind)
@@ -158,14 +175,14 @@ def load_config(path) -> dict:
     sweep = raw.get("sweep", {})
     _require_keys(sweep, {"gamma", "horizon", "mode"}, "sweep")
     out["sweep"] = {key: _value(sweep, key, [], "sweep", _list(kind))
-                    for key, kind in (("gamma", float), ("horizon", int),
+                    for key, kind in (("gamma", float), ("horizon", _integer),
                                       ("mode", str))}
 
     timing = raw.get("timing", {})
     _require_keys(timing, {"horizons", "duration"}, "timing")
     out["timing"] = {
         "horizons": _value(timing, "horizons", [8, 10, 12, 14], "timing",
-                           _list(int)),
+                           _list(_integer)),
         "duration": _value(timing, "duration", 8.0, "timing"),
     }
     return out

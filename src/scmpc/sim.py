@@ -1,12 +1,13 @@
-"""Closed-loop execution: measure, map, solve, actuate, integrate.
+"""Closed-loop execution: sample, measure, solve, actuate, integrate.
 
-Each control step samples the plant (optionally through additive Gaussian
-measurement noise), maps the sample to linear coordinates, solves the
-configured optimization, and applies the first planned input. The plant
-is the extended unicycle integrated with RK4; the linearizing feedback
-runs inside the integration with the virtual input held over the step, so
-the realized motion tracks the discrete prediction model. In nmpc mode
-the plain unicycle is driven directly by the baseline controller.
+The scenario's mode fixes the controller, the measurement, the plant and
+the actuation once per run; every step then samples the plant (optionally
+through additive Gaussian measurement noise), solves, applies the first
+planned input and integrates with RK4. In cbf and euclid mode the
+controller measures the linear coordinates, and the linearizing feedback
+runs inside the integration of the extended unicycle with v held, so the
+realized motion tracks the discrete prediction model. In nmpc mode the
+baseline measures the pose and drives the plain unicycle directly.
 """
 
 import math
@@ -75,8 +76,9 @@ class Scenario:
             raise ConfigError("duration must be positive")
         if self.mode not in ("cbf", "euclid", "nmpc"):
             raise ConfigError(f"unknown mode '{self.mode}'")
-        if int(self.substeps) < 1:
-            raise ConfigError("substeps must be at least 1")
+        if int(self.substeps) != self.substeps or self.substeps < 1:
+            raise ConfigError("substeps must be an integer of at least 1")
+        object.__setattr__(self, "substeps", int(self.substeps))
         if self.start.zeta < 0.0:
             raise ConfigError("initial zeta must be nonnegative")
 
@@ -177,15 +179,25 @@ def run_closed_loop(sc: Scenario) -> TrajectoryLog:
             raise InfeasibleError(
                 "initial state lies inside an obstacle, the run is infeasible at k=0"
             )
-    # The plant state is a list of floats: (x1, x2, heading, zeta), without
-    # zeta in nmpc mode.
+    # The mode fixes the controller and the plant interface once. The plant
+    # state is a list of floats: (x1, x2, heading, zeta), without zeta in
+    # nmpc mode. actuate gives the applied (u1, u2), the speed that drives
+    # the wheels and is logged as zeta, and the logged virtual input.
     x = [float(v) for v in sc.start.as_array()]
     if sc.mode == "nmpc":
         controller = NonlinearMpc(sc.mpc, obstacles=sc.obstacles, goal=sc.goal)
         x = x[:3]
+        sample = lambda state: ExtendedState(*state, 0.0)
+        measure = lambda s: s.as_array()[:3]
+        rhs = unicycle_rhs
+        actuate = lambda s, v: (v, v[0], (0.0, 0.0))
     else:
         controller = LinearMpc(sc.mpc, obstacles=sc.obstacles, goal=sc.goal,
                                mode=sc.mode)
+        sample = lambda state: ExtendedState(*state)
+        measure = lambda s: map_x_array_to_z(s.as_array())
+        rhs = lambda state, v: closed_loop_rhs(state, v, sc.guard)
+        actuate = lambda s, v: (dfl_control(s, v, sc.guard), s.zeta, v)
     rng = np.random.default_rng(np.random.SeedSequence(sc.noise.seed))
     ts = sc.mpc.ts
     n_steps = int(round(sc.duration / ts))
@@ -194,46 +206,28 @@ def run_closed_loop(sc: Scenario) -> TrajectoryLog:
     aborted = False
 
     for k in range(n_steps):
-        if sc.mode == "nmpc":
-            plant_state = ExtendedState(x[0], x[1], x[2], 0.0)
-        else:
-            plant_state = ExtendedState(x[0], x[1], x[2], x[3])
+        plant_state = sample(x)
         measured = plant_state
         if sc.noise.enabled:
             measured = inject_noise(plant_state, sc.noise.variance, rng,
                                     sc.noise.mask)
-        if sc.mode == "nmpc":
-            res = controller.solve(measured.as_array()[:3])
-        else:
-            res = controller.solve(map_x_array_to_z(measured.as_array()))
+        res = controller.solve(measure(measured))
         if res.status == "infeasible":
             if k == 0:
                 raise InfeasibleError("optimization infeasible at k=0")
             aborted = True
             break
 
-        v1, v2 = float(res.v_sequence[0, 0]), float(res.v_sequence[0, 1])
-        if sc.mode == "nmpc":
-            u1, u2 = v1, v2
-            wheels = unicycle_to_wheel(UnicycleInput(u1, u2), sc.robot)
-            zeta_log = u1
-            v_log = (0.0, 0.0)
-            for _ in range(sc.substeps):
-                x = rk4_step(unicycle_rhs, x, (u1, u2), h)
-        else:
-            u1, u2 = dfl_control(plant_state, (v1, v2), sc.guard)
-            wheels = unicycle_to_wheel(UnicycleInput(plant_state.zeta, u2),
-                                       sc.robot)
-            zeta_log = plant_state.zeta
-            v_log = (v1, v2)
-            rhs = lambda state, v: closed_loop_rhs(state, v, sc.guard)
-            for _ in range(sc.substeps):
-                x = rk4_step(rhs, x, (v1, v2), h)
+        v = (float(res.v_sequence[0, 0]), float(res.v_sequence[0, 1]))
+        (u1, u2), speed, v_log = actuate(plant_state, v)
+        wheels = unicycle_to_wheel(UnicycleInput(speed, u2), sc.robot)
+        for _ in range(sc.substeps):
+            x = rk4_step(rhs, x, v, h)
 
         records.append(StepRecord(
             t=k * ts,
             x1=plant_state.x1, x2=plant_state.x2, x3=plant_state.x3,
-            zeta=zeta_log,
+            zeta=speed,
             u1=u1, u2=u2,
             omega_r=wheels.omega_r, omega_l=wheels.omega_l,
             v1=v_log[0], v2=v_log[1],

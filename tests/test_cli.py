@@ -94,14 +94,28 @@ def test_bad_config_value_exits_three(cli_config_file, tmp_path, capsys):
     assert code == 3
     assert "gamma" in capsys.readouterr().err
     # Values of the wrong type exit 3 through the CLI as well, naming the key.
+    # Booleans take only JSON true/false (bool("false") is True), integers
+    # only integral numbers (int(2.5) truncates).
     for key, value in (("mpc.gamma", "fast"), ("mpc.horizon", "eight"),
                        ("scenario.start", 5), ("seed", "abc"),
                        ("scenario.noise.variance", "big"),
-                       ("scenario.noise", 5)):
+                       ("scenario.noise", 5),
+                       ("scenario.noise.enabled", "false"),
+                       ("scenario.noise.enabled", 0),
+                       ("scenario.noise.mask", ["no", "no", "no"]),
+                       ("scenario.noise.mask", [1, 1, 0]),
+                       ("scenario.substeps", 2.5), ("scenario.substeps", True),
+                       ("mpc.horizon", 8.7), ("mpc.constraint_horizon", 1.5),
+                       ("seed", 1.9), ("seed", "12"), ("sweep.horizon", [8.5]),
+                       ("timing.horizons", [8, True])):
         cfg = cli_config_file({key: value})
         assert main(["simulate", "--config", cfg,
                      "--out", str(tmp_path / "x")]) == 3
         assert key in capsys.readouterr().err
+    cfg = load_config(cli_config_file({"scenario.substeps": 2.0, "seed": 7.0,
+                                       "mpc.horizon": 6.0}))
+    assert (cfg["substeps"], cfg["seed"], cfg["mpc"].horizon) == (2, 7, 6)
+    assert isinstance(cfg["substeps"], int) and isinstance(cfg["seed"], int)
 
 
 def test_unknown_key_exits_three(cli_config_file, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from conftest import (comparison_scenario, nominal_scenario,
 from scmpc import (ConfigError, ExtendedState, InfeasibleError, MpcConfig,
                    Obstacle, Scenario, cost_sequence, first_deviation_step,
                    run_closed_loop)
-from scmpc.sim import inject_noise
+from scmpc.sim import StepRecord, inject_noise
 
 
 def test_scenario_validation():
@@ -20,6 +21,13 @@ def test_scenario_validation():
         Scenario(start=ExtendedState(0, 0, 0, 0.5), mode="wrong")
     with pytest.raises(ConfigError):
         Scenario(start=ExtendedState(0, 0, 0, -0.1))
+    for substeps in (2.5, 0, "2"):
+        with pytest.raises(ConfigError, match="substeps"):
+            Scenario(start=ExtendedState(0, 0, 0, 0.5), substeps=substeps)
+    # An integral float is stored as an int and runs.
+    sc = nominal_scenario(substeps=2.0, duration=0.2)
+    assert sc.substeps == 2 and isinstance(sc.substeps, int)
+    assert len(run_closed_loop(sc).records) == 4
 
 
 def test_regulation_run_converges():
@@ -92,15 +100,16 @@ def test_inject_noise_respects_mask_and_speed():
     assert out.zeta == s.zeta
 
 
-def test_noise_stream_determinism():
-    a = run_closed_loop(nominal_scenario(noise_seed=5, duration=5.0))
-    b = run_closed_loop(nominal_scenario(noise_seed=5, duration=5.0))
-    assert len(a.records) == len(b.records)
+@pytest.mark.parametrize("mode", ["cbf", "nmpc"])
+def test_noise_stream_determinism(mode):
+    a = run_closed_loop(nominal_scenario(mode=mode, noise_seed=5, duration=5.0))
+    b = run_closed_loop(nominal_scenario(mode=mode, noise_seed=5, duration=5.0))
+    assert len(a.records) == len(b.records) > 1
+    names = [f.name for f in fields(StepRecord) if f.name != "solve_time"]
     for ra, rb in zip(a.records, b.records):
-        for field in ("t", "x1", "x2", "x3", "zeta", "u1", "u2", "omega_r",
-                      "omega_l", "v1", "v2", "barriers", "distances", "cost",
-                      "sqp_iterations"):
-            assert getattr(ra, field) == getattr(rb, field)
+        for name in names:
+            assert getattr(ra, name) == getattr(rb, name)
+    assert np.array_equal(a.final_state, b.final_state)
 
 
 def test_cost_sequence_descends_without_constraints():

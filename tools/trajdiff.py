@@ -3,9 +3,11 @@
 A dump records, for every run, each control step's StepRecord fields
 except solve_time, plus the solver status and the SQP and QP iteration
 counts of every controller call, whether the run aborted and its final
-state. The run set is nominal cbf and euclid (50 s), the six gamma points
-of configs/nominal.json (10 s each), the obstacle course at N = 14 under
-noise seeds 0-3 (30 s) and the nmpc baseline (8 s).
+state. The run set is nominal cbf and euclid (50 s), nominal cbf with 4
+plant substeps (10 s), the six gamma points of configs/nominal.json (10 s
+each), the obstacle course at N = 14 under noise seeds 0-3 (30 s), the
+nmpc baseline (8 s) and the nmpc baseline under noise seed 0 with 2 plant
+substeps (8 s). A run that aborts mid-way keeps its partial log.
 
 Compare two checkouts from the root of either:
 
@@ -57,6 +59,7 @@ def run_set(config_path):
         "nominal-cbf-50s": replace(base, duration=50.0),
         "nominal-euclid-50s": replace(
             _build_scenario(cfg, None, None, "euclid", seed), duration=50.0),
+        "nominal-cbf-substeps4-10s": replace(base, substeps=4, duration=10.0),
     }
     for gamma in cfg["sweep"]["gamma"]:
         runs[f"sweep-gamma{gamma:g}-10s"] = replace(
@@ -69,6 +72,9 @@ def run_set(config_path):
             course, noise=NoiseConfig(enabled=True, variance=0.05,
                                       seed=noise_seed))
     runs["nmpc-8s"] = replace(base, mode="nmpc", duration=8.0)
+    runs["nmpc-seed0-substeps2-8s"] = replace(
+        runs["nmpc-8s"], substeps=2,
+        noise=NoiseConfig(enabled=True, variance=0.05, seed=0))
     return runs
 
 
