@@ -18,10 +18,12 @@ trajectory cross-checks.
 Both problems state the safety constraint through one function,
 _barrier_rows: the discrete-time barrier condition
 h(p_{k+1}) >= (1 - gamma) h(p_k) per obstacle and step (Agrawal and
-Sreenath, RSS 2017), on the condensed predictions or on the rollout. Both
-controllers solve through one helper that, after an infeasible solve,
-solves once more at doubled gamma and reports the iterations of both
-solves.
+Sreenath, RSS 2017), on the condensed predictions or on the rollout. At
+gamma = 1 they are the Euclidean rows h(p_{k+1}) >= 0, so the euclid mode
+is mapped to that gamma once, in LinearMpc, and no other code knows the
+mode. Both controllers solve through one helper that, after an infeasible
+solve, solves once more at doubled gamma and reports the iterations of
+both solves.
 
 Before any QCQP is built, the linear scheme certifies the cost's free
 (unconstrained) minimizer from maps precomputed per configuration: if it
@@ -159,12 +161,11 @@ class QuadraticRow:
     The rows are _barrier_rows on the predicted positions
     p_k(V) = offsets_k + maps_k @ V, k = 0, ..., N: maps (N+1, 2, nv) with
     maps_0 = 0, since p_0 is the measured position, and offsets (N+1, 2).
-    gram (N+1, nv, nv) holds maps_k' maps_k. The cbf rows use
-    decay = 1 - gamma; the euclid rows use decay = 0, which bounds each
-    h_o(p_{k+1}) >= 0 on its own. radius_sq is each obstacle's squared
-    radius plus 2 * FEAS_TOL: solve_sqp accepts row violations up to
-    FEAS_TOL, and the back-off keeps such a plan's positions outside the
-    true disk.
+    gram (N+1, nv, nv) holds maps_k' maps_k. decay is 1 - gamma; at
+    gamma = 1 (euclid) each row bounds h_o(p_{k+1}) >= 0 on its own.
+    radius_sq is each obstacle's squared radius plus 2 * FEAS_TOL:
+    solve_sqp accepts row violations up to FEAS_TOL, and the back-off
+    keeps such a plan's positions outside the true disk.
     """
 
     maps: np.ndarray
@@ -426,27 +427,20 @@ class _CondensedWorkspace:
         )
 
 
-def _decay(cfg: MpcConfig, mode: str) -> float:
-    """The barrier rows' decay: 1 - gamma for cbf, 0 for euclid."""
-    return 1.0 - cfg.gamma if mode == "cbf" else 0.0
-
-
 def build_qcqp(z0, cfg: MpcConfig, model: LtiModel, terminal: TerminalData,
-               obstacles, mode: str = "cbf", workspace=None) -> QcqpProblem:
+               obstacles, workspace=None) -> QcqpProblem:
     """Assemble the condensed problem for the measured linear state z0.
 
     z0 and the obstacles are expected in goal-centered coordinates (the
     regulation target at the origin). A z0 outside the position box (or
     with a NaN position) flags the problem infeasible immediately.
     """
-    if mode not in ("cbf", "euclid"):
-        raise ConfigError(f"unsupported problem mode '{mode}'")
     z0 = np.asarray(z0, dtype=float).ravel()
     if workspace is None:
         workspace = _CondensedWorkspace(cfg, model, terminal, obstacles)
     ws = workspace
     quad_rows = QuadraticRow(ws.pos_maps, ws.pos_f @ z0, ws.center,
-                             ws.radius_sq, _decay(cfg, mode), ws.pos_gram)
+                             ws.radius_sq, 1.0 - cfg.gamma, ws.pos_gram)
     return QcqpProblem(
         hessian=ws.hessian,
         gradient=ws.grad_map @ z0,
@@ -587,23 +581,21 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
     )
 
 
-def _solve_relaxing_gamma(solve, cfg: MpcConfig,
-                          relax: bool = True) -> SolveResult:
+def _solve_relaxing_gamma(solve, cfg: MpcConfig) -> SolveResult:
     """solve(cfg), relaxing the barrier decay once.
 
     solve(cfg) is one solve of the controller's problem at cfg's gamma.
-    After an infeasible result with gamma < 1 (and relax set), it is called
-    once more with gamma doubled, capped at 1. The retry's status, plan and
-    cost are returned, with the SQP iterations, QP KKT solves and solve
-    time of both solves.
+    After an infeasible result with gamma < 1, it is called once more with
+    gamma doubled, capped at 1. The retry's status, plan and cost are
+    returned, with the SQP iterations and QP KKT solves of both solves;
+    the caller times the whole.
     """
     res = solve(cfg)
-    if res.status != "infeasible" or not relax or cfg.gamma >= 1.0:
+    if res.status != "infeasible" or cfg.gamma >= 1.0:
         return res
     retry = solve(replace(cfg, gamma=min(2.0 * cfg.gamma, 1.0)))
     retry.sqp_iterations += res.sqp_iterations
     retry.qp_iterations_total += res.qp_iterations_total
-    retry.solve_time += res.solve_time
     return retry
 
 
@@ -613,9 +605,11 @@ class LinearMpc:
     Owns the discrete model, terminal data, the condensed workspace, and
     the shifted warm start. Each solve at one gamma first certifies the
     cost's free minimizer from the workspace and builds the QCQP only when
-    that fails. On an infeasible cbf step the barrier decay is
-    relaxed once (gamma doubled, capped at 1); a second failure is
-    reported as infeasible. The euclid rows do not depend on gamma.
+    that fails. On an infeasible step the barrier decay is relaxed once
+    (gamma doubled, capped at 1); a second failure is reported as
+    infeasible. The mode is read here only: euclid solves the barrier rows
+    of a copy of cfg at gamma = 1, h(p_{k+1}) >= 0, which no relaxation
+    changes; cbf solves them at cfg itself.
     """
 
     def __init__(self, cfg: MpcConfig, obstacles=(), goal=(0.0, 0.0),
@@ -623,7 +617,7 @@ class LinearMpc:
         if mode not in ("cbf", "euclid"):
             raise ConfigError(f"unsupported mode '{mode}' for LinearMpc")
         self.cfg = cfg
-        self.mode = mode
+        self.solve_cfg = cfg if mode == "cbf" else replace(cfg, gamma=1.0)
         self.model = discretize_double_integrator(cfg.ts)
         self.terminal = terminal_data(self.model, cfg.Q, cfg.R)
         self.goal_z = np.array([goal[0], 0.0, goal[1], 0.0])
@@ -637,7 +631,7 @@ class LinearMpc:
         t0 = time.perf_counter()
         z0s = np.asarray(z0, dtype=float).ravel() - self.goal_z
         res = _solve_relaxing_gamma(lambda cfg: self._solve_once(z0s, cfg),
-                                    self.cfg, relax=self.mode == "cbf")
+                                    self.solve_cfg)
         if res.status != "infeasible":
             flat = res.v_sequence.ravel()
             tail = self.terminal.K @ res.z_prediction[-1]
@@ -653,10 +647,10 @@ class LinearMpc:
         the certificate fails is the QCQP built and solved by SQP from the
         warm start.
         """
-        res = self.workspace.certify(z0, _decay(cfg, self.mode))
+        res = self.workspace.certify(z0, 1.0 - cfg.gamma)
         if res is None:
             res = solve_sqp(build_qcqp(z0, cfg, self.model, self.terminal,
-                                       self.obstacles, mode=self.mode,
+                                       self.obstacles,
                                        workspace=self.workspace),
                             warm_start=self._warm)
         return res

@@ -1,4 +1,5 @@
-"""The package attributes that perfbench's tracer replaces must exist.
+"""The package attributes that perfbench's tracer replaces must exist,
+and the controller API that perfbench's constructors rely on.
 
 perfbench/tracing.py patches each target by reading it from its owner's
 own __dict__, so a method inherited from a base class or a renamed
@@ -32,3 +33,11 @@ def test_traced_attributes_live_in_their_owners():
         owner = tracing.resolve(scmpc, path)
         assert attr in vars(owner), f"{path}.{attr} is not in its own __dict__"
         assert callable(vars(owner)[attr])
+
+
+def test_linear_mpc_takes_the_mode_fourth_and_keeps_its_config():
+    # perfbench passes the mode by position and keys the sweep's calls by
+    # controller.cfg.gamma, so euclid's gamma = 1 copy must stay internal.
+    cfg = scmpc.MpcConfig(gamma=0.3)
+    for mode in ("cbf", "euclid"):
+        assert scmpc.LinearMpc(cfg, (), (0.0, 0.0), mode).cfg is cfg

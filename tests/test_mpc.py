@@ -131,8 +131,9 @@ def test_stacked_barrier_rows_match_per_row_formulas():
                             gamma=float(rng.uniform(0.05, 1.0)), **LOOSE)
             model, td = _setup(cfg)
             z0 = rng.uniform(-4.0, 4.0, size=4)
-            block = build_qcqp(z0, cfg, model, td, obstacles,
-                               mode=mode).quad_rows
+            # The euclid rows are the barrier rows at gamma = 1.
+            rows_cfg = cfg if mode == "cbf" else replace(cfg, gamma=1.0)
+            block = build_qcqp(z0, rows_cfg, model, td, obstacles).quad_rows
             ref = _reference_rows(cfg, model, z0, obstacles, mode)
             assert len(block) == len(ref) == 2 * cfg.horizon
             # p_0 is the measured position; only the cbf rows read it.
@@ -207,8 +208,9 @@ def test_row_curvature_matches_finite_differences_of_gradient():
     for mode in ("cbf", "euclid"):
         cfg = MpcConfig(horizon=5, gamma=0.3, **LOOSE)
         model, td = _setup(cfg)
-        rows = build_qcqp(rng.uniform(-4.0, 4.0, size=4), cfg, model, td,
-                          obstacles, mode=mode).quad_rows
+        rows_cfg = cfg if mode == "cbf" else replace(cfg, gamma=1.0)
+        rows = build_qcqp(rng.uniform(-4.0, 4.0, size=4), rows_cfg, model, td,
+                          obstacles).quad_rows
         nv = 2 * cfg.horizon
         v = rng.uniform(-3.0, 3.0, size=nv)
         fd = np.empty((len(rows), nv, nv))
@@ -320,8 +322,7 @@ def _recorded_attempts(monkeypatch, scenario):
 def _attempt_problem(controller, z0, cfg):
     """The QCQP that a recorded attempt builds when it is not certified."""
     return build_qcqp(z0, cfg, controller.model, controller.terminal,
-                      controller.obstacles, mode=controller.mode,
-                      workspace=controller.workspace)
+                      controller.obstacles, workspace=controller.workspace)
 
 
 def test_sqp_exit_stops_only_where_a_resolve_confirms(monkeypatch):
@@ -816,12 +817,13 @@ def test_workspace_certificate_matches_the_qcqp_rows(horizon, gamma, mode, z0,
     controller = LinearMpc(cfg, [Obstacle(*o) for o in obstacles], mode=mode)
     ws = controller.workspace
     z0 = np.array(z0)
-    problem = _attempt_problem(controller, z0, cfg)
+    problem = _attempt_problem(controller, z0, controller.solve_cfg)
     res = ws.certify(z0, 1.0 - gamma if mode == "cbf" else 0.0)
     if problem.infeasible:
         event("outside the position box")
         assert res is None
-        assert controller._solve_once(z0, cfg).status == "infeasible"
+        assert controller._solve_once(
+            z0, controller.solve_cfg).status == "infeasible"
         return
     v = ws.free_map @ z0
     worst = max(np.max(problem.lin_rows @ v - problem.lin_rhs),
@@ -857,7 +859,8 @@ def test_certificate_takes_barrier_violations_up_to_feas_tol():
             obstacle = Obstacle(center[0], center[1],
                                 math.sqrt(r_sq - 2.0 * FEAS_TOL))
             controller = LinearMpc(cfg, [obstacle], mode=mode)
-            rows = _attempt_problem(controller, z0, cfg).quad_rows
+            rows = _attempt_problem(controller, z0,
+                                    controller.solve_cfg).quad_rows
             worst = -np.min(rows.value(ws.free_map @ z0))
             assert abs(worst - violation) < 1e-3 * FEAS_TOL
             res = controller.workspace.certify(z0, decay)
