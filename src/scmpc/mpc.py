@@ -431,9 +431,10 @@ def build_qcqp(z0, cfg: MpcConfig, model: LtiModel, terminal: TerminalData,
                obstacles, workspace=None) -> QcqpProblem:
     """Assemble the condensed problem for the measured linear state z0.
 
-    z0 and the obstacles are expected in goal-centered coordinates (the
-    regulation target at the origin). A z0 outside the position box (or
-    with a NaN position) flags the problem infeasible immediately.
+    z0, the obstacles and cfg's position box are expected in goal-centered
+    coordinates (the regulation target at the origin); LinearMpc shifts
+    all three. A z0 outside the position box (or with a NaN position)
+    flags the problem infeasible immediately.
     """
     z0 = np.asarray(z0, dtype=float).ravel()
     if workspace is None:
@@ -621,10 +622,14 @@ class LinearMpc:
         self.model = discretize_double_integrator(cfg.ts)
         self.terminal = terminal_data(self.model, cfg.Q, cfg.R)
         self.goal_z = np.array([goal[0], 0.0, goal[1], 0.0])
+        # The problem is goal-centered: the obstacles and the world-frame
+        # position box move with the state.
         self.obstacles = [Obstacle(o.x - goal[0], o.y - goal[1], o.radius)
                           for o in obstacles]
-        self.workspace = _CondensedWorkspace(cfg, self.model, self.terminal,
-                                             self.obstacles)
+        g = self.goal_z[::2]
+        self.workspace = _CondensedWorkspace(
+            replace(cfg, pos_min=cfg.pos_min - g, pos_max=cfg.pos_max - g),
+            self.model, self.terminal, self.obstacles)
         self._warm = None
 
     def solve(self, z0) -> SolveResult:

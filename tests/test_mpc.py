@@ -593,6 +593,18 @@ def test_out_of_box_state_flags_infeasible():
         assert res.status == "infeasible"
 
 
+def test_position_box_is_in_world_coordinates_for_both_controllers():
+    # With the goal at (5, 5), (-6, 5) lies inside the box [-10, 10]^2 and
+    # (12, 5) outside it, for the linear scheme as for the baseline.
+    cfg = MpcConfig(v_min=[-50, -50], v_max=[50, 50])
+    goal = (5.0, 5.0)
+    for x, status in ((-6.0, "optimal"), (12.0, "infeasible")):
+        assert LinearMpc(cfg, goal=goal).solve(
+            [x, 0.5, 5.0, 0.0]).status == status
+        assert NonlinearMpc(cfg, goal=goal).solve(
+            [x, 5.0, 0.0]).status == status
+
+
 def _stacked_kkt_oracle(cfg, model, td, z0):
     """Solve the same horizon problem in the sparse stacked form
     (states and inputs as variables, dynamics as equality rows)."""
