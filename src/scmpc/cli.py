@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .dfl import DflGuard, decoupling_matrix, map_x_array_to_z, map_z_to_x
-from .errors import ConfigError, InfeasibleError
+from .errors import ConfigError, InfeasibleError, integer
 from .lti import discretize_double_integrator, terminal_data
 from .model import ExtendedState, RobotParams
 from .mpc import FEAS_TOL, MpcConfig, estimate_flops_ip, estimate_flops_sqp
@@ -73,15 +73,6 @@ def _value(section: dict, key: str, default, where: str, kind=float):
                           f"({exc})") from None
 
 
-def _integer(value):
-    """An integral JSON number as an int; booleans and fractions fail."""
-    integral = isinstance(value, int) or (isinstance(value, float)
-                                          and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ValueError("expected an integer")
-    return int(value)
-
-
 def _boolean(value):
     """A JSON true or false; strings and numbers fail."""
     if not isinstance(value, bool):
@@ -109,7 +100,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}")
     _require_keys(raw, {"seed", "robot", "scenario", "mpc", "dfl", "sweep",
                         "timing"}, "config")
-    out = {"seed": _value(raw, "seed", 0, "config", _integer)}
+    out = {"seed": _value(raw, "seed", 0, "config", integer)}
 
     robot = raw.get("robot", {})
     _require_keys(robot, {"wheel_radius", "axle_length"}, "robot")
@@ -127,7 +118,7 @@ def load_config(path) -> dict:
                                _list(float, 2)))
     out["duration"] = _value(sc, "duration", 30.0, "scenario")
     out["mode"] = _value(sc, "mode", "cbf", "scenario", str)
-    out["substeps"] = _value(sc, "substeps", 1, "scenario", _integer)
+    out["substeps"] = _value(sc, "substeps", 1, "scenario", integer)
     obstacles = []
     for i, entry in enumerate(_value(sc, "obstacles", [], "scenario", list)):
         where = f"scenario.obstacles[{i}]"
@@ -150,7 +141,7 @@ def load_config(path) -> dict:
                        "r", "v_min", "v_max", "pos_min", "pos_max", "u_min",
                        "u_max", "nmpc_q", "nmpc_r", "nmpc_p"}, "mpc")
     kwargs = {}
-    for key, kind in (("horizon", _integer), ("constraint_horizon", _integer),
+    for key, kind in (("horizon", integer), ("constraint_horizon", integer),
                       ("gamma", float), ("ts", float)):
         if key in mp:
             kwargs[key] = _value(mp, key, None, "mpc", kind)
@@ -175,14 +166,14 @@ def load_config(path) -> dict:
     sweep = raw.get("sweep", {})
     _require_keys(sweep, {"gamma", "horizon", "mode"}, "sweep")
     out["sweep"] = {key: _value(sweep, key, [], "sweep", _list(kind))
-                    for key, kind in (("gamma", float), ("horizon", _integer),
+                    for key, kind in (("gamma", float), ("horizon", integer),
                                       ("mode", str))}
 
     timing = raw.get("timing", {})
     _require_keys(timing, {"horizons", "duration"}, "timing")
     out["timing"] = {
         "horizons": _value(timing, "horizons", [8, 10, 12, 14], "timing",
-                           _list(_integer)),
+                           _list(integer)),
         "duration": _value(timing, "duration", 8.0, "timing"),
     }
     return out
@@ -346,7 +337,8 @@ def run(manifest: RunManifest) -> int:
     """
     try:
         cfg = load_config(manifest.config_path)
-        seed = cfg["seed"] if manifest.seed is None else int(manifest.seed)
+        seed = (cfg["seed"] if manifest.seed is None
+                else integer(manifest.seed, "--seed"))
         points = [(manifest.gamma, manifest.horizon, manifest.mode)]
         if manifest.sweep:
             sweep = cfg["sweep"]
@@ -402,7 +394,8 @@ def compare_timing(manifest: RunManifest, horizons=None) -> dict:
     mode, and the flop-model columns.
     """
     cfg = load_config(manifest.config_path)
-    seed = cfg["seed"] if manifest.seed is None else int(manifest.seed)
+    seed = (cfg["seed"] if manifest.seed is None
+            else integer(manifest.seed, "--seed"))
     horizons = horizons or cfg["timing"]["horizons"]
     duration = cfg["timing"]["duration"]
     out_dir = Path(manifest.out_dir)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check."""
+
+import numbers
 
 
 class ConfigError(ValueError):
@@ -11,3 +13,15 @@ class InfeasibleError(RuntimeError):
 
 class NumericalError(RuntimeError):
     """An iterative numerical procedure failed to converge."""
+
+
+def integer(value, name="value", minimum=0) -> int:
+    """value as an int if it is an integral number (not a bool) of at least
+    minimum; else ConfigError naming name."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
+            or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, not {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}")
+    return int(value)

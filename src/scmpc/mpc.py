@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, integer
 from .lti import LtiModel, TerminalData, discretize_double_integrator, terminal_data
 from .model import unicycle_rhs
 from .qp import solve_qp
@@ -107,16 +107,13 @@ class MpcConfig:
     nmpc_P: np.ndarray = field(default_factory=lambda: np.diag([20.0, 20.0, 0.0]))
 
     def __post_init__(self):
-        if int(self.horizon) < 1:
-            raise ConfigError("horizon must be at least 1")
-        if int(self.constraint_horizon) < 0:
-            raise ConfigError("constraint_horizon must be nonnegative")
+        object.__setattr__(self, "horizon", integer(self.horizon, "horizon", 1))
+        object.__setattr__(self, "constraint_horizon", integer(
+            self.constraint_horizon, "constraint_horizon"))
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError("gamma must lie in (0, 1]")
         if not self.ts > 0.0:
             raise ConfigError("ts must be positive")
-        object.__setattr__(self, "horizon", int(self.horizon))
-        object.__setattr__(self, "constraint_horizon", int(self.constraint_horizon))
         object.__setattr__(self, "Q", _as_matrix(self.Q, (4, 4), "Q"))
         object.__setattr__(self, "R", _as_matrix(self.R, (2, 2), "R"))
         object.__setattr__(self, "nmpc_Q", _as_matrix(self.nmpc_Q, (3, 3), "nmpc_Q"))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dfl import DflGuard, closed_loop_rhs, dfl_control, map_x_array_to_z
-from .errors import ConfigError, InfeasibleError
+from .errors import ConfigError, InfeasibleError, integer
 from .mpc import LinearMpc, MpcConfig, NonlinearMpc
 from .model import (ExtendedState, RobotParams, UnicycleInput, rk4_step,
                     unicycle_rhs, unicycle_to_wheel)
@@ -40,8 +40,8 @@ class NoiseConfig:
     """Additive Gaussian measurement noise on the pose states.
 
     The mask selects which of (x1, x2, x3) are corrupted; the speed state
-    is controller-internal and is never corrupted. The seed fixes the full
-    noise stream, making runs reproducible.
+    is controller-internal and is never corrupted. The seed, a nonnegative
+    integer, fixes the full noise stream, making runs reproducible.
     """
 
     enabled: bool = False
@@ -52,8 +52,12 @@ class NoiseConfig:
     def __post_init__(self):
         if self.variance < 0.0:
             raise ConfigError("noise variance must be nonnegative")
-        if len(self.mask) != 3:
-            raise ConfigError("noise mask must have 3 entries")
+        flags = (self.enabled, *self.mask)
+        if len(self.mask) != 3 or not all(isinstance(f, (bool, np.bool_))
+                                          for f in flags):
+            raise ConfigError("noise enabled and its 3 mask entries must be "
+                              "booleans")
+        object.__setattr__(self, "seed", integer(self.seed, "noise seed"))
 
 
 @dataclass(frozen=True)
@@ -76,9 +80,8 @@ class Scenario:
             raise ConfigError("duration must be positive")
         if self.mode not in ("cbf", "euclid", "nmpc"):
             raise ConfigError(f"unknown mode '{self.mode}'")
-        if int(self.substeps) != self.substeps or self.substeps < 1:
-            raise ConfigError("substeps must be an integer of at least 1")
-        object.__setattr__(self, "substeps", int(self.substeps))
+        object.__setattr__(self, "substeps",
+                           integer(self.substeps, "substeps", 1))
         if self.start.zeta < 0.0:
             raise ConfigError("initial zeta must be nonnegative")
 

@@ -106,12 +106,18 @@ def test_bad_config_value_exits_three(cli_config_file, tmp_path, capsys):
                        ("scenario.noise.mask", [1, 1, 0]),
                        ("scenario.substeps", 2.5), ("scenario.substeps", True),
                        ("mpc.horizon", 8.7), ("mpc.constraint_horizon", 1.5),
-                       ("seed", 1.9), ("seed", "12"), ("sweep.horizon", [8.5]),
+                       ("seed", 1.9), ("seed", "12"), ("seed", -1),
+                       ("sweep.horizon", [8.5]),
                        ("timing.horizons", [8, True])):
         cfg = cli_config_file({key: value})
         assert main(["simulate", "--config", cfg,
                      "--out", str(tmp_path / "x")]) == 3
         assert key in capsys.readouterr().err
+    # A negative seed on the command line as well, before any run.
+    for command in ("simulate", "compare-timing"):
+        assert main([command, "--config", cli_config_file(), "--seed", "-1",
+                     "--out", str(tmp_path / "x")]) == 3
+        assert "--seed" in capsys.readouterr().err
     cfg = load_config(cli_config_file({"scenario.substeps": 2.0, "seed": 7.0,
                                        "mpc.horizon": 6.0}))
     assert (cfg["substeps"], cfg["seed"], cfg["mpc"].horizon) == (2, 7, 6)

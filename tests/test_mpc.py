@@ -31,20 +31,19 @@ def _setup(cfg):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        MpcConfig(horizon=0)
-    with pytest.raises(ConfigError):
-        MpcConfig(gamma=0.0)
-    with pytest.raises(ConfigError):
-        MpcConfig(gamma=1.0001)
-    with pytest.raises(ConfigError):
-        MpcConfig(ts=-0.1)
-    with pytest.raises(ConfigError):
-        MpcConfig(v_min=[1.0, 1.0], v_max=[1.0, 1.0])
-    with pytest.raises(ConfigError):
-        MpcConfig(pos_min=[5.0, 0.0], pos_max=[1.0, 1.0])
-    with pytest.raises(ConfigError):
-        MpcConfig(R=np.zeros((2, 2)))
+    # Horizons take only integral numbers: int() would truncate 8.7 to 8
+    # and turn True into 1.
+    for kwargs in ({"horizon": 0}, {"gamma": 0.0}, {"gamma": 1.0001},
+                   {"ts": -0.1}, {"v_min": [1.0, 1.0], "v_max": [1.0, 1.0]},
+                   {"pos_min": [5.0, 0.0], "pos_max": [1.0, 1.0]},
+                   {"R": np.zeros((2, 2))}, {"horizon": 8.7},
+                   {"constraint_horizon": 2.9}, {"constraint_horizon": -1},
+                   {"horizon": True}, {"horizon": "8"}):
+        with pytest.raises(ConfigError):
+            MpcConfig(**kwargs)
+    cfg = MpcConfig(horizon=6.0, constraint_horizon=np.int64(3))
+    assert (cfg.horizon, cfg.constraint_horizon) == (6, 3)
+    assert type(cfg.horizon) is type(cfg.constraint_horizon) is int
 
 
 def test_constraint_row_counts():

@@ -9,8 +9,8 @@ import pytest
 from conftest import (comparison_scenario, nominal_scenario,
                       regulation_scenario, tuned_mpc_config)
 from scmpc import (ConfigError, ExtendedState, InfeasibleError, MpcConfig,
-                   Obstacle, Scenario, cost_sequence, first_deviation_step,
-                   run_closed_loop)
+                   NoiseConfig, Obstacle, Scenario, cost_sequence,
+                   first_deviation_step, run_closed_loop)
 from scmpc.sim import StepRecord, inject_noise
 
 
@@ -21,9 +21,18 @@ def test_scenario_validation():
         Scenario(start=ExtendedState(0, 0, 0, 0.5), mode="wrong")
     with pytest.raises(ConfigError):
         Scenario(start=ExtendedState(0, 0, 0, -0.1))
-    for substeps in (2.5, 0, "2"):
+    for substeps in (2.5, 0, "2", True):
         with pytest.raises(ConfigError, match="substeps"):
             Scenario(start=ExtendedState(0, 0, 0, 0.5), substeps=substeps)
+    # bool("false") is True; the seed must suit np.random.SeedSequence.
+    for kwargs in ({"enabled": "false"}, {"mask": ("no", "no", "no")},
+                   {"mask": (1, 1, 0)}, {"mask": (True, True)},
+                   {"seed": 1.5}, {"seed": -1}, {"seed": "3"}):
+        with pytest.raises(ConfigError, match="noise"):
+            NoiseConfig(**kwargs)
+    noise = NoiseConfig(enabled=np.bool_(True), seed=4.0,
+                        mask=(True, np.bool_(False), True))
+    assert noise.seed == 4 and isinstance(noise.seed, int)
     # An integral float is stored as an int and runs.
     sc = nominal_scenario(substeps=2.0, duration=0.2)
     assert sc.substeps == 2 and isinstance(sc.substeps, int)
