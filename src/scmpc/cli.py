@@ -24,9 +24,9 @@ import numpy as np
 
 from .dfl import DflGuard, decoupling_matrix, map_x_array_to_z, map_z_to_x
 from .errors import ConfigError, InfeasibleError, integer
-from .lti import discretize_double_integrator, terminal_data
 from .model import ExtendedState, RobotParams
-from .mpc import FEAS_TOL, MpcConfig, estimate_flops_ip, estimate_flops_sqp
+from .mpc import (FEAS_TOL, LinearMpc, MpcConfig, estimate_flops_ip,
+                  estimate_flops_sqp)
 from .safety import Obstacle, sample_terminal_box, terminal_safety_check
 from .sim import (NoiseConfig, Scenario, first_deviation_step, run_closed_loop)
 
@@ -459,18 +459,15 @@ def verify_report(config_path=None) -> bool:
     checks.append(("decoupling determinant equals speed <= 1e-14",
                    worst <= 1e-14, f"worst {worst:.2e}"))
 
+    # The terminal box is sampled around the origin: the controller's
+    # goal-centered obstacles, model and terminal data are checked.
     if config_path is not None:
-        # The terminal box is sampled around the origin, so the obstacles
-        # move to goal-centered coordinates as in LinearMpc.
         cfg = load_config(config_path)
-        gx, gy = cfg["goal"]
-        mpc_cfg = cfg["mpc"]
-        obstacles = tuple(Obstacle(o.x - gx, o.y - gy, o.radius)
-                          for o in cfg["obstacles"])
+        ctrl = LinearMpc(cfg["mpc"], cfg["obstacles"], cfg["goal"])
     else:
-        mpc_cfg, obstacles = MpcConfig(), (Obstacle(3.5, 3.5, 1.5),)
-    model = discretize_double_integrator(mpc_cfg.ts)
-    td = terminal_data(model, mpc_cfg.Q, mpc_cfg.R)
+        ctrl = LinearMpc(MpcConfig(), (Obstacle(3.5, 3.5, 1.5),))
+    mpc_cfg, model, td = ctrl.cfg, ctrl.model, ctrl.terminal
+    obstacles = ctrl.obstacles
     A_cl = model.A + model.B @ td.K
     resid = td.Qbar - A_cl.T @ td.Qbar @ A_cl - (mpc_cfg.Q + td.K.T @ mpc_cfg.R @ td.K)
     lyap = float(np.max(np.abs(resid)))
