@@ -1,7 +1,7 @@
 import importlib.util
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,7 @@ from scmpc.cli import _build_scenario, load_config
 from scmpc.mpc import (FEAS_TOL, OPT_TOL, LinearMpc, NonlinearMpc,
                        _floor_eigenvalues, _RolloutProblem, estimate_flops_ip,
                        estimate_flops_sqp, prediction_matrices)
+from scmpc.sim import StepRecord
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "nominal.json"
 
@@ -322,6 +323,37 @@ def _attempt_problem(controller, z0, cfg):
     """The QCQP that a recorded attempt builds when it is not certified."""
     return build_qcqp(z0, cfg, controller.model, controller.terminal,
                       controller.obstacles, workspace=controller.workspace)
+
+
+def test_euclid_mode_is_the_cbf_rows_at_gamma_one(monkeypatch):
+    # The Euclidean rows h(p_{k+1}) >= 0 are the barrier rows at gamma = 1,
+    # whatever gamma the euclid config carries: the two runs agree in every
+    # step field but the solve time, in the final state, and in each
+    # controller call's status and SQP and QP counts.
+    solve = LinearMpc.solve
+    runs = []
+    for gamma, mode in ((0.1, "euclid"), (1.0, "cbf")):
+        calls = []
+
+        def recording(controller, z0, _calls=calls):
+            res = solve(controller, z0)
+            _calls.append((res.status, res.sqp_iterations,
+                           res.qp_iterations_total))
+            return res
+
+        monkeypatch.setattr(LinearMpc, "solve", recording)
+        log = run_closed_loop(nominal_scenario(gamma=gamma, mode=mode,
+                                               duration=2.0))
+        runs.append((log, calls))
+    (a, calls_a), (b, calls_b) = runs
+    assert len(a.records) == len(b.records) == len(calls_a) == 40
+    assert calls_a == calls_b
+    assert any(c[2] > 0 for c in calls_a)  # some steps build and solve a QCQP
+    names = [f.name for f in fields(StepRecord) if f.name != "solve_time"]
+    for ra, rb in zip(a.records, b.records):
+        for name in names:
+            assert getattr(ra, name) == getattr(rb, name)
+    assert np.array_equal(a.final_state, b.final_state)
 
 
 def test_sqp_exit_stops_only_where_a_resolve_confirms(monkeypatch):
