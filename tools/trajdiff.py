@@ -4,7 +4,8 @@ A dump records, for every run, each control step's StepRecord fields
 except solve_time, plus the solver status and the SQP and QP iteration
 counts of every controller call, whether the run aborted and its final
 state. The run set is nominal cbf and euclid (50 s), nominal cbf with 4
-plant substeps (10 s), the six gamma points of configs/nominal.json (10 s
+plant substeps (10 s), nominal cbf with start, goal and obstacle moved by
+(-3, -3) (10 s), the six gamma points of configs/nominal.json (10 s
 each), the obstacle course at N = 14 under noise seeds 0-3 (30 s), the
 nmpc baseline (8 s) and the nmpc baseline under noise seed 0 with 2 plant
 substeps (8 s). A run that aborts mid-way keeps its partial log.
@@ -60,6 +61,15 @@ def run_set(config_path):
         "nominal-euclid-50s": replace(
             _build_scenario(cfg, None, None, "euclid", seed), duration=50.0),
         "nominal-cbf-substeps4-10s": replace(base, substeps=4, duration=10.0),
+        # A nonzero goal: LinearMpc shifts the state, the obstacles and the
+        # position box by it.
+        "nominal-cbf-goal-3-10s": replace(
+            base, start=replace(base.start, x1=base.start.x1 - 3.0,
+                                x2=base.start.x2 - 3.0),
+            goal=(base.goal[0] - 3.0, base.goal[1] - 3.0),
+            obstacles=tuple(Obstacle(o.x - 3.0, o.y - 3.0, o.radius)
+                            for o in base.obstacles),
+            duration=10.0),
     }
     for gamma in cfg["sweep"]["gamma"]:
         runs[f"sweep-gamma{gamma:g}-10s"] = replace(
