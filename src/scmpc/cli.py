@@ -459,8 +459,7 @@ def verify_report(config_path=None) -> bool:
     checks.append(("decoupling determinant equals speed <= 1e-14",
                    worst <= 1e-14, f"worst {worst:.2e}"))
 
-    # The terminal box is sampled around the origin: the controller's
-    # goal-centered obstacles, model and terminal data are checked.
+    # The terminal box is sampled around the origin, in LinearMpc's frame.
     if config_path is not None:
         cfg = load_config(config_path)
         ctrl = LinearMpc(cfg["mpc"], cfg["obstacles"], cfg["goal"])

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check."""
+"""Exception types and the integer check shared across the package."""
 
 import numbers
 
@@ -16,8 +16,8 @@ class NumericalError(RuntimeError):
 
 
 def integer(value, name="value", minimum=0) -> int:
-    """value as an int if it is an integral number (not a bool) of at least
-    minimum; else ConfigError naming name."""
+    """value as an int if integral (not a bool) and at least minimum, else
+    ConfigError naming name."""
     if isinstance(value, bool) or not (
             isinstance(value, numbers.Integral)
             or isinstance(value, float) and value.is_integer()):

@@ -18,12 +18,11 @@ trajectory cross-checks.
 Both problems state the safety constraint through one function,
 _barrier_rows: the discrete-time barrier condition
 h(p_{k+1}) >= (1 - gamma) h(p_k) per obstacle and step (Agrawal and
-Sreenath, RSS 2017), on the condensed predictions or on the rollout. At
-gamma = 1 they are the Euclidean rows h(p_{k+1}) >= 0, so the euclid mode
-is mapped to that gamma once, in LinearMpc, and no other code knows the
-mode. Both controllers solve through one helper that, after an infeasible
-solve, solves once more at doubled gamma and reports the iterations of
-both solves.
+Sreenath, RSS 2017), on the condensed predictions or on the rollout; at
+gamma = 1 they are the euclid mode's rows h(p_{k+1}) >= 0. Both
+controllers solve through one helper that, after an infeasible solve,
+solves once more at doubled gamma and reports the iterations of both
+solves.
 
 Before any QCQP is built, the linear scheme certifies the cost's free
 (unconstrained) minimizer from maps precomputed per configuration: if it
@@ -605,9 +604,8 @@ class LinearMpc:
     cost's free minimizer from the workspace and builds the QCQP only when
     that fails. On an infeasible step the barrier decay is relaxed once
     (gamma doubled, capped at 1); a second failure is reported as
-    infeasible. The mode is read here only: euclid solves the barrier rows
-    of a copy of cfg at gamma = 1, h(p_{k+1}) >= 0, which no relaxation
-    changes; cbf solves them at cfg itself.
+    infeasible. euclid mode solves at a gamma = 1 copy of cfg, which no
+    relaxation changes; no code below the constructor reads the mode.
     """
 
     def __init__(self, cfg: MpcConfig, obstacles=(), goal=(0.0, 0.0),
@@ -619,8 +617,7 @@ class LinearMpc:
         self.model = discretize_double_integrator(cfg.ts)
         self.terminal = terminal_data(self.model, cfg.Q, cfg.R)
         self.goal_z = np.array([goal[0], 0.0, goal[1], 0.0])
-        # The problem is goal-centered: the obstacles and the world-frame
-        # position box move with the state.
+        # Goal-centered: the obstacles and position box move with the state.
         self.obstacles = [Obstacle(o.x - goal[0], o.y - goal[1], o.radius)
                           for o in obstacles]
         g = self.goal_z[::2]

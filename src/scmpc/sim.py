@@ -53,10 +53,8 @@ class NoiseConfig:
         if self.variance < 0.0:
             raise ConfigError("noise variance must be nonnegative")
         flags = (self.enabled, *self.mask)
-        if len(self.mask) != 3 or not all(isinstance(f, (bool, np.bool_))
-                                          for f in flags):
-            raise ConfigError("noise enabled and its 3 mask entries must be "
-                              "booleans")
+        if len(self.mask) != 3 or not all(isinstance(f, bool) for f in flags):
+            raise ConfigError("noise enabled and 3 mask entries must be bools")
         object.__setattr__(self, "seed", integer(self.seed, "noise seed"))
 
 

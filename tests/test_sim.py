@@ -30,8 +30,7 @@ def test_scenario_validation():
                    {"seed": 1.5}, {"seed": -1}, {"seed": "3"}):
         with pytest.raises(ConfigError, match="noise"):
             NoiseConfig(**kwargs)
-    noise = NoiseConfig(enabled=np.bool_(True), seed=4.0,
-                        mask=(True, np.bool_(False), True))
+    noise = NoiseConfig(enabled=True, seed=4.0, mask=(True, False, True))
     assert noise.seed == 4 and isinstance(noise.seed, int)
     # An integral float is stored as an int and runs.
     sc = nominal_scenario(substeps=2.0, duration=0.2)
