@@ -193,7 +193,8 @@ class QuadraticRow:
         coeff = np.zeros(len(self.gram))
         coeff[1:] += per_step
         coeff[:-1] -= self.decay * per_step
-        return 2.0 * np.tensordot(coeff, self.gram, axes=1)
+        gram = self.gram.reshape(len(self.gram), -1)
+        return 2.0 * np.dot(coeff[None], gram).reshape(self.gram.shape[1:])
 
 
 def _floor_eigenvalues(w: np.ndarray) -> np.ndarray:
@@ -205,10 +206,13 @@ def _floor_eigenvalues(w: np.ndarray) -> np.ndarray:
     returned without an eigendecomposition. A w with a NaN or inf entry
     skips the test, since numpy's Cholesky passes NaN through silently.
     """
-    shift = 2e-3 * np.linalg.norm(w)
-    if np.isfinite(shift):
+    flat = w.ravel()
+    shift = 2e-3 * math.sqrt(flat @ flat)  # the Frobenius norm, as np.linalg.norm
+    if math.isfinite(shift):
+        shifted = w.copy()
+        shifted.flat[::len(w) + 1] -= shift
         try:
-            np.linalg.cholesky(w - shift * np.eye(len(w)))
+            np.linalg.cholesky(shifted)
             return w
         except np.linalg.LinAlgError:
             pass
@@ -260,8 +264,9 @@ class QcqpProblem:
         """
         rows = self.quad_rows
         grad = rows.gradient(v)
-        stuck = np.flatnonzero((c < 0.0)
-                               & (np.einsum("kn,kn->k", grad, grad) < 1e-18))
+        stuck = np.flatnonzero(c < 0.0)
+        if stuck.size:
+            stuck = stuck[np.einsum("kn,kn->k", grad[stuck], grad[stuck]) < 1e-18]
         if stuck.size:
             # Iterate sits at the obstacle center; push along the
             # direction from the center toward the initial state.
@@ -270,7 +275,7 @@ class QcqpProblem:
             d[np.einsum("ki,ki->k", d, d) < 1e-18] = (1.0, 0.0)
             grad[stuck] = 2.0 * np.einsum(
                 "kin,ki->kn", rows.maps[stuck % self.n_steps + 1], d)
-        if multipliers is None or not np.any(multipliers):
+        if multipliers is None or not multipliers.any():
             return self.hessian, self.gradient, -grad
         w = _floor_eigenvalues(self.hessian - rows.curvature(multipliers))
         return w, self.hessian @ v + self.gradient - w @ v, -grad
@@ -459,7 +464,7 @@ def _merit_penalty(violations: np.ndarray) -> float:
     # Violations within half the feasibility tolerance are treated as zero,
     # otherwise the penalty blocks full steps near the solution where the
     # relinearized rows move by second-order amounts (Maratos effect).
-    return float(np.sum(np.clip(violations - 0.5 * FEAS_TOL, 0.0, None)))
+    return float(np.maximum(violations - 0.5 * FEAS_TOL, 0.0).sum())
 
 
 def solve_sqp(problem, warm_start=None) -> SolveResult:
@@ -482,6 +487,9 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
     on, the QP starts from the previous QP's working set, since the row
     layout is the same in every iteration. A right start set costs one
     KKT solve; a wrong one only moves where the QP's dual loop starts.
+    Each iterate is evaluated once: its cost, rows, merit penalty and worst
+    violation come from the evaluation that produced it, and only the block
+    of J is rewritten in the QP's rows from one iteration to the next.
 
     Returns "optimal" once the worst violation is at most FEAS_TOL and
     either the QP step (or the step the line search took) is at most
@@ -503,11 +511,11 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
         v = np.clip(v, problem.v_lo, problem.v_hi)
 
     def evaluate(x):
-        """Cost, nonlinear rows, model data and row violations at x."""
+        """Cost, nonlinear rows, model data, merit penalty and worst row
+        violation at x."""
         f, g, aux = problem.evaluate(x)
-        lin = problem.lin_rows @ x - problem.lin_rhs
-        return f, g, aux, np.concatenate([np.clip(lin, 0.0, None),
-                                          np.clip(g, 0.0, None)])
+        viol = np.concatenate([problem.lin_rows @ x - problem.lin_rhs, g])
+        return f, g, aux, _merit_penalty(viol), float(viol.max(initial=0.0))
 
     qp_total = 0
     rho = 10.0
@@ -517,50 +525,53 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
     guess = None
     # The line search hands the values at the accepted point to the next
     # iteration, so each accepted point is evaluated once.
-    cost, g, aux, viol = evaluate(v)
+    cost, g, aux, pen, worst = evaluate(v)
+    # The QP rows [lin_rows; J] <= [lin_rhs; J v - g]: only the block of
+    # the nonlinear rows changes between iterations.
+    rows = np.empty((n_lin + len(g), len(v)))
+    rhs = np.empty(len(rows))
+    rows[:n_lin], rhs[:n_lin] = problem.lin_rows, problem.lin_rhs
     for it in range(1, max_iter + 1):
         hessian, gradient, jac = problem.linearize(v, aux, lam)
-        qp = solve_qp(hessian, gradient, np.vstack([problem.lin_rows, jac]),
-                      np.concatenate([problem.lin_rhs, jac @ v - g]), x0=v,
-                      tol=1e-8, working_set=guess)
+        rows[n_lin:] = jac
+        np.subtract(jac @ v, g, out=rhs[n_lin:])
+        qp = solve_qp(hessian, gradient, rows, rhs, x0=v, tol=1e-8,
+                      working_set=guess)
         qp_total += qp.iterations
         guess = qp.active_set
         if qp.status == "infeasible":
             status = "infeasible"
             break
         if qp.multipliers is not None and qp.multipliers.size:
-            rho = max(rho, 10.0 * (1.0 + float(np.max(qp.multipliers))))
+            rho = max(rho, 10.0 * (1.0 + float(qp.multipliers.max())))
             lam = qp.multipliers[n_lin:]
         d = qp.x - v
-        step = float(np.max(np.abs(d), initial=0.0))
-        worst = float(np.max(viol, initial=0.0))
+        step = float(np.abs(d).max(initial=0.0))
         if step <= OPT_TOL and worst <= FEAS_TOL:
             status = "optimal"
             break
-        pen0 = _merit_penalty(viol)
-        merit0 = cost + rho * pen0
-        ddir = float((hessian @ v + gradient) @ d) - rho * pen0
+        slope = float((hessian @ v + gradient) @ d)
+        merit0 = cost + rho * pen
+        ddir = slope - rho * pen
         bar = merit0 + 1e-12 * (1.0 + abs(merit0))
         alpha = 1.0
         while alpha >= 1e-6:
             trial = v + alpha * d
             point = evaluate(trial)
-            if (point[0] + rho * _merit_penalty(point[3])
-                    <= bar + 1e-4 * alpha * min(ddir, 0.0)):
+            if point[0] + rho * point[3] <= bar + 1e-4 * alpha * min(ddir, 0.0):
                 break
             alpha *= 0.5
         moved = alpha >= 1e-6
         taken = 0.0
         if moved:
-            taken = float(np.max(np.abs(trial - v), initial=0.0))
+            taken = float(np.abs(trial - v).max(initial=0.0))
             v = trial
-            cost, g, aux, viol = point
-        worst = float(np.max(viol, initial=0.0))
+            cost, g, aux, pen, worst = point
         # A full step to the exact cost's QP minimizer with no nonlinear row
         # active is already the solution if it meets the rows.
         solved = (alpha == 1.0 and qp.status == "optimal"
                   and hessian is problem.hessian
-                  and not np.any(qp.multipliers[n_lin:]))
+                  and not qp.multipliers[n_lin:].any())
         if worst <= FEAS_TOL and (taken <= OPT_TOL or solved):
             status = "optimal"
             break

@@ -37,8 +37,8 @@ class QpResult:
     max_violation: float = 0.0
 
 
-def _kkt_solve(H, A, top, bottom, residual=False):
-    """Solve [[H, A'], [A, 0]] [x; mu] = [top; bottom] for x and mu.
+def _kkt_solve(H, A, rhs, residual=False):
+    """Solve [[H, A'], [A, 0]] [x; mu] = rhs for x and mu.
 
     With residual, the third value is the largest residual relative to
     1 + max|rhs|, large for dependent rows A whose equations the right-hand
@@ -49,12 +49,11 @@ def _kkt_solve(H, A, top, bottom, residual=False):
     kkt[:n, :n] = H
     kkt[:n, n:] = A.T
     kkt[n:, :n] = A
-    rhs = np.concatenate([top, bottom])
     try:
         sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
         return None
-    resid = (np.max(np.abs(kkt @ sol - rhs)) / (1.0 + np.max(np.abs(rhs)))
+    resid = (np.abs(kkt @ sol - rhs).max() / (1.0 + np.abs(rhs).max())
              if residual else 0.0)
     return sol[:n], sol[n:], float(resid)
 
@@ -108,25 +107,31 @@ def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
     if max_iter is None:
         max_iter = max(200, 10 * (n + m))
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    neg_g = -g
     if working_set is not None:
         work = list(working_set)
     else:
         work = [] if x0 is None else np.flatnonzero(G @ x - h >= -tol).tolist()
     if len(work) > n or max_iter < 1:
         work = []  # with no KKT solve there are no working multipliers
-    status, it, lam = "max_iter", 0, np.zeros(0)
+    status, it, lam, max_violation = "max_iter", 0, np.zeros(0), None
     p, t = -1, 0.0  # the violated row being added and its multiplier
     for it in range(1, max_iter + 1):
         A = G[work]
+        # Two right-hand sides: the minimizer over the working rows, and
+        # the directions as row p's multiplier grows.
+        rhs_kkt = np.zeros((n + len(work), 2))
+        rhs_kkt[:n, 0] = neg_g
+        rhs_kkt[n:, 0] = h[work]
         if p >= 0:
-            n_p, probe = G[p], np.zeros(len(work))
+            n_p = G[p]
+            np.negative(n_p, out=rhs_kkt[:n, 1])
         else:
             # Until a row is added the second column probes the start set:
             # these distinct right-hand sides are consistent for
             # independent rows only, so dependent rows leave a residual.
-            n_p, probe = np.zeros(n), np.sqrt(np.arange(2.0, len(work) + 2.0))
-        sol = _kkt_solve(H, A, np.column_stack([-g, -n_p]),
-                         np.column_stack([h[work], probe]), residual=p < 0)
+            rhs_kkt[n:, 1] = np.sqrt(np.arange(2.0, len(work) + 2.0))
+        sol = _kkt_solve(H, A, rhs_kkt, residual=p < 0)
         if sol is None or (p < 0 and not sol[2] <= 1e-9):
             # A failed first solve rejects the start set; a later one can
             # only be a singular system, which ends the loop.
@@ -138,26 +143,26 @@ def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
         drop = -1  # position in work of the row to drop
         if p < 0:
             x, lam = x_w, mu_w
-            if lam.size and float(np.min(lam)) < -1e-10:
-                drop = int(np.argmin(lam))
+            if lam.size and lam.min() < -1e-10:
+                drop = int(lam.argmin())
         else:
             # Raising the multiplier of row p to s moves x and the working
             # multipliers to x_w + s dx and mu_w + s dmu.
             falling = np.flatnonzero(
-                dmu < -1e-12 * (1.0 + np.max(np.abs(dmu), initial=0.0)))
+                dmu < -1e-12 * (1.0 + np.abs(dmu).max(initial=0.0)))
             t_drop = np.inf
             if falling.size:
                 ratios = np.maximum(mu_w[falling], 0.0) / -dmu[falling]
-                drop = int(falling[np.argmin(ratios)])
-                t_drop = max(float(np.min(ratios)), t)
+                drop = int(falling[ratios.argmin()])
+                t_drop = max(float(ratios.min()), t)
             # No step can reduce the violation of row p when it lies in the
             # span of the working rows: always with n of them, and otherwise
             # when H dx = -(n_p + A' dmu) cancels to roundoff or the curvature
             # q = dx' H dx = -n_p' dx is not positive.
             q = -float(n_p @ dx)
-            cancel = np.max(np.abs(n_p)) + np.max(np.abs(A.T @ dmu), initial=0.0)
+            cancel = np.abs(n_p).max() + np.abs(A.T @ dmu).max(initial=0.0)
             if (len(work) == n or q <= 0.0
-                    or np.max(np.abs(H @ dx)) <= 1e-10 * cancel):
+                    or np.abs(H @ dx).max() <= 1e-10 * cancel):
                 if drop < 0:
                     x, work, lam = x_w + t * dx, [], np.zeros(0)
                     status = "infeasible"
@@ -177,16 +182,19 @@ def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
             lam = np.delete(lam, drop)
             continue
         viol = G @ x - h
-        worst = float(np.max(viol))
+        worst = float(viol.max())
         viol[work] = -np.inf
-        p, t = int(np.argmax(viol)), 0.0
+        p, t = int(viol.argmax()), 0.0
         if viol[p] <= tol:
             if worst <= tol:
                 status = "optimal"
+            max_violation = max(worst, 0.0)
             break
 
+    if max_violation is None:
+        max_violation = float(np.max(G @ x - h, initial=0.0))
     multipliers = np.zeros(m)
     multipliers[work] = np.maximum(lam, 0.0)
     return QpResult(x=x, status=status, iterations=it,
                     active_set=sorted(work), multipliers=multipliers,
-                    max_violation=float(np.max(G @ x - h, initial=0.0)))
+                    max_violation=max_violation)
