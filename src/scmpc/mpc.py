@@ -478,8 +478,8 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
     predict(v). The multipliers are those of the rows g in the previous QP
     (None on the first iteration), so H may be a Lagrangian Hessian. The
     problem's hessian attribute is its cost Hessian when the cost is
-    quadratic (None otherwise); a model whose H is that very object is the
-    exact cost. Each iteration solves the dense QP with the rows
+    convex quadratic (None otherwise); a model whose H is that very object
+    is the exact cost. Each iteration solves the dense QP with the rows
     [lin_rows; J] x <= [lin_rhs; J v - g] and backtracks from the full step
     on an l1 merit function evaluated on the original rows (Nocedal &
     Wright, ch. 18). The first QP starts its working set from the rows
@@ -493,12 +493,17 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
 
     Returns "optimal" once the worst violation is at most FEAS_TOL and
     either the QP step (or the step the line search took) is at most
-    OPT_TOL, or the full step was taken to an optimal QP of the exact cost
-    in which no nonlinear row has a nonzero multiplier. The latter point
-    minimizes the convex cost over the affine rows alone, so a further
-    iteration would only confirm it. There is no shortcut before the first
-    QP: the linear scheme certifies the cost's free minimizer before it
-    builds a problem for this driver (_CondensedWorkspace.certify).
+    OPT_TOL, or the full step was taken to an optimal QP of the exact
+    cost in which no nonlinear row has a nonzero multiplier. The latter
+    point minimizes the convex cost over the affine rows alone, so a
+    further iteration would only confirm it. It also returns "optimal"
+    at v, with no line search, when the cost is convex quadratic, v's
+    merit penalty is zero (every violation is within FEAS_TOL / 2) and
+    the cost gradient at v does not fall along the QP step d: then every
+    trial's merit is at least v's (Nocedal & Wright, sec. 18.3). There
+    is no shortcut before the first QP: the linear scheme certifies the
+    cost's free minimizer before it builds a problem for this driver
+    (_CondensedWorkspace.certify).
     """
     t0 = time.perf_counter()
     v = np.zeros(2 * problem.n_steps)
@@ -551,6 +556,11 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
             status = "optimal"
             break
         slope = float((hessian @ v + gradient) @ d)
+        if slope >= 0.0 and pen == 0.0 and problem.hessian is not None:
+            # The convex cost does not fall along d and v carries no
+            # penalty, so no trial point lowers the merit.
+            status = "optimal"
+            break
         merit0 = cost + rho * pen
         ddir = slope - rho * pen
         bar = merit0 + 1e-12 * (1.0 + abs(merit0))

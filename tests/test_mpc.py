@@ -16,8 +16,9 @@ from scmpc import (ConfigError, MpcConfig, Obstacle, build_qcqp,
                    terminal_data)
 from scmpc.cli import _build_scenario, load_config
 from scmpc.mpc import (FEAS_TOL, OPT_TOL, LinearMpc, NonlinearMpc,
-                       _floor_eigenvalues, _RolloutProblem, estimate_flops_ip,
-                       estimate_flops_sqp, prediction_matrices)
+                       _floor_eigenvalues, _merit_penalty, _RolloutProblem,
+                       estimate_flops_ip, estimate_flops_sqp,
+                       prediction_matrices)
 from scmpc.sim import StepRecord
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "nominal.json"
@@ -556,6 +557,112 @@ def test_sqp_exit_needs_the_full_step():
     res = solve_sqp(_DiskProblem())
     assert res.status == "optimal"
     np.testing.assert_allclose(res.v_sequence.ravel(), [1.5, 0.0], atol=1e-6)
+
+
+def _line_search_trace(monkeypatch, problem, warm_start):
+    """solve_sqp's result, its evaluate calls, and per QP the merit penalty
+    at the QP's start v, the cost's slope along its step and the number of
+    trial points evaluated after it."""
+    trace, evals = [], [0]
+    solve_qp, evaluate = scmpc.mpc.solve_qp, type(problem).evaluate
+
+    def recording(hessian, gradient, rows, rhs, x0=None, **kwargs):
+        qp = solve_qp(hessian, gradient, rows, rhs, x0=x0, **kwargs)
+        _, g, _ = evaluate(problem, x0)
+        viol = np.concatenate([problem.lin_rows @ x0 - problem.lin_rhs, g])
+        trace.append([_merit_penalty(viol),
+                      float((hessian @ x0 + gradient) @ (qp.x - x0)), 0])
+        return qp
+
+    def counting(self, v):
+        evals[0] += 1
+        if trace:
+            trace[-1][2] += 1
+        return evaluate(self, v)
+
+    monkeypatch.setattr(scmpc.mpc, "solve_qp", recording)
+    monkeypatch.setattr(type(problem), "evaluate", counting)
+    res = solve_sqp(problem, warm_start=warm_start)
+    monkeypatch.undo()
+    return res, evals[0], trace
+
+
+def _gamma_half_step_10(monkeypatch):
+    """The QCQP and warm start of step 10 of the gamma = 0.5 sweep point."""
+    cfg = load_config(CONFIG)
+    scenario = _build_scenario(cfg, 0.5, None, None, cfg["seed"])
+    attempts = _recorded_attempts(
+        monkeypatch, replace(scenario, duration=11 * scenario.mpc.ts))
+    controller, z0, cfg, warm_start, _ = attempts[10]
+    return _attempt_problem(controller, z0, cfg), warm_start
+
+
+def test_sqp_stops_where_no_trial_can_lower_the_merit(monkeypatch):
+    # The warm start meets every row within FEAS_TOL / 2, so its merit
+    # penalty is zero, and the QP step raises the convex cost: no trial
+    # point has a lower merit. Without the stop the line search evaluates
+    # 17 trial points and ends 7e-11 from the start.
+    problem, warm_start = _gamma_half_step_10(monkeypatch)
+    v = np.clip(warm_start, problem.v_lo, problem.v_hi)
+    assert np.min(problem.quad_rows.value(v)) >= -0.5 * FEAS_TOL
+    res, evals, trace = _line_search_trace(monkeypatch, problem, warm_start)
+    assert res.status == "optimal"
+    np.testing.assert_array_equal(res.v_sequence.ravel(), v)
+    assert evals == len(trace) == 1
+    penalty, slope, trials = trace[0]
+    assert penalty == 0.0 and slope > 0.0 and trials == 0
+
+
+def _penalized_start(monkeypatch):
+    # Step 10's barrier rows lowered so that the start violates the worst
+    # of them by 0.75 FEAS_TOL: a positive penalty that a trial may lower.
+    problem, warm_start = _gamma_half_step_10(monkeypatch)
+    rows = problem.quad_rows
+    lowest = np.min(rows.value(np.clip(warm_start, problem.v_lo, problem.v_hi)))
+    shift = (0.75 * FEAS_TOL + lowest) / (1.0 - rows.decay)
+    return replace(problem, quad_rows=replace(
+        rows, radius_sq=rows.radius_sq + shift)), warm_start
+
+
+def _gauss_newton_rollout(monkeypatch):
+    # Step 35 of the nmpc baseline under noise seed 1 reaches iterates of
+    # zero penalty whose QP step raises the cost; its cost is not quadratic.
+    attempts = []
+    solve = NonlinearMpc.solve
+
+    def recording(controller, x0):
+        attempts.append((controller, x0, controller._warm))
+        return solve(controller, x0)
+
+    monkeypatch.setattr(NonlinearMpc, "solve", recording)
+    run_closed_loop(nominal_scenario(mode="nmpc", noise_seed=1,
+                                     duration=36 * 0.05))
+    monkeypatch.undo()
+    controller, x0, warm_start = attempts[35]
+    problem = _RolloutProblem(np.asarray(x0, dtype=float)[:3], controller.cfg,
+                              controller.goal, controller.obstacles)
+    assert problem.hessian is None
+    return problem, warm_start
+
+
+@pytest.mark.parametrize("case, make", [
+    ("penalty", _penalized_start),
+    ("rollout", _gauss_newton_rollout),
+    ("disk", lambda monkeypatch: (_DiskProblem(), None)),
+])
+def test_line_search_runs_where_a_trial_may_lower_the_merit(monkeypatch, case,
+                                                           make):
+    problem, warm_start = make(monkeypatch)
+    res, _, trace = _line_search_trace(monkeypatch, problem, warm_start)
+    assert res.status == "optimal"
+    if case == "penalty":
+        assert 0.0 < trace[0][0] <= FEAS_TOL and trace[0][2] >= 1
+    elif case == "rollout":
+        stalled = [t for t in trace if t[0] == 0.0 and t[1] >= 0.0]
+        assert stalled and all(t[2] >= 1 for t in stalled)
+    else:
+        # The full step is rejected and its half accepted.
+        assert trace[0][:2] == [0.0, -4.0] and trace[0][2] == 2
 
 
 def test_sampled_plant_stays_outside_at_the_tolerance():
