@@ -57,7 +57,23 @@ def _require_keys(section, allowed, where: str):
             raise ConfigError(f"unknown key {where}.{key}")
 
 
-def _value(section: dict, key: str, default, where: str, kind=float):
+def _real(value):
+    """A finite float; NaN and infinities fail."""
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError("expected a finite number")
+    return out
+
+
+def _reals(value):
+    """A float array with no NaN or infinite entry."""
+    out = np.asarray(value, dtype=float)
+    if not np.isfinite(out).all():
+        raise ValueError("expected finite numbers")
+    return out
+
+
+def _value(section: dict, key: str, default, where: str, kind=_real):
     """section[key] (default if absent) converted by kind.
 
     A missing required key (default None) or a value kind cannot convert
@@ -113,9 +129,9 @@ def load_config(path) -> dict:
     _require_keys(sc, {"start", "goal", "duration", "mode", "substeps",
                        "obstacles", "noise"}, "scenario")
     out["start"] = ExtendedState(*_value(sc, "start", [7.0, 7.0, math.pi, 0.5],
-                                         "scenario", _list(float, 4)))
+                                         "scenario", _list(_real, 4)))
     out["goal"] = tuple(_value(sc, "goal", [0.0, 0.0], "scenario",
-                               _list(float, 2)))
+                               _list(_real, 2)))
     out["duration"] = _value(sc, "duration", 30.0, "scenario")
     out["mode"] = _value(sc, "mode", "cbf", "scenario", str)
     out["substeps"] = _value(sc, "substeps", 1, "scenario", integer)
@@ -142,7 +158,7 @@ def load_config(path) -> dict:
                        "u_max", "nmpc_q", "nmpc_r", "nmpc_p"}, "mpc")
     kwargs = {}
     for key, kind in (("horizon", integer), ("constraint_horizon", integer),
-                      ("gamma", float), ("ts", float)):
+                      ("gamma", _real), ("ts", _real)):
         if key in mp:
             kwargs[key] = _value(mp, key, None, "mpc", kind)
     for json_key, attr in (("q", "Q"), ("r", "R"), ("nmpc_q", "nmpc_Q"),
@@ -151,8 +167,7 @@ def load_config(path) -> dict:
                            ("pos_min", "pos_min"), ("pos_max", "pos_max"),
                            ("u_min", "u_min"), ("u_max", "u_max")):
         if json_key in mp:
-            kwargs[attr] = _value(mp, json_key, None, "mpc",
-                                  lambda v: np.asarray(v, dtype=float))
+            kwargs[attr] = _value(mp, json_key, None, "mpc", _reals)
     try:
         out["mpc"] = MpcConfig(**kwargs)
     except ConfigError as exc:
@@ -166,7 +181,7 @@ def load_config(path) -> dict:
     sweep = raw.get("sweep", {})
     _require_keys(sweep, {"gamma", "horizon", "mode"}, "sweep")
     out["sweep"] = {key: _value(sweep, key, [], "sweep", _list(kind))
-                    for key, kind in (("gamma", float), ("horizon", integer),
+                    for key, kind in (("gamma", _real), ("horizon", integer),
                                       ("mode", str))}
 
     timing = raw.get("timing", {})

@@ -70,6 +70,8 @@ def _as_matrix(value, shape, name):
         arr = np.diag(arr)
     if arr.shape != shape:
         raise ConfigError(f"{name} must have shape {shape}")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{name} must be finite")
     return arr
 
 
@@ -77,6 +79,8 @@ def _as_vector(value, size, name):
     arr = np.asarray(value, dtype=float).ravel()
     if arr.size != size:
         raise ConfigError(f"{name} must have {size} entries")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{name} must be finite")
     return arr
 
 

@@ -11,6 +11,7 @@ baseline measures the pose and drives the plain unicycle directly.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +51,11 @@ class NoiseConfig:
     mask: tuple = (True, True, True)
 
     def __post_init__(self):
-        if self.variance < 0.0:
-            raise ConfigError("noise variance must be nonnegative")
+        var = self.variance
+        if (isinstance(var, bool) or not isinstance(var, numbers.Real)
+                or not math.isfinite(var) or not var >= 0.0):
+            raise ConfigError("noise variance must be a finite nonnegative "
+                              "number")
         flags = (self.enabled, *self.mask)
         if len(self.mask) != 3 or not all(isinstance(f, bool) for f in flags):
             raise ConfigError("noise enabled and 3 mask entries must be bools")

@@ -99,6 +99,10 @@ def test_bad_config_value_exits_three(cli_config_file, tmp_path, capsys):
     for key, value in (("mpc.gamma", "fast"), ("mpc.horizon", "eight"),
                        ("scenario.start", 5), ("seed", "abc"),
                        ("scenario.noise.variance", "big"),
+                       ("scenario.noise.variance", float("nan")),
+                       ("mpc.q", [float("nan"), 1.0, 1.0, 1.0]),
+                       ("mpc.q", [float("inf"), 1.0, 1.0, 1.0]),
+                       ("mpc.gamma", float("nan")),
                        ("scenario.noise", 5),
                        ("scenario.noise.enabled", "false"),
                        ("scenario.noise.enabled", 0),

@@ -40,7 +40,11 @@ def test_config_validation():
                    {"pos_min": [5.0, 0.0], "pos_max": [1.0, 1.0]},
                    {"R": np.zeros((2, 2))}, {"horizon": 8.7},
                    {"constraint_horizon": 2.9}, {"constraint_horizon": -1},
-                   {"horizon": True}, {"horizon": "8"}):
+                   {"horizon": True}, {"horizon": "8"},
+                   {"Q": np.diag([np.nan, 1.0, 1.0, 1.0])},
+                   {"Q": np.diag([np.inf, 1.0, 1.0, 1.0])},
+                   {"nmpc_P": np.diag([np.inf, 1.0, 0.0])},
+                   {"v_max": [np.inf, 10.0]}, {"pos_min": [-np.inf, -10.0]}):
         with pytest.raises(ConfigError):
             MpcConfig(**kwargs)
     cfg = MpcConfig(horizon=6.0, constraint_horizon=np.int64(3))

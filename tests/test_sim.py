@@ -27,7 +27,10 @@ def test_scenario_validation():
     # bool("false") is True; the seed must suit np.random.SeedSequence.
     for kwargs in ({"enabled": "false"}, {"mask": ("no", "no", "no")},
                    {"mask": (1, 1, 0)}, {"mask": (True, True)},
-                   {"seed": 1.5}, {"seed": -1}, {"seed": "3"}):
+                   {"seed": 1.5}, {"seed": -1}, {"seed": "3"},
+                   {"variance": float("nan")}, {"variance": float("inf")},
+                   {"variance": -0.1}, {"variance": "big"},
+                   {"variance": True}):
         with pytest.raises(ConfigError, match="noise"):
             NoiseConfig(**kwargs)
     noise = NoiseConfig(enabled=True, seed=4.0, mask=(True, False, True))
