@@ -8,7 +8,8 @@ plant substeps (10 s), nominal cbf with start, goal and obstacle moved by
 (-3, -3) (10 s), the six gamma points of configs/nominal.json (10 s
 each), the obstacle course at N = 14 under noise seeds 0-3 (30 s), the
 nmpc baseline (8 s) and the nmpc baseline under noise seed 0 with 2 plant
-substeps (8 s). A run that aborts mid-way keeps its partial log.
+substeps (8 s). A run that aborts mid-way keeps its partial log. The
+runs share two worker processes.
 
 Compare two checkouts from the root of either:
 
@@ -35,6 +36,7 @@ that differ on a last line and exits 1.
 import argparse
 import json
 import math
+import multiprocessing
 import sys
 from collections import Counter
 from dataclasses import fields, replace
@@ -88,45 +90,57 @@ def run_set(config_path):
     return runs
 
 
-def dump(path, config_path=CONFIG):
-    """Run the run set with the importable scmpc and write the dump."""
-    from scmpc import InfeasibleError, run_closed_loop
+_CALLS = []  # in a worker: status and counts of the current run's calls
+
+
+def _install_recorder():
+    """Wrap both controllers' solve to record each call in _CALLS."""
     from scmpc.mpc import LinearMpc, NonlinearMpc
-    from scmpc.sim import StepRecord
 
-    calls = []
-    originals = {cls: cls.solve for cls in (LinearMpc, NonlinearMpc)}
-
-    def recorded(solve):
-        def wrapper(controller, state):
-            res = solve(controller, state)
-            calls.append([res.status, res.sqp_iterations,
-                          res.qp_iterations_total])
+    for cls in (LinearMpc, NonlinearMpc):
+        def wrapper(controller, state, _solve=cls.solve):
+            res = _solve(controller, state)
+            _CALLS.append([res.status, res.sqp_iterations,
+                           res.qp_iterations_total])
             return res
-        return wrapper
+        cls.solve = wrapper
+
+
+def _dump_run(job):
+    """(name, the run's dump entry, or the error it raised) of one run."""
+    from scmpc import InfeasibleError, run_closed_loop
+
+    config_path, name, names = job
+    _CALLS.clear()
+    try:
+        log = run_closed_loop(run_set(config_path)[name])
+    except InfeasibleError as exc:
+        return name, f"run raised {exc!r}"
+    return name, {
+        "steps": [[_plain(getattr(r, f)) for f in names] for r in log.records],
+        "calls": list(_CALLS),
+        "aborted": bool(log.aborted),
+        "final_state": [float(x) for x in log.final_state],
+    }
+
+
+def dump(path, config_path=CONFIG):
+    """Run the run set with the importable scmpc on a pool of two spawned
+    worker processes, each with its own call recorder, and write the dump.
+    The runs are kept in run-set order, so the file is the same as one
+    written by running them one after another."""
+    from scmpc.sim import StepRecord
 
     names = [f.name for f in fields(StepRecord) if f.name not in SKIPPED]
     out = {"fields": names, "runs": {}}
-    for cls, solve in originals.items():
-        cls.solve = recorded(solve)
-    try:
-        for name, scenario in run_set(config_path).items():
-            calls.clear()
-            try:
-                log = run_closed_loop(scenario)
-            except InfeasibleError as exc:
-                sys.exit(f"{name}: run raised {exc!r}")
-            out["runs"][name] = {
-                "steps": [[_plain(getattr(r, f)) for f in names]
-                          for r in log.records],
-                "calls": list(calls),
-                "aborted": bool(log.aborted),
-                "final_state": [float(x) for x in log.final_state],
-            }
-            print(f"{name}: {len(log.records)} steps", file=sys.stderr)
-    finally:
-        for cls, solve in originals.items():
-            cls.solve = solve
+    jobs = [(config_path, name, names) for name in run_set(config_path)]
+    ctx = multiprocessing.get_context("spawn")
+    with ctx.Pool(2, initializer=_install_recorder) as pool:
+        for name, run in pool.imap(_dump_run, jobs):
+            if isinstance(run, str):
+                sys.exit(f"{name}: {run}")
+            out["runs"][name] = run
+            print(f"{name}: {len(run['steps'])} steps", file=sys.stderr)
     Path(path).write_text(json.dumps(out))
 
 
