@@ -211,7 +211,7 @@ def _floor_eigenvalues(w: np.ndarray) -> np.ndarray:
     skips the test, since numpy's Cholesky passes NaN through silently.
     """
     flat = w.ravel()
-    shift = 2e-3 * math.sqrt(flat @ flat)  # the Frobenius norm, as np.linalg.norm
+    shift = 2e-3 * math.sqrt(flat @ flat)
     if math.isfinite(shift):
         shifted = w.copy()
         shifted.flat[::len(w) + 1] -= shift
@@ -532,11 +532,7 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
     n_lin = len(problem.lin_rows)
     lam = None
     guess = None
-    # The line search hands the values at the accepted point to the next
-    # iteration, so each accepted point is evaluated once.
     cost, g, aux, pen, worst = evaluate(v)
-    # The QP rows [lin_rows; J] <= [lin_rhs; J v - g]: only the block of
-    # the nonlinear rows changes between iterations.
     rows = np.empty((n_lin + len(g), len(v)))
     rhs = np.empty(len(rows))
     rows[:n_lin], rhs[:n_lin] = problem.lin_rows, problem.lin_rhs
@@ -561,8 +557,6 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
             break
         slope = float((hessian @ v + gradient) @ d)
         if slope >= 0.0 and pen == 0.0 and problem.hessian is not None:
-            # The convex cost does not fall along d and v carries no
-            # penalty, so no trial point lowers the merit.
             status = "optimal"
             break
         merit0 = cost + rho * pen
