@@ -197,6 +197,7 @@ class QuadraticRow:
         coeff = np.zeros(len(self.gram))
         coeff[1:] += per_step
         coeff[:-1] -= self.decay * per_step
+        # np.tensordot's own product, without its per-call overhead.
         gram = self.gram.reshape(len(self.gram), -1)
         return 2.0 * np.dot(coeff[None], gram).reshape(self.gram.shape[1:])
 
