@@ -296,7 +296,7 @@ class SolveResult:
     cost: float
     sqp_iterations: int
     qp_iterations_total: int
-    solve_time: float
+    solve_time: float = 0.0  # the controller's whole step, timed by it
 
 
 def prediction_matrices(model: LtiModel, n_steps: int):
@@ -407,7 +407,6 @@ class _CondensedWorkspace:
         barrier rows are. The prediction is F z0 + G V, as
         QcqpProblem.predict computes it.
         """
-        t0 = time.perf_counter()
         if not self.inside(z0):
             return None
         n = self.n_steps
@@ -429,25 +428,18 @@ class _CondensedWorkspace:
             cost=float(z0 @ out[i_c:i_p]),
             sqp_iterations=1,
             qp_iterations_total=0,
-            solve_time=time.perf_counter() - t0,
         )
 
 
-def build_qcqp(z0, cfg: MpcConfig, model: LtiModel, terminal: TerminalData,
-               obstacles, workspace=None) -> QcqpProblem:
-    """Assemble the condensed problem for the measured linear state z0.
-
-    z0, the obstacles and cfg's position box are expected in goal-centered
-    coordinates (the regulation target at the origin); LinearMpc shifts
-    all three. A z0 outside the position box (or with a NaN position)
-    flags the problem infeasible immediately.
+def build_qcqp(z0, workspace, decay: float) -> QcqpProblem:
+    """The condensed problem at the goal-centered state z0 on a LinearMpc
+    workspace, with barrier decay 1 - gamma. A z0 outside the position box
+    (or with a NaN position) flags it infeasible.
     """
     z0 = np.asarray(z0, dtype=float).ravel()
-    if workspace is None:
-        workspace = _CondensedWorkspace(cfg, model, terminal, obstacles)
     ws = workspace
     quad_rows = QuadraticRow(ws.pos_maps, ws.pos_f @ z0, ws.center,
-                             ws.radius_sq, 1.0 - cfg.gamma, ws.pos_gram)
+                             ws.radius_sq, decay, ws.pos_gram)
     return QcqpProblem(
         hessian=ws.hessian,
         gradient=ws.grad_map @ z0,
@@ -510,7 +502,6 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
     cost's free minimizer before it builds a problem for this driver
     (_CondensedWorkspace.certify).
     """
-    t0 = time.perf_counter()
     v = np.zeros(2 * problem.n_steps)
     status, max_iter = "max_iter", MAX_SQP_ITER
     if problem.infeasible:
@@ -594,23 +585,18 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
         cost=cost,
         sqp_iterations=it,
         qp_iterations_total=qp_total,
-        solve_time=time.perf_counter() - t0,
     )
 
 
-def _solve_relaxing_gamma(solve, cfg: MpcConfig) -> SolveResult:
-    """solve(cfg), relaxing the barrier decay once.
-
-    solve(cfg) is one solve of the controller's problem at cfg's gamma.
-    After an infeasible result with gamma < 1, it is called once more with
-    gamma doubled, capped at 1. The retry's status, plan and cost are
-    returned, with the SQP iterations and QP KKT solves of both solves;
-    the caller times the whole.
+def _solve_relaxing_gamma(solve, gamma: float) -> SolveResult:
+    """solve(gamma), and after an infeasible result with gamma < 1 once
+    more at min(2 gamma, 1). The retry's status, plan and cost are
+    returned, with the SQP iterations and QP KKT solves of both solves.
     """
-    res = solve(cfg)
-    if res.status != "infeasible" or cfg.gamma >= 1.0:
+    res = solve(gamma)
+    if res.status != "infeasible" or gamma >= 1.0:
         return res
-    retry = solve(replace(cfg, gamma=min(2.0 * cfg.gamma, 1.0)))
+    retry = solve(min(2.0 * gamma, 1.0))
     retry.sqp_iterations += res.sqp_iterations
     retry.qp_iterations_total += res.qp_iterations_total
     return retry
@@ -624,8 +610,8 @@ class LinearMpc:
     cost's free minimizer from the workspace and builds the QCQP only when
     that fails. On an infeasible step the barrier decay is relaxed once
     (gamma doubled, capped at 1); a second failure is reported as
-    infeasible. euclid mode solves at a gamma = 1 copy of cfg, which no
-    relaxation changes; no code below the constructor reads the mode.
+    infeasible. The constructor fixes gamma: cfg's, or 1 in euclid mode,
+    which no relaxation changes; no code below it reads the mode.
     """
 
     def __init__(self, cfg: MpcConfig, obstacles=(), goal=(0.0, 0.0),
@@ -633,7 +619,7 @@ class LinearMpc:
         if mode not in ("cbf", "euclid"):
             raise ConfigError(f"unsupported mode '{mode}' for LinearMpc")
         self.cfg = cfg
-        self.solve_cfg = cfg if mode == "cbf" else replace(cfg, gamma=1.0)
+        self.gamma = cfg.gamma if mode == "cbf" else 1.0
         self.model = discretize_double_integrator(cfg.ts)
         self.terminal = terminal_data(self.model, cfg.Q, cfg.R)
         self.goal_z = np.array([goal[0], 0.0, goal[1], 0.0])
@@ -649,8 +635,8 @@ class LinearMpc:
     def solve(self, z0) -> SolveResult:
         t0 = time.perf_counter()
         z0s = np.asarray(z0, dtype=float).ravel() - self.goal_z
-        res = _solve_relaxing_gamma(lambda cfg: self._solve_once(z0s, cfg),
-                                    self.solve_cfg)
+        res = _solve_relaxing_gamma(lambda g: self._solve_once(z0s, g),
+                                    self.gamma)
         if res.status != "infeasible":
             flat = res.v_sequence.ravel()
             tail = self.terminal.K @ res.z_prediction[-1]
@@ -659,18 +645,13 @@ class LinearMpc:
         res.solve_time = time.perf_counter() - t0
         return res
 
-    def _solve_once(self, z0: np.ndarray, cfg: MpcConfig) -> SolveResult:
-        """One solve at cfg's gamma from the goal-centered state z0.
-
-        The free minimizer is certified from the workspace first; only when
-        the certificate fails is the QCQP built and solved by SQP from the
-        warm start.
-        """
-        res = self.workspace.certify(z0, 1.0 - cfg.gamma)
+    def _solve_once(self, z0: np.ndarray, gamma: float) -> SolveResult:
+        """One solve at gamma from the goal-centered state z0: the
+        certificate, else SQP on the QCQP from the warm start."""
+        decay = 1.0 - gamma
+        res = self.workspace.certify(z0, decay)
         if res is None:
-            res = solve_sqp(build_qcqp(z0, cfg, self.model, self.terminal,
-                                       self.obstacles,
-                                       workspace=self.workspace),
+            res = solve_sqp(build_qcqp(z0, self.workspace, decay),
                             warm_start=self._warm)
         return res
 
@@ -723,7 +704,7 @@ class _RolloutProblem:
     infeasible = False
     hessian = None  # the cost is not quadratic: no QP model is exact
 
-    def __init__(self, x0, cfg: MpcConfig, goal, obstacles):
+    def __init__(self, x0, cfg: MpcConfig, gamma: float, goal, obstacles):
         n = cfg.horizon
         self.x0, self.goal, self.ts = x0, goal, cfg.ts
         self.n_steps = n
@@ -738,7 +719,7 @@ class _RolloutProblem:
         self.center = np.array([o.center() for o in obstacles],
                                dtype=float).reshape(-1, 2)
         self.radius_sq = np.array([o.radius**2 for o in obstacles], dtype=float)
-        self.decay = 1.0 - cfg.gamma
+        self.decay = 1.0 - gamma
 
     def rollout(self, u):
         """States (N+1, 3) and their sensitivities dx_k/dU (N+1, 3, 2N)."""
@@ -806,10 +787,10 @@ class NonlinearMpc:
         t0 = time.perf_counter()
         x0 = np.asarray(x0, dtype=float).ravel()[:3]
         res = _solve_relaxing_gamma(
-            lambda cfg: solve_sqp(_RolloutProblem(x0, cfg, self.goal,
-                                                  self.obstacles),
-                                  warm_start=self._warm),
-            self.cfg)
+            lambda g: solve_sqp(_RolloutProblem(x0, self.cfg, g, self.goal,
+                                                self.obstacles),
+                                warm_start=self._warm),
+            self.cfg.gamma)
         if res.status != "infeasible":
             u = res.v_sequence.ravel()
             self._warm = np.concatenate([u[2:], u[-2:]])

@@ -10,8 +10,7 @@ import math
 
 import numpy as np
 
-from scmpc import MpcConfig, Obstacle, build_qcqp
-from scmpc.lti import discretize_double_integrator, terminal_data
+from scmpc import LinearMpc, MpcConfig, Obstacle, build_qcqp
 
 GRID_POINTS = 21  # pitch of 0.05 of the box range per dimension
 
@@ -23,8 +22,6 @@ def random_small_instance(rng):
     cfg = MpcConfig(horizon=n, constraint_horizon=0,
                     gamma=float(rng.uniform(0.1, 1.0)),
                     v_min=[-bound, -bound], v_max=[bound, bound])
-    model = discretize_double_integrator(cfg.ts)
-    td = terminal_data(model, cfg.Q, cfg.R)
     while True:
         z0 = np.array([rng.uniform(-0.8, 0.8), rng.uniform(-0.5, 0.5),
                        rng.uniform(-0.8, 0.8), rng.uniform(-0.5, 0.5)])
@@ -32,7 +29,8 @@ def random_small_instance(rng):
                        float(rng.uniform(-1.2, 1.2)),
                        float(rng.uniform(0.2, 0.6)))
         if (z0[0] - obs.x) ** 2 + (z0[2] - obs.y) ** 2 - obs.radius**2 >= 0.05:
-            return build_qcqp(z0, cfg, model, td, [obs])
+            controller = LinearMpc(cfg, [obs])
+            return build_qcqp(z0, controller.workspace, 1.0 - cfg.gamma)
 
 
 def grid_search_best(problem, points=GRID_POINTS):

@@ -32,6 +32,13 @@ def _setup(cfg):
     return model, terminal_data(model, cfg.Q, cfg.R)
 
 
+def _qcqp(z0, cfg, obstacles=(), mode="cbf"):
+    """build_qcqp's problem at z0 on the workspace and gamma of a
+    controller for cfg and the obstacles."""
+    controller = LinearMpc(cfg, obstacles, mode=mode)
+    return build_qcqp(z0, controller.workspace, 1.0 - controller.gamma)
+
+
 def test_config_validation():
     # Horizons take only integral numbers: int() would truncate 8.7 to 8
     # and turn True into 1.
@@ -54,9 +61,8 @@ def test_config_validation():
 
 def test_constraint_row_counts():
     cfg = MpcConfig(horizon=8, constraint_horizon=10)
-    model, td = _setup(cfg)
     obstacles = [Obstacle(3.5, 3.5, 1.5)]
-    prob = build_qcqp(np.array([7.0, -0.5, 7.0, 0.0]), cfg, model, td, obstacles)
+    prob = _qcqp(np.array([7.0, -0.5, 7.0, 0.0]), cfg, obstacles)
     n, nc = 8, 10
     assert prob.lin_rows.shape[0] == 2 * 2 * n + 2 * 2 * n + (nc + 1) * (2 * 2 + 2 * 2)
     assert len(prob.quad_rows) == n * len(obstacles)
@@ -69,8 +75,8 @@ def test_constraint_row_counts():
     np.testing.assert_allclose(prob.hessian, prob.hessian.T, atol=1e-12)
     assert np.min(np.linalg.eigvalsh(prob.hessian)) > 0.0
     # two obstacles double the quadratic rows
-    prob = build_qcqp(np.array([7.0, -0.5, 7.0, 0.0]), cfg, model, td,
-                      obstacles + [Obstacle(-2.0, 0.0, 0.5)])
+    prob = _qcqp(np.array([7.0, -0.5, 7.0, 0.0]), cfg,
+                 obstacles + [Obstacle(-2.0, 0.0, 0.5)])
     assert len(prob.quad_rows) == 2 * n
     assert prob.quad_rows.maps.shape == (n + 1, 2, 2 * n)
     assert prob.quad_rows.center.shape == (2, 2)
@@ -134,11 +140,10 @@ def test_stacked_barrier_rows_match_per_row_formulas():
         for _ in range(20):
             cfg = MpcConfig(horizon=int(rng.integers(1, 10)),
                             gamma=float(rng.uniform(0.05, 1.0)), **LOOSE)
-            model, td = _setup(cfg)
+            model = discretize_double_integrator(cfg.ts)
             z0 = rng.uniform(-4.0, 4.0, size=4)
             # The euclid rows are the barrier rows at gamma = 1.
-            rows_cfg = cfg if mode == "cbf" else replace(cfg, gamma=1.0)
-            block = build_qcqp(z0, rows_cfg, model, td, obstacles).quad_rows
+            block = _qcqp(z0, cfg, obstacles, mode).quad_rows
             ref = _reference_rows(cfg, model, z0, obstacles, mode)
             assert len(block) == len(ref) == 2 * cfg.horizon
             # p_0 is the measured position; only the cbf rows read it.
@@ -212,10 +217,8 @@ def test_row_curvature_matches_finite_differences_of_gradient():
     step = 1e-3
     for mode in ("cbf", "euclid"):
         cfg = MpcConfig(horizon=5, gamma=0.3, **LOOSE)
-        model, td = _setup(cfg)
-        rows_cfg = cfg if mode == "cbf" else replace(cfg, gamma=1.0)
-        rows = build_qcqp(rng.uniform(-4.0, 4.0, size=4), rows_cfg, model, td,
-                          obstacles).quad_rows
+        rows = _qcqp(rng.uniform(-4.0, 4.0, size=4), cfg, obstacles,
+                     mode).quad_rows
         nv = 2 * cfg.horizon
         v = rng.uniform(-3.0, 3.0, size=nv)
         fd = np.empty((len(rows), nv, nv))
@@ -249,12 +252,11 @@ def _recorded_qp_inputs(monkeypatch, problem, warm_start=None):
 
 def test_zero_multipliers_keep_the_cost_model(monkeypatch):
     cfg = MpcConfig(horizon=8)
-    model, td = _setup(cfg)
     z0 = np.array([7.0, -0.5, 7.0, 0.0])
     # An obstacle far off the path: its rows never bind, so the QP gets the
     # cost Hessian and linear term themselves, and its full step already
     # solves the problem.
-    far = build_qcqp(z0, cfg, model, td, [Obstacle(-8.0, 8.0, 0.5)])
+    far = _qcqp(z0, cfg, [Obstacle(-8.0, 8.0, 0.5)])
     res, calls = _recorded_qp_inputs(monkeypatch, far)
     assert res.status == "optimal" and len(calls) == 1
     for hessian, gradient, _ in calls:
@@ -267,7 +269,7 @@ def test_zero_multipliers_keep_the_cost_model(monkeypatch):
         assert hessian is far.hessian and gradient is far.gradient
     # The obstacle on the path binds: after the first QP the model has the
     # Lagrangian Hessian and still the cost gradient at the iterate.
-    near = build_qcqp(z0, cfg, model, td, [Obstacle(3.5, 3.5, 1.5)])
+    near = _qcqp(z0, cfg, [Obstacle(3.5, 3.5, 1.5)])
     res, calls = _recorded_qp_inputs(monkeypatch, near)
     assert res.status == "optimal"
     assert np.array_equal(calls[0][0], near.hessian)
@@ -307,15 +309,15 @@ def test_startup_transient_converges_in_few_iterations(monkeypatch):
 
 
 def _recorded_attempts(monkeypatch, scenario):
-    """(controller, z0, cfg, warm start, result) of each solve at one gamma
-    (LinearMpc._solve_once) of a run, z0 goal-centered."""
+    """(controller, z0, gamma, warm start, result) of each solve at one
+    gamma (LinearMpc._solve_once) of a run, z0 goal-centered."""
     attempts = []
     solve_once = LinearMpc._solve_once
 
-    def recording(controller, z0, cfg):
+    def recording(controller, z0, gamma):
         warm_start = controller._warm
-        res = solve_once(controller, z0, cfg)
-        attempts.append((controller, z0, cfg, warm_start, res))
+        res = solve_once(controller, z0, gamma)
+        attempts.append((controller, z0, gamma, warm_start, res))
         return res
 
     monkeypatch.setattr(LinearMpc, "_solve_once", recording)
@@ -324,10 +326,9 @@ def _recorded_attempts(monkeypatch, scenario):
     return attempts
 
 
-def _attempt_problem(controller, z0, cfg):
+def _attempt_problem(controller, z0, gamma):
     """The QCQP that a recorded attempt builds when it is not certified."""
-    return build_qcqp(z0, cfg, controller.model, controller.terminal,
-                      controller.obstacles, workspace=controller.workspace)
+    return build_qcqp(z0, controller.workspace, 1.0 - gamma)
 
 
 def test_euclid_mode_is_the_cbf_rows_at_gamma_one(monkeypatch):
@@ -370,8 +371,8 @@ def test_sqp_exit_stops_only_where_a_resolve_confirms(monkeypatch):
     assert len(attempts) == 41
     # Without the exit every warm-started step takes at least two.
     assert sum(a[4].sqp_iterations == 1 for a in attempts) >= 20
-    for controller, z0, cfg, _, res in attempts:
-        again = solve_sqp(_attempt_problem(controller, z0, cfg),
+    for controller, z0, gamma, _, res in attempts:
+        again = solve_sqp(_attempt_problem(controller, z0, gamma),
                           warm_start=res.v_sequence.ravel())
         assert res.status == again.status == "optimal"
         assert again.sqp_iterations == 1
@@ -413,9 +414,10 @@ def test_relaxed_step_reports_both_solves(monkeypatch):
     solve_once = LinearMpc._solve_once
     solve = LinearMpc.solve
 
-    def recording_once(controller, z0, cfg):
-        res = solve_once(controller, z0, cfg)
-        solved.append((res.status, res.sqp_iterations, res.qp_iterations_total))
+    def recording_once(controller, z0, gamma):
+        res = solve_once(controller, z0, gamma)
+        solved.append((res.status, res.sqp_iterations, res.qp_iterations_total,
+                       gamma))
         return res
 
     def recording(controller, z0):
@@ -433,6 +435,8 @@ def test_relaxed_step_reports_both_solves(monkeypatch):
         assert res.qp_iterations_total == sum(c[2] for c in calls)
     res, calls = steps[20]
     assert [c[0] for c in calls] == ["infeasible", "optimal"]
+    # The retry gets a plain gamma, doubled.
+    assert [c[3] for c in calls] == [0.1, 0.2]
     assert res.status == "optimal"
     assert (res.sqp_iterations, res.qp_iterations_total) == (2, 9)
     assert log.records[20].sqp_iterations == 2
@@ -459,10 +463,10 @@ def test_certified_plans_match_the_solve_without_certificate(monkeypatch):
         return qp
 
     monkeypatch.setattr(scmpc.mpc, "solve_qp", recording)
-    for controller, z0, cfg, warm_start, res in certified:
+    for controller, z0, gamma, warm_start, res in certified:
         assert res.status == "optimal" and res.sqp_iterations == 1
         minimizers.clear()
-        again = solve_sqp(_attempt_problem(controller, z0, cfg),
+        again = solve_sqp(_attempt_problem(controller, z0, gamma),
                           warm_start=warm_start)
         assert again.status == res.status
         plan = res.v_sequence.ravel()
@@ -490,13 +494,13 @@ def test_certified_steps_build_no_qcqp(monkeypatch):
 def test_free_minimizer_through_the_barrier_is_not_certified(monkeypatch):
     # At the nominal start the cost's unconstrained minimizer violates the
     # barrier rows, so the step builds the QCQP and runs the SQP on it.
-    controller, z0, cfg, warm_start, res = _recorded_attempts(
+    controller, z0, gamma, warm_start, res = _recorded_attempts(
         monkeypatch, nominal_scenario(duration=0.05))[0]
-    problem = _attempt_problem(controller, z0, cfg)
+    problem = _attempt_problem(controller, z0, gamma)
     free = controller.workspace.free_map @ z0
     assert np.min(problem.quad_rows.value(free)) < -FEAS_TOL
     assert np.max(problem.lin_rows @ free - problem.lin_rhs) <= 0.0
-    assert controller.workspace.certify(z0, 1.0 - cfg.gamma) is None
+    assert controller.workspace.certify(z0, 1.0 - gamma) is None
     again = solve_sqp(problem, warm_start=warm_start)
     assert res.status == again.status == "optimal"
     assert res.qp_iterations_total == again.qp_iterations_total > 0
@@ -510,9 +514,8 @@ def test_sqp_exit_needs_an_optimal_qp(monkeypatch):
     # with no barrier row active. The same minimizer from a QP labelled
     # max_iter proves nothing, so the SQP must solve a second QP.
     cfg = MpcConfig(horizon=8)
-    model, td = _setup(cfg)
-    far = build_qcqp(np.array([7.0, -0.5, 7.0, 0.0]), cfg, model, td,
-                     [Obstacle(-8.0, 8.0, 0.5)])
+    far = _qcqp(np.array([7.0, -0.5, 7.0, 0.0]), cfg,
+                [Obstacle(-8.0, 8.0, 0.5)])
     assert solve_sqp(far).sqp_iterations == 1
     solve_qp = scmpc.mpc.solve_qp
     n_barrier = len(far.quad_rows)
@@ -597,8 +600,8 @@ def _gamma_half_step_10(monkeypatch):
     scenario = _build_scenario(cfg, 0.5, None, None, cfg["seed"])
     attempts = _recorded_attempts(
         monkeypatch, replace(scenario, duration=11 * scenario.mpc.ts))
-    controller, z0, cfg, warm_start, _ = attempts[10]
-    return _attempt_problem(controller, z0, cfg), warm_start
+    controller, z0, gamma, warm_start, _ = attempts[10]
+    return _attempt_problem(controller, z0, gamma), warm_start
 
 
 def test_sqp_stops_where_no_trial_can_lower_the_merit(monkeypatch):
@@ -644,7 +647,8 @@ def _gauss_newton_rollout(monkeypatch):
     monkeypatch.undo()
     controller, x0, warm_start = attempts[35]
     problem = _RolloutProblem(np.asarray(x0, dtype=float)[:3], controller.cfg,
-                              controller.goal, controller.obstacles)
+                              controller.cfg.gamma, controller.goal,
+                              controller.obstacles)
     assert problem.hessian is None
     return problem, warm_start
 
@@ -688,12 +692,11 @@ def test_iterate_at_obstacle_center_uses_fallback_direction():
     # has a zero gradient.
     cfg = MpcConfig(horizon=8, **LOOSE)
     n = cfg.horizon
-    model, td = _setup(cfg)
     z0 = np.array([1.0, -4.0, 0.0, 0.0])
-    probe = build_qcqp(z0, cfg, model, td, [Obstacle(5.0, 5.0, 0.1)])
+    probe = _qcqp(z0, cfg, [Obstacle(5.0, 5.0, 0.1)])
     center = probe.quad_rows.offsets[1]
-    prob = build_qcqp(z0, cfg, model, td, [Obstacle(-5.0, 5.0, 0.1),
-                                           Obstacle(center[0], center[1], 0.1)])
+    prob = _qcqp(z0, cfg, [Obstacle(-5.0, 5.0, 0.1),
+                           Obstacle(center[0], center[1], 0.1)])
     v0 = np.zeros(2 * n)
     c = prob.quad_rows.value(v0)
     assert c[n] < 0.0
@@ -713,7 +716,7 @@ def test_single_step_closed_form():
     cfg = MpcConfig(horizon=1, constraint_horizon=0, **LOOSE)
     model, td = _setup(cfg)
     z0 = np.array([1.0, -0.3, 2.0, 0.4])
-    res = solve_sqp(build_qcqp(z0, cfg, model, td, []))
+    res = solve_sqp(_qcqp(z0, cfg))
     assert res.status == "optimal"
     v_star = -np.linalg.solve(cfg.R + model.B.T @ td.Qbar @ model.B,
                               model.B.T @ td.Qbar @ model.A @ z0)
@@ -726,10 +729,9 @@ def test_single_step_closed_form():
 
 def test_out_of_box_state_flags_infeasible():
     cfg = MpcConfig()
-    model, td = _setup(cfg)
     # A NaN position is not inside the box either.
     for z0 in ([20.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0]):
-        prob = build_qcqp(np.array(z0), cfg, model, td, [])
+        prob = _qcqp(np.array(z0), cfg)
         assert prob.infeasible
         res = solve_sqp(prob)
         assert res.status == "infeasible"
@@ -783,7 +785,7 @@ def test_unconstrained_matches_stacked_kkt_oracle():
     rng = np.random.default_rng(20)
     for _ in range(10):
         z0 = rng.uniform(-4, 4, size=4)
-        res = solve_sqp(build_qcqp(z0, cfg, model, td, []))
+        res = solve_sqp(_qcqp(z0, cfg))
         assert res.status == "optimal"
         oracle = _stacked_kkt_oracle(cfg, model, td, z0)
         np.testing.assert_allclose(res.v_sequence, oracle, atol=1e-6)
@@ -791,11 +793,9 @@ def test_unconstrained_matches_stacked_kkt_oracle():
 
 def test_distant_obstacle_leaves_solution_unchanged():
     cfg = MpcConfig(horizon=8, constraint_horizon=0, **LOOSE)
-    model, td = _setup(cfg)
     z0 = np.array([2.0, -0.5, 1.0, 0.3])
-    free = solve_sqp(build_qcqp(z0, cfg, model, td, []))
-    guarded = solve_sqp(build_qcqp(z0, cfg, model, td,
-                                   [Obstacle(500.0, 500.0, 1.5)]))
+    free = solve_sqp(_qcqp(z0, cfg))
+    guarded = solve_sqp(_qcqp(z0, cfg, [Obstacle(500.0, 500.0, 1.5)]))
     assert guarded.status == "optimal"
     np.testing.assert_allclose(guarded.v_sequence, free.v_sequence, atol=1e-6)
 
@@ -804,9 +804,8 @@ def test_degenerate_bounds_with_blocked_path_infeasible():
     # Near-zero input authority while coasting into the obstacle.
     cfg = MpcConfig(horizon=8, constraint_horizon=0, gamma=0.1,
                     v_min=[-1e-9, -1e-9], v_max=[1e-9, 1e-9])
-    model, td = _setup(cfg)
     z0 = np.array([5.2, -2.0, 3.5, 0.0])  # heading at the obstacle at 2 m/s
-    prob = build_qcqp(z0, cfg, model, td, [Obstacle(3.5, 3.5, 1.5)])
+    prob = _qcqp(z0, cfg, [Obstacle(3.5, 3.5, 1.5)])
     res = solve_sqp(prob)
     assert res.status == "infeasible"
 
@@ -815,7 +814,7 @@ def test_prediction_satisfies_dynamics():
     cfg = MpcConfig(horizon=8)
     model, td = _setup(cfg)
     z0 = np.array([7.0, -0.5, 7.0, 0.0])
-    res = solve_sqp(build_qcqp(z0, cfg, model, td, [Obstacle(3.5, 3.5, 1.5)]))
+    res = solve_sqp(_qcqp(z0, cfg, [Obstacle(3.5, 3.5, 1.5)]))
     z = res.z_prediction
     for k in range(cfg.horizon):
         step = model.A @ z[k] + model.B @ res.v_sequence[k]
@@ -825,10 +824,9 @@ def test_prediction_satisfies_dynamics():
 def test_decay_chain_on_predictions():
     cfg = MpcConfig(horizon=8, gamma=0.1, Q=np.diag([1, 0.08, 1, 0.08]),
                     R=np.diag([0.05, 0.05]), v_min=[-50, -50], v_max=[50, 50])
-    model, td = _setup(cfg)
     obs = Obstacle(3.5, 3.5, 1.5)
     z0 = np.array([6.0, -1.5, 6.0, -1.5])
-    res = solve_sqp(build_qcqp(z0, cfg, model, td, [obs]))
+    res = solve_sqp(_qcqp(z0, cfg, [obs]))
     assert res.status == "optimal"
     h = [(z[0] - obs.x) ** 2 + (z[2] - obs.y) ** 2 - obs.radius**2
          for z in res.z_prediction]
@@ -895,7 +893,7 @@ def test_nmpc_regulates_without_obstacle():
 def test_rollout_problem_derivatives_match_finite_differences():
     cfg = MpcConfig(horizon=4, gamma=0.3)
     obstacles = [Obstacle(1.5, -1.0, 0.5), Obstacle(2.5, -2.5, 0.4)]
-    prob = _RolloutProblem(np.array([3.0, -2.0, 0.5]), cfg,
+    prob = _RolloutProblem(np.array([3.0, -2.0, 0.5]), cfg, cfg.gamma,
                            np.array([0.0, 0.0, 0.0]), obstacles)
     rng = np.random.default_rng(25)
     u = rng.uniform(-1.0, 1.0, size=8)
@@ -935,7 +933,6 @@ def test_nmpc_single_solve_interface():
 def test_nmpc_slower_than_linear_scheme_per_step():
     cfg = MpcConfig(horizon=8, Q=np.diag([1, 0.08, 1, 0.08]),
                     R=np.diag([0.05, 0.05]), v_min=[-50, -50], v_max=[50, 50])
-    model, td = _setup(cfg)
     obs = [Obstacle(3.5, 3.5, 1.5)]
     lin = LinearMpc(cfg, obstacles=obs)
     nl = NonlinearMpc(cfg, obstacles=obs)
@@ -971,13 +968,13 @@ def test_workspace_certificate_matches_the_qcqp_rows(horizon, gamma, mode, z0,
     controller = LinearMpc(cfg, [Obstacle(*o) for o in obstacles], mode=mode)
     ws = controller.workspace
     z0 = np.array(z0)
-    problem = _attempt_problem(controller, z0, controller.solve_cfg)
+    problem = _attempt_problem(controller, z0, controller.gamma)
     res = ws.certify(z0, 1.0 - gamma if mode == "cbf" else 0.0)
     if problem.infeasible:
         event("outside the position box")
         assert res is None
         assert controller._solve_once(
-            z0, controller.solve_cfg).status == "infeasible"
+            z0, controller.gamma).status == "infeasible"
         return
     v = ws.free_map @ z0
     worst = max(np.max(problem.lin_rows @ v - problem.lin_rhs),
@@ -1013,8 +1010,7 @@ def test_certificate_takes_barrier_violations_up_to_feas_tol():
             obstacle = Obstacle(center[0], center[1],
                                 math.sqrt(r_sq - 2.0 * FEAS_TOL))
             controller = LinearMpc(cfg, [obstacle], mode=mode)
-            rows = _attempt_problem(controller, z0,
-                                    controller.solve_cfg).quad_rows
+            rows = _attempt_problem(controller, z0, controller.gamma).quad_rows
             worst = -np.min(rows.value(ws.free_map @ z0))
             assert abs(worst - violation) < 1e-3 * FEAS_TOL
             res = controller.workspace.certify(z0, decay)
