@@ -6,6 +6,7 @@ H(z+) >= (1 - gamma) H(z) limits how fast the barrier may decay; the
 Euclidean baseline keeps only the plain per-step sign condition H >= 0.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,10 @@ class Obstacle:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ConfigError("obstacle radius must be positive")
+        if not (math.isfinite(self.x) and math.isfinite(self.y)
+                and 0.0 < self.radius < math.inf):
+            raise ConfigError("obstacle center must be finite and radius "
+                              "positive and finite")
 
     def center(self) -> np.ndarray:
         return np.array([self.x, self.y])

@@ -78,8 +78,8 @@ class Scenario:
     robot: RobotParams = field(default_factory=RobotParams)
 
     def __post_init__(self):
-        if not self.duration > 0.0:
-            raise ConfigError("duration must be positive")
+        if not 0.0 < self.duration < math.inf:
+            raise ConfigError("duration must be positive and finite")
         if self.mode not in ("cbf", "euclid", "nmpc"):
             raise ConfigError(f"unknown mode '{self.mode}'")
         object.__setattr__(self, "substeps",

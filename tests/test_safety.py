@@ -11,8 +11,11 @@ OBS = Obstacle(3.5, 3.5, 1.5)
 
 
 def test_obstacle_validation():
-    with pytest.raises(ConfigError):
-        Obstacle(0.0, 0.0, 0.0)
+    for args in ((0.0, 0.0, 0.0), (math.inf, 3.5, 1.0), (math.nan, 3.5, 1.0),
+                 (3.5, -math.inf, 1.0), (3.5, 3.5, math.inf),
+                 (3.5, 3.5, math.nan)):
+        with pytest.raises(ConfigError, match="obstacle"):
+            Obstacle(*args)
 
 
 def test_barrier_examples():

@@ -15,8 +15,9 @@ from scmpc.sim import StepRecord, inject_noise
 
 
 def test_scenario_validation():
-    with pytest.raises(ConfigError):
-        Scenario(start=ExtendedState(0, 0, 0, 0.5), duration=0.0)
+    for duration in (0.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="duration"):
+            Scenario(start=ExtendedState(0, 0, 0, 0.5), duration=duration)
     with pytest.raises(ConfigError):
         Scenario(start=ExtendedState(0, 0, 0, 0.5), mode="wrong")
     with pytest.raises(ConfigError):
