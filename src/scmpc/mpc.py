@@ -244,7 +244,6 @@ class QcqpProblem:
     n_steps: int
     v_lo: np.ndarray
     v_hi: np.ndarray
-    infeasible: bool = False
 
     def cost(self, v: np.ndarray) -> float:
         return float(0.5 * v @ self.hessian @ v + self.gradient @ v
@@ -348,10 +347,11 @@ class _CondensedWorkspace:
 
         pos_idx = np.array([4 * k + c for k in range(n) for c in (0, 2)])
         G_pos, F_pos = G[pos_idx], F[pos_idx]
-        rows = [np.eye(nv), -np.eye(nv), G_pos, -G_pos]
+        # The box rows bound p_1, ..., p_{N-1}; the tail's first rows bound p_N.
+        rows = [np.eye(nv), -np.eye(nv), G_pos[:-2], -G_pos[:-2]]
         h_const = [np.tile(cfg.v_max, n), -np.tile(cfg.v_min, n),
-                   np.tile(cfg.pos_max, n), -np.tile(cfg.pos_min, n)]
-        h_lin = [np.zeros((nv, 4)), np.zeros((nv, 4)), -F_pos, F_pos]
+                   np.tile(cfg.pos_max, n - 1), -np.tile(cfg.pos_min, n - 1)]
+        h_lin = [np.zeros((nv, 4)), np.zeros((nv, 4)), -F_pos[:-2], F_pos[:-2]]
 
         F_N, G_N = F[4 * (n - 1):4 * n], G[4 * (n - 1):4 * n]
         A_cl = model.A + model.B @ terminal.K
@@ -387,9 +387,12 @@ class _CondensedWorkspace:
         # constant part, lin_rows @ plan - h_lin @ z0.
         value = self.offset_form + 0.5 * self.grad_map.T @ self.free_map
         free_pos = self.pos_f + self.pos_maps @ self.free_map
-        self.free_stack = np.vstack([self.free_map, F, 0.5 * (value + value.T),
-                                     free_pos.reshape(-1, 4),
-                                     self.lin_rows @ self.free_map - self.h_lin])
+        blocks = [self.free_map, F, 0.5 * (value + value.T),
+                  free_pos.reshape(-1, 4),
+                  self.lin_rows @ self.free_map - self.h_lin]
+        self.free_stack = np.vstack(blocks)
+        # Where each block after the plan starts in free_stack.
+        self.free_starts = np.cumsum([len(b) for b in blocks[:-1]]).tolist()
 
     def inside(self, z0: np.ndarray) -> bool:
         """Whether the measured position lies in the position box (a NaN
@@ -401,21 +404,17 @@ class _CondensedWorkspace:
         """The cost's free minimizer at z0 as the solution, if it is one.
 
         Returns an "optimal" SolveResult of one SQP iteration and no QP
-        when z0 lies in the position box and the plan free_map @ z0 meets
-        the affine rows and the barrier rows at this decay within FEAS_TOL;
-        else None. No feasible plan has a lower cost, however nonconvex the
-        barrier rows are. The prediction is F z0 + G V, as
-        QcqpProblem.predict computes it.
+        when the plan free_map @ z0 meets the affine rows and the barrier
+        rows at this decay within FEAS_TOL; else None. No feasible plan has
+        a lower cost, however nonconvex the barrier rows are. The
+        prediction is F z0 + G V, as QcqpProblem.predict computes it. z0
+        is not tested against the position box.
         """
-        if not self.inside(z0):
-            return None
-        n = self.n_steps
-        # Row offsets of the blocks in free_stack after the plan.
-        i_f, i_c, i_p, i_lin = 2 * n, 6 * n, 6 * n + 4, 8 * n + 6
+        i_f, i_c, i_p, i_lin = self.free_starts
         out = self.free_stack @ z0
         if not (out[i_lin:] - self.h_const).max() <= FEAS_TOL:
             return None
-        rows, _ = _barrier_rows(out[i_p:i_lin].reshape(n + 1, 2), self.center,
+        rows, _ = _barrier_rows(out[i_p:i_lin].reshape(-1, 2), self.center,
                                 self.radius_sq, decay)
         if rows.size and not rows.min() >= -FEAS_TOL:
             return None
@@ -423,8 +422,8 @@ class _CondensedWorkspace:
         stacked = out[i_f:i_c] + self.G @ v
         return SolveResult(
             status="optimal",
-            v_sequence=v.reshape(n, 2),
-            z_prediction=np.concatenate([z0, stacked]).reshape(n + 1, 4),
+            v_sequence=v.reshape(-1, 2),
+            z_prediction=np.concatenate([z0, stacked]).reshape(-1, 4),
             cost=float(z0 @ out[i_c:i_p]),
             sqp_iterations=1,
             qp_iterations_total=0,
@@ -433,9 +432,7 @@ class _CondensedWorkspace:
 
 def build_qcqp(z0, workspace, decay: float) -> QcqpProblem:
     """The condensed problem at the goal-centered state z0 on a LinearMpc
-    workspace, with barrier decay 1 - gamma. A z0 outside the position box
-    (or with a NaN position) flags it infeasible.
-    """
+    workspace, with barrier decay 1 - gamma."""
     z0 = np.asarray(z0, dtype=float).ravel()
     ws = workspace
     quad_rows = QuadraticRow(ws.pos_maps, ws.pos_f @ z0, ws.center,
@@ -453,7 +450,6 @@ def build_qcqp(z0, workspace, decay: float) -> QcqpProblem:
         n_steps=ws.n_steps,
         v_lo=ws.v_lo,
         v_hi=ws.v_hi,
-        infeasible=not ws.inside(z0),
     )
 
 
@@ -467,8 +463,9 @@ def _merit_penalty(violations: np.ndarray) -> float:
 def solve_sqp(problem, warm_start=None) -> SolveResult:
     """Solve a problem with affine and nonlinear rows by SQP.
 
-    The problem gives its affine rows lin_rows @ v <= lin_rhs, the input
-    box v_lo/v_hi that clips the warm start, evaluate(v) -> (cost, g, aux)
+    The driver reads eight names of the problem: its affine rows
+    lin_rows @ v <= lin_rhs, the input box v_lo/v_hi that sizes v and
+    clips the warm start (zero by default), evaluate(v) -> (cost, g, aux)
     with the nonlinear rows g(v) <= 0, linearize(v, aux, multipliers) ->
     (H, grad, J) with the quadratic model 0.5 x'Hx + grad'x, whose gradient
     H v + grad at v is the cost gradient, and the Jacobian J of g, and
@@ -500,16 +497,14 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
     trial's merit is at least v's (Nocedal & Wright, sec. 18.3). There
     is no shortcut before the first QP: the linear scheme certifies the
     cost's free minimizer before it builds a problem for this driver
-    (_CondensedWorkspace.certify).
+    (_CondensedWorkspace.certify). "infeasible" means that a QP proved its
+    rows inconsistent.
     """
-    v = np.zeros(2 * problem.n_steps)
-    status, max_iter = "max_iter", MAX_SQP_ITER
-    if problem.infeasible:
-        status, max_iter = "infeasible", 0
-    else:
-        if warm_start is not None:
-            v = np.asarray(warm_start, dtype=float).ravel().copy()
-        v = np.clip(v, problem.v_lo, problem.v_hi)
+    v = np.zeros(len(problem.v_lo))
+    if warm_start is not None:
+        v = np.asarray(warm_start, dtype=float).ravel().copy()
+    v = np.clip(v, problem.v_lo, problem.v_hi)
+    status = "max_iter"
 
     def evaluate(x):
         """Cost, nonlinear rows, model data, merit penalty and worst row
@@ -528,7 +523,7 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
     rows = np.empty((n_lin + len(g), len(v)))
     rhs = np.empty(len(rows))
     rows[:n_lin], rhs[:n_lin] = problem.lin_rows, problem.lin_rhs
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_SQP_ITER + 1):
         hessian, gradient, jac = problem.linearize(v, aux, lam)
         rows[n_lin:] = jac
         np.subtract(jac @ v, g, out=rhs[n_lin:])
@@ -539,9 +534,8 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
         if qp.status == "infeasible":
             status = "infeasible"
             break
-        if qp.multipliers is not None and qp.multipliers.size:
-            rho = max(rho, 10.0 * (1.0 + float(qp.multipliers.max())))
-            lam = qp.multipliers[n_lin:]
+        rho = max(rho, 10.0 * (1.0 + float(qp.multipliers.max())))
+        lam = qp.multipliers[n_lin:]
         d = qp.x - v
         step = float(np.abs(d).max(initial=0.0))
         if step <= OPT_TOL and worst <= FEAS_TOL:
@@ -580,7 +574,7 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
 
     return SolveResult(
         status=status,
-        v_sequence=v.reshape(problem.n_steps, 2).copy(),
+        v_sequence=v.reshape(-1, 2).copy(),
         z_prediction=problem.predict(v),
         cost=cost,
         sqp_iterations=it,
@@ -606,12 +600,14 @@ class LinearMpc:
     """Receding-horizon controller on the linear coordinates.
 
     Owns the discrete model, terminal data, the condensed workspace, and
-    the shifted warm start. Each solve at one gamma first certifies the
-    cost's free minimizer from the workspace and builds the QCQP only when
-    that fails. On an infeasible step the barrier decay is relaxed once
-    (gamma doubled, capped at 1); a second failure is reported as
-    infeasible. The constructor fixes gamma: cfg's, or 1 in euclid mode,
-    which no relaxation changes; no code below it reads the mode.
+    the shifted warm start. A measured position outside the position box
+    (or NaN) is infeasible at any gamma, so the step solves nothing.
+    Otherwise each solve at one gamma first certifies the cost's free
+    minimizer and builds the QCQP only when that fails. On an infeasible
+    step the barrier decay is relaxed once (gamma doubled, capped at 1);
+    a second failure is reported as infeasible. The constructor fixes
+    gamma: cfg's, or 1 in euclid mode, which no relaxation changes; no
+    code below it reads the mode.
     """
 
     def __init__(self, cfg: MpcConfig, obstacles=(), goal=(0.0, 0.0),
@@ -635,8 +631,14 @@ class LinearMpc:
     def solve(self, z0) -> SolveResult:
         t0 = time.perf_counter()
         z0s = np.asarray(z0, dtype=float).ravel() - self.goal_z
-        res = _solve_relaxing_gamma(lambda g: self._solve_once(z0s, g),
-                                    self.gamma)
+        ws = self.workspace
+        if ws.inside(z0s):
+            res = _solve_relaxing_gamma(lambda g: self._solve_once(z0s, g),
+                                        self.gamma)
+        else:  # the zero plan with its goal-centered prediction and cost
+            pred = np.concatenate([z0s, ws.F @ z0s]).reshape(-1, 4)
+            res = SolveResult("infeasible", np.zeros((ws.n_steps, 2)), pred,
+                              float(z0s @ ws.offset_form @ z0s), 0, 0)
         if res.status != "infeasible":
             flat = res.v_sequence.ravel()
             tail = self.terminal.K @ res.z_prediction[-1]
@@ -701,7 +703,6 @@ class _RolloutProblem:
     and the rows' Jacobian from the rollout sensitivities.
     """
 
-    infeasible = False
     hessian = None  # the cost is not quadratic: no QP model is exact
 
     def __init__(self, x0, cfg: MpcConfig, gamma: float, goal, obstacles):

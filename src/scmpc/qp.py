@@ -20,7 +20,7 @@ start multipliers are dropped one KKT solve at a time; a start set with
 more rows than unknowns, or with dependent rows, gives way to the empty set.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +29,13 @@ __all__ = ["QpResult", "solve_qp"]
 
 @dataclass
 class QpResult:
+    """solve_qp's outcome, with one multiplier per row."""
+
     x: np.ndarray
     status: str  # optimal | infeasible | max_iter
     iterations: int
-    active_set: list = field(default_factory=list)
-    multipliers: np.ndarray | None = None
-    max_violation: float = 0.0
+    active_set: list
+    multipliers: np.ndarray
 
 
 def _kkt_solve(H, A, rhs, residual=False):
@@ -58,7 +59,7 @@ def _kkt_solve(H, A, rhs, residual=False):
     return sol[:n], sol[n:], float(resid)
 
 
-def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
+def solve_qp(hessian, gradient, rows, rhs, x0=None,
              tol: float = 1e-8, max_iter: int | None = None, *,
              working_set=None) -> QpResult:
     """Minimize 0.5 x'Hx + g'x subject to rows @ x <= rhs.
@@ -70,9 +71,8 @@ def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
     ----------
     hessian, gradient : ndarray
         Positive-definite H (n x n) and linear term g (n,).
-    rows, rhs : ndarray, optional
-        Inequality rows G (m x n) and right-hand side h (m,). Omit both
-        for an unconstrained solve.
+    rows, rhs : ndarray
+        Inequality rows G (m x n), m >= 1, and right-hand side h (m,).
     x0 : ndarray, optional
         Start point, used only to choose the start working set: the rows
         it meets or violates within tol. It need not be feasible; the
@@ -97,10 +97,6 @@ def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
     H = np.asarray(hessian, dtype=float)
     g = np.asarray(gradient, dtype=float)
     n = H.shape[0]
-    if rows is None or len(rows) == 0:
-        x = np.linalg.solve(H, -g)
-        return QpResult(x=x, status="optimal", iterations=1,
-                        active_set=[], multipliers=np.empty(0))
     G = np.asarray(rows, dtype=float)
     h = np.asarray(rhs, dtype=float)
     m = G.shape[0]
@@ -114,7 +110,7 @@ def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
         work = [] if x0 is None else np.flatnonzero(G @ x - h >= -tol).tolist()
     if len(work) > n or max_iter < 1:
         work = []  # with no KKT solve there are no working multipliers
-    status, it, lam, max_violation = "max_iter", 0, np.zeros(0), None
+    status, it, lam = "max_iter", 0, np.zeros(0)
     p, t = -1, 0.0  # the violated row being added and its multiplier
     for it in range(1, max_iter + 1):
         A = G[work]
@@ -188,13 +184,9 @@ def solve_qp(hessian, gradient, rows=None, rhs=None, x0=None,
         if viol[p] <= tol:
             if worst <= tol:
                 status = "optimal"
-            max_violation = max(worst, 0.0)
             break
 
-    if max_violation is None:
-        max_violation = float(np.max(G @ x - h, initial=0.0))
     multipliers = np.zeros(m)
     multipliers[work] = np.maximum(lam, 0.0)
     return QpResult(x=x, status=status, iterations=it,
-                    active_set=sorted(work), multipliers=multipliers,
-                    max_violation=max_violation)
+                    active_set=sorted(work), multipliers=multipliers)

@@ -64,7 +64,16 @@ def test_constraint_row_counts():
     obstacles = [Obstacle(3.5, 3.5, 1.5)]
     prob = _qcqp(np.array([7.0, -0.5, 7.0, 0.0]), cfg, obstacles)
     n, nc = 8, 10
-    assert prob.lin_rows.shape[0] == 2 * 2 * n + 2 * 2 * n + (nc + 1) * (2 * 2 + 2 * 2)
+    # Input box rows for v_0, ..., v_{N-1}, position box rows for p_1, ...,
+    # p_{N-1}, and 8 rows per tail step j = 0, ..., nc, whose j = 0 rows
+    # bound p_N.
+    assert (prob.lin_rows.shape[0] == len(prob.lin_rhs) == 148
+            == 2 * 2 * n + 2 * 2 * (n - 1) + (nc + 1) * 8)
+    # No affine row is stated twice: no two agree in V, z0 map and constant.
+    for horizon in (8, 14):
+        ws = LinearMpc(replace(cfg, horizon=horizon), obstacles).workspace
+        full = np.hstack([ws.lin_rows, ws.h_lin, ws.h_const[:, None]])
+        assert len(np.unique(full, axis=0)) == len(full)
     assert len(prob.quad_rows) == n * len(obstacles)
     # One position map per predicted position p_0, ..., p_N, shared by all
     # obstacles, with its Gram matrix.
@@ -540,8 +549,6 @@ class _DiskProblem:
     step and accepts half of it, a feasible point that is not optimal.
     """
 
-    n_steps = 1
-    infeasible = False
     v_lo = np.full(2, -10.0)
     v_hi = np.full(2, 10.0)
     lin_rows = np.vstack([np.eye(2), -np.eye(2)])
@@ -560,10 +567,25 @@ class _DiskProblem:
         return v.reshape(1, 2)
 
 
+class _Reads:
+    """A problem's attributes, recording each name solve_sqp reads."""
+
+    def __init__(self, problem):
+        self.problem, self.names = problem, set()
+
+    def __getattr__(self, name):
+        self.names.add(name)
+        return getattr(self.problem, name)
+
+
 def test_sqp_exit_needs_the_full_step():
-    res = solve_sqp(_DiskProblem())
+    problem = _Reads(_DiskProblem())
+    res = solve_sqp(problem)
     assert res.status == "optimal"
     np.testing.assert_allclose(res.v_sequence.ravel(), [1.5, 0.0], atol=1e-6)
+    # solve_sqp reads no name beyond the eight of its docstring.
+    assert problem.names <= {"lin_rows", "lin_rhs", "v_lo", "v_hi", "hessian",
+                             "evaluate", "linearize", "predict"}
 
 
 def _line_search_trace(monkeypatch, problem, warm_start):
@@ -727,14 +749,26 @@ def test_single_step_closed_form():
     assert res.cost == pytest.approx(expect, rel=1e-12)
 
 
-def test_out_of_box_state_flags_infeasible():
-    cfg = MpcConfig()
+def test_out_of_box_state_flags_infeasible(monkeypatch):
+    # The box does not depend on gamma, so the step is rejected before the
+    # first solve, with no certificate, QCQP or SQP, and no gamma retry.
+    calls = Counter()
+    for owner, name in ((scmpc.mpc._CondensedWorkspace, "certify"),
+                        (scmpc.mpc, "build_qcqp"), (scmpc.mpc, "solve_sqp")):
+        def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    controller = LinearMpc(MpcConfig(), [Obstacle(3.5, 3.5, 1.5)])
     # A NaN position is not inside the box either.
     for z0 in ([20.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0]):
-        prob = _qcqp(np.array(z0), cfg)
-        assert prob.infeasible
-        res = solve_sqp(prob)
+        res = controller.solve(z0)
         assert res.status == "infeasible"
+        assert (res.sqp_iterations, res.qp_iterations_total) == (0, 0)
+    assert not calls
+    assert controller.solve([7.0, 0.0, 7.0, 0.0]).status == "optimal"
+    assert calls["certify"] == 1
 
 
 def test_position_box_is_in_world_coordinates_for_both_controllers():
@@ -955,7 +989,7 @@ def test_nmpc_slower_than_linear_scheme_per_step():
                                     st.floats(0.1, 2.0)), max_size=3),
        v_max=st.sampled_from([10.0, 50.0]))
 # Just outside the position box, with the free plan back inside it and
-# meeting every row: only the box test of z0 itself rejects it.
+# meeting every row: only LinearMpc.solve's box test rejects it.
 @example(horizon=8, gamma=0.1, mode="cbf", z0=(10.02, -1.0, 0.0, 0.0),
          obstacles=[], v_max=50.0)
 def test_workspace_certificate_matches_the_qcqp_rows(horizon, gamma, mode, z0,
@@ -968,14 +1002,12 @@ def test_workspace_certificate_matches_the_qcqp_rows(horizon, gamma, mode, z0,
     controller = LinearMpc(cfg, [Obstacle(*o) for o in obstacles], mode=mode)
     ws = controller.workspace
     z0 = np.array(z0)
+    if not ws.inside(z0):
+        event("outside the position box")
+        assert controller.solve(z0).status == "infeasible"
+        return
     problem = _attempt_problem(controller, z0, controller.gamma)
     res = ws.certify(z0, 1.0 - gamma if mode == "cbf" else 0.0)
-    if problem.infeasible:
-        event("outside the position box")
-        assert res is None
-        assert controller._solve_once(
-            z0, controller.gamma).status == "infeasible"
-        return
     v = ws.free_map @ z0
     worst = max(np.max(problem.lin_rows @ v - problem.lin_rhs),
                 np.max(-problem.quad_rows.value(v), initial=-np.inf))

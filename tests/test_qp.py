@@ -48,11 +48,12 @@ def _dual_projected_gradient(hessian, gradient, rows, rhs, iters=200000):
 
 
 def test_unconstrained_solves_directly():
+    # One slack row, x1 + x2 <= 10: the minimizer is x = -H^-1 g.
     hessian = np.diag([2.0, 4.0])
     gradient = np.array([-2.0, -8.0])
-    res = solve_qp(hessian, gradient)
+    res = solve_qp(hessian, gradient, np.ones((1, 2)), np.array([10.0]))
     np.testing.assert_allclose(res.x, [1.0, 2.0], atol=1e-10)
-    assert res.status == "optimal"
+    assert res.status == "optimal" and res.active_set == []
 
 
 def test_clipped_scalar_minimum():
@@ -96,7 +97,7 @@ def test_detects_infeasible_rows():
     rhs = np.array([-1.0, -1.0])  # x <= -1 and x >= 1
     res = solve_qp(np.eye(2), np.zeros(2), rows, rhs)
     assert res.status == "infeasible"
-    assert res.max_violation > 0.5
+    assert np.max(rows @ res.x - rhs) > 0.5
 
 
 def test_phase1_recovers_from_violating_start():
@@ -171,7 +172,6 @@ def _assert_same_result(got, want):
     np.testing.assert_array_equal(got.x, want.x)
     assert got.active_set == want.active_set
     np.testing.assert_array_equal(got.multipliers, want.multipliers)
-    assert got.max_violation == want.max_violation
 
 
 def _nondegenerate(rows, rhs, res):
@@ -315,7 +315,7 @@ def test_rows_inconsistent_only_in_combination():
             res = solve_qp(a.T @ a + np.eye(2), rng.normal(size=2) * 3.0,
                            rows, rhs)
             assert res.status == "infeasible"
-            assert res.active_set == [] and res.max_violation > 0.0
+            assert res.active_set == [] and np.max(rows @ res.x - rhs) > 0.0
 
 
 def test_optimal_means_every_row_is_met():
@@ -330,11 +330,12 @@ def test_optimal_means_every_row_is_met():
         rows = rng.normal(size=n) + 10.0 ** rng.uniform(-7, 0) * rng.normal(size=(m, n))
         rows *= rng.choice([-1.0, 1.0], size=(m, 1))
         a = rng.normal(size=(n, n))
+        rhs = rng.normal(size=m)
         res = solve_qp(a.T @ a + np.eye(n), rng.normal(size=n) * 10.0, rows,
-                       rng.normal(size=m))
+                       rhs)
         assert len(res.active_set) <= n
         if res.status == "optimal":
-            assert res.max_violation <= 1e-8
+            assert np.max(rows @ res.x - rhs) <= 1e-8
             optimal += 1
     assert optimal > 300
 
@@ -374,6 +375,7 @@ def test_start_at_an_overdetermined_vertex_is_ignored():
         cold = solve_qp(hessian, gradient, rows, rhs)
         res = solve_qp(hessian, gradient, rows, rhs, x0=x0)
         _assert_same_result(res, cold)
+        assert np.max(rows @ res.x - rhs) == np.max(rows @ cold.x - rhs)
         assert res.iterations == cold.iterations
 
 
