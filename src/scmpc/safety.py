@@ -7,6 +7,7 @@ Euclidean baseline keeps only the plain per-step sign condition H >= 0.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +33,11 @@ class Obstacle:
     radius: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)
-                and 0.0 < self.radius < math.inf):
-            raise ConfigError("obstacle center must be finite and radius "
-                              "positive and finite")
+        if not (all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in (self.x, self.y, self.radius))
+                and self.radius > 0.0):
+            raise ConfigError("obstacle center and radius must be finite "
+                              "numbers and the radius positive")
 
     def center(self) -> np.ndarray:
         return np.array([self.x, self.y])

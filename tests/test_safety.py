@@ -13,7 +13,8 @@ OBS = Obstacle(3.5, 3.5, 1.5)
 def test_obstacle_validation():
     for args in ((0.0, 0.0, 0.0), (math.inf, 3.5, 1.0), (math.nan, 3.5, 1.0),
                  (3.5, -math.inf, 1.0), (3.5, 3.5, math.inf),
-                 (3.5, 3.5, math.nan)):
+                 (3.5, 3.5, math.nan), ("a", 0, 1), (1, 2, "3"),
+                 (True, 0, 1)):
         with pytest.raises(ConfigError, match="obstacle"):
             Obstacle(*args)
 
