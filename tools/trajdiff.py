@@ -5,10 +5,10 @@ except solve_time, plus the solver status and the SQP and QP iteration
 counts of every controller call, whether the run aborted and its final
 state. The run set is nominal cbf and euclid (50 s), nominal cbf with 4
 plant substeps (10 s), nominal cbf with start, goal and obstacle moved by
-(-3, -3) (10 s), the six gamma points of configs/nominal.json (10 s
-each), the obstacle course at N = 14 under noise seeds 0-3 (30 s), the
-nmpc baseline (8 s) and the nmpc baseline under noise seed 0 with 2 plant
-substeps (8 s). A run that aborts mid-way keeps its partial log. The
+(-3, -3) (10 s), euclid on the library's default MpcConfig (30 s), the
+gamma points below 1 of configs/nominal.json (10 s each), the obstacle
+course at N = 14 under noise seeds 0-3 (30 s), the nmpc baseline (8 s)
+and the nmpc baseline under noise seed 0 with 2 plant substeps (8 s). A run that aborts mid-way keeps its partial log. The
 runs share two worker processes.
 
 Compare two checkouts from the root of either:
@@ -52,7 +52,7 @@ GROUPS = {"position": ("x1", "x2"), "v": ("v1", "v2")}
 
 def run_set(config_path):
     """The named scenarios of the run set, in a fixed order."""
-    from scmpc import NoiseConfig, Obstacle
+    from scmpc import MpcConfig, NoiseConfig, Obstacle
     from scmpc.cli import _build_scenario, load_config
 
     cfg = load_config(config_path)
@@ -72,8 +72,14 @@ def run_set(config_path):
             obstacles=tuple(Obstacle(o.x - 3.0, o.y - 3.0, o.radius)
                             for o in base.obstacles),
             duration=10.0),
+        # The input box of +-10 binds, and it is the one run whose SQP
+        # solves also stop at the exit after the line search.
+        "default-bounds-euclid-30s": replace(
+            base, mode="euclid", mpc=MpcConfig(gamma=0.1, horizon=8),
+            duration=30.0),
     }
-    for gamma in cfg["sweep"]["gamma"]:
+    # gamma = 1 is the euclid run's first 10 s.
+    for gamma in (g for g in cfg["sweep"]["gamma"] if g < 1.0):
         runs[f"sweep-gamma{gamma:g}-10s"] = replace(
             _build_scenario(cfg, gamma, None, None, seed), duration=10.0)
     course = replace(_build_scenario(cfg, None, 14, None, seed),
