@@ -8,8 +8,9 @@ plant substeps (10 s), nominal cbf with start, goal and obstacle moved by
 (-3, -3) (10 s), euclid on the library's default MpcConfig (30 s), the
 gamma points below 1 of configs/nominal.json (10 s each), the obstacle
 course at N = 14 under noise seeds 0-3 (30 s), the nmpc baseline (8 s)
-and the nmpc baseline under noise seed 0 with 2 plant substeps (8 s). A run that aborts mid-way keeps its partial log. The
-runs share two worker processes.
+and the nmpc baseline under noise seed 0 with 2 plant substeps (8 s). A
+run that aborts mid-way keeps its partial log. The runs share two worker
+processes.
 
 Compare two checkouts from the root of either:
 
