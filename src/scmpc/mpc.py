@@ -25,15 +25,16 @@ solves once more at doubled gamma and reports the iterations of both
 solves.
 
 Before any QCQP is built, the linear scheme certifies the cost's free
-(unconstrained) minimizer from maps precomputed per configuration: if it
-meets every row within FEAS_TOL, no feasible plan has a lower cost, however
-nonconvex the barrier rows are, so it is the solution. This settles a
-typical warm-started step; it counts as one SQP iteration and no QP.
+(unconstrained) minimizer by one product with a matrix precomputed per
+configuration: if it meets every row within FEAS_TOL, no feasible plan has
+a lower cost, however nonconvex the barrier rows are, so it is the
+solution. This settles a typical warm-started step; it counts as one SQP
+iteration and no QP.
 """
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -318,13 +319,13 @@ class _CondensedWorkspace:
     Everything that does not depend on the measured state is precomputed
     here: prediction maps, the cost Hessian and the map from z0 to the
     cost's unconstrained minimizer, the affine description of the linear
-    rows, the closed-loop powers behind the terminal rows, the barrier-row
-    position maps, and the stacked map behind the free-minimizer
-    certificate.
+    rows (the position box less shift, the goal), the closed-loop
+    powers behind the terminal rows, the barrier-row position maps, and the
+    lifted map behind the free-minimizer certificate.
     """
 
     def __init__(self, cfg: MpcConfig, model: LtiModel, terminal: TerminalData,
-                 obstacles):
+                 obstacles, shift):
         n = cfg.horizon
         nc = cfg.constraint_horizon
         nv = 2 * n
@@ -343,14 +344,15 @@ class _CondensedWorkspace:
         self.n_steps = n
         self.v_lo = np.tile(cfg.v_min, n)
         self.v_hi = np.tile(cfg.v_max, n)
-        self.pos_box = (*map(float, cfg.pos_min), *map(float, cfg.pos_max))
+        pos_min, pos_max = cfg.pos_min - shift, cfg.pos_max - shift
+        self.pos_box = (*map(float, pos_min), *map(float, pos_max))
 
         pos_idx = np.array([4 * k + c for k in range(n) for c in (0, 2)])
         G_pos, F_pos = G[pos_idx], F[pos_idx]
         # The box rows bound p_1, ..., p_{N-1}; the tail's first rows bound p_N.
         rows = [np.eye(nv), -np.eye(nv), G_pos[:-2], -G_pos[:-2]]
         h_const = [np.tile(cfg.v_max, n), -np.tile(cfg.v_min, n),
-                   np.tile(cfg.pos_max, n - 1), -np.tile(cfg.pos_min, n - 1)]
+                   np.tile(pos_max, n - 1), -np.tile(pos_min, n - 1)]
         h_lin = [np.zeros((nv, 4)), np.zeros((nv, 4)), -F_pos[:-2], F_pos[:-2]]
 
         F_N, G_N = F[4 * (n - 1):4 * n], G[4 * (n - 1):4 * n]
@@ -363,7 +365,7 @@ class _CondensedWorkspace:
             km = terminal.K @ power
             sm = sel @ power
             rows += [km @ G_N, -(km @ G_N), sm @ G_N, -(sm @ G_N)]
-            h_const += [cfg.v_max, -cfg.v_min, cfg.pos_max, -cfg.pos_min]
+            h_const += [cfg.v_max, -cfg.v_min, pos_max, -pos_min]
             h_lin += [-(km @ F_N), km @ F_N, -(sm @ F_N), sm @ F_N]
             power = A_cl @ power
         self.lin_rows = np.vstack(rows)
@@ -380,19 +382,32 @@ class _CondensedWorkspace:
         self.radius_sq = np.array([obs.radius**2 + 2.0 * FEAS_TOL
                                    for obs in obstacles], dtype=float)
 
-        # Everything the certificate reads is linear in z0: one product with
-        # free_stack gives the free plan free_map @ z0, the prediction offset
-        # F z0, value @ z0 (the cost at the plan is z0' value z0), the plan's
-        # positions p_0, ..., p_N, and its affine-row values before the
-        # constant part, lin_rows @ plan - h_lin @ z0.
+        # free_stack @ (z0, vec(z0 z0'), 1) is the free plan, F z0, value @ z0
+        # (the cost is z0' value z0), the affine residuals, h_o(p_k) for
+        # k = 1..N, then k = 0..N-1, and z0'z0. On the free plan p_k = P_k z0:
+        # h_o(p_k) = z0'P_k'P_k z0 - 2 c_o'P_k z0 + |c_o|^2 - r_o^2.
         value = self.offset_form + 0.5 * self.grad_map.T @ self.free_map
-        free_pos = self.pos_f + self.pos_maps @ self.free_map
-        blocks = [self.free_map, F, 0.5 * (value + value.T),
-                  free_pos.reshape(-1, 4),
-                  self.lin_rows @ self.free_map - self.h_lin]
-        self.free_stack = np.vstack(blocks)
-        # Where each block after the plan starts in free_stack.
-        self.free_starts = np.cumsum([len(b) for b in blocks[:-1]]).tolist()
+        top = np.vstack([self.free_map, F, 0.5 * (value + value.T),
+                         self.lin_rows @ self.free_map - self.h_lin])
+        n_obs, n_top = len(self.center), len(top)
+        stack = np.zeros((n_top + 2 * n_obs * n + 1, 21))
+        stack[:n_top, :4] = top
+        stack[n_top - len(self.h_const):n_top, 20] = -self.h_const
+        stack[-1, 4:20:5] = 1.0
+        p_k = (self.pos_f + self.pos_maps @ self.free_map)[
+            np.array([np.arange(1, n + 1), np.arange(n)])]
+        h = stack[n_top:-1].reshape(2, n_obs, n, 21)
+        h[..., :4] = -2.0 * np.einsum("oi,jkix->jokx", self.center, p_k)
+        h[..., 4:20] = np.einsum("jkix,jkiy->jkxy", p_k, p_k).reshape(2, 1, n, 16)
+        h[..., 20] = ((self.center**2).sum(axis=1) - self.radius_sq)[:, None]
+        self.free_stack = stack
+        # Where each block after the plan starts.
+        self.free_starts = [nv, nv + 4 * n, nv + 4 * n + 4, n_top,
+                            n_top + n_obs * n]
+        # Expanded, |p - c|^2 loses digits as coordinates grow; a row's
+        # rounding is below this times max(1, z0'z0).
+        self.round_scale = 64 * np.finfo(float).eps * float(
+            np.abs(h).sum(axis=-1).max(initial=0.0))
 
     def inside(self, z0: np.ndarray) -> bool:
         """Whether the measured position lies in the position box (a NaN
@@ -405,26 +420,28 @@ class _CondensedWorkspace:
 
         Returns an "optimal" SolveResult of one SQP iteration and no QP
         when the plan free_map @ z0 meets the affine rows and the barrier
-        rows at this decay within FEAS_TOL; else None. No feasible plan has
-        a lower cost, however nonconvex the barrier rows are. The
-        prediction is F z0 + G V, as QcqpProblem.predict computes it. z0
-        is not tested against the position box.
+        rows at this decay within FEAS_TOL less round_scale * max(1, z0'z0);
+        else None. No feasible plan has a lower cost, however nonconvex the
+        barrier rows are. The prediction is F z0 + G V, as
+        QcqpProblem.predict computes it. z0 is not tested against the
+        position box.
         """
-        i_f, i_c, i_p, i_lin = self.free_starts
-        out = self.free_stack @ z0
-        if not (out[i_lin:] - self.h_const).max() <= FEAS_TOL:
+        i_f, i_c, i_a, i_h, i_m = self.free_starts
+        out = self.free_stack @ np.concatenate([z0, (z0[:, None] * z0).ravel(),
+                                               (1.0,)])
+        if not out[i_a:i_h].max() <= FEAS_TOL:
             return None
-        rows, _ = _barrier_rows(out[i_p:i_lin].reshape(-1, 2), self.center,
-                                self.radius_sq, decay)
-        if rows.size and not rows.min() >= -FEAS_TOL:
-            return None
+        if i_m > i_h:
+            rows = out[i_h:i_m] - decay * out[i_m:-1]
+            if not rows.min() >= self.round_scale * max(1.0, out[-1]) - FEAS_TOL:
+                return None
         v = out[:i_f]
         stacked = out[i_f:i_c] + self.G @ v
         return SolveResult(
             status="optimal",
             v_sequence=v.reshape(-1, 2),
             z_prediction=np.concatenate([z0, stacked]).reshape(-1, 4),
-            cost=float(z0 @ out[i_c:i_p]),
+            cost=float(z0 @ out[i_c:i_a]),
             sqp_iterations=1,
             qp_iterations_total=0,
         )
@@ -600,8 +617,10 @@ class LinearMpc:
     """Receding-horizon controller on the linear coordinates.
 
     Owns the discrete model, terminal data, the condensed workspace, and
-    the shifted warm start. A measured position outside the position box
-    (or NaN) is infeasible at any gamma, so the step solves nothing.
+    the last plan and z_N, from which only an SQP builds the shifted warm
+    start. Predictions are in world coordinates. A measured position
+    outside the position box (or NaN) is infeasible at any gamma, so the
+    step solves nothing.
     Otherwise each solve at one gamma first certifies the cost's free
     minimizer and builds the QCQP only when that fails. On an infeasible
     step the barrier decay is relaxed once (gamma doubled, capped at 1);
@@ -622,11 +641,9 @@ class LinearMpc:
         # Goal-centered: the obstacles and position box move with the state.
         self.obstacles = [Obstacle(o.x - goal[0], o.y - goal[1], o.radius)
                           for o in obstacles]
-        g = self.goal_z[::2]
-        self.workspace = _CondensedWorkspace(
-            replace(cfg, pos_min=cfg.pos_min - g, pos_max=cfg.pos_max - g),
-            self.model, self.terminal, self.obstacles)
-        self._warm = None
+        self.workspace = _CondensedWorkspace(cfg, self.model, self.terminal,
+                                             self.obstacles, self.goal_z[::2])
+        self._last = None  # the last plan and its goal-centered z_N
 
     def solve(self, z0) -> SolveResult:
         t0 = time.perf_counter()
@@ -635,17 +652,22 @@ class LinearMpc:
         if ws.inside(z0s):
             res = _solve_relaxing_gamma(lambda g: self._solve_once(z0s, g),
                                         self.gamma)
-        else:  # the zero plan with its goal-centered prediction and cost
+        else:  # the zero plan with its prediction and cost
             pred = np.concatenate([z0s, ws.F @ z0s]).reshape(-1, 4)
             res = SolveResult("infeasible", np.zeros((ws.n_steps, 2)), pred,
                               float(z0s @ ws.offset_form @ z0s), 0, 0)
         if res.status != "infeasible":
-            flat = res.v_sequence.ravel()
-            tail = self.terminal.K @ res.z_prediction[-1]
-            self._warm = np.concatenate([flat[2:], tail])
-            res.z_prediction = res.z_prediction + self.goal_z
+            self._last = res.v_sequence.ravel(), res.z_prediction[-1]
+        res.z_prediction = res.z_prediction + self.goal_z
         res.solve_time = time.perf_counter() - t0
         return res
+
+    def _warm_start(self):
+        """The last plan shifted one stage and K z_N, or None."""
+        if self._last is None:
+            return None
+        plan, z_n = self._last
+        return np.concatenate([plan[2:], self.terminal.K @ z_n])
 
     def _solve_once(self, z0: np.ndarray, gamma: float) -> SolveResult:
         """One solve at gamma from the goal-centered state z0: the
@@ -654,7 +676,7 @@ class LinearMpc:
         res = self.workspace.certify(z0, decay)
         if res is None:
             res = solve_sqp(build_qcqp(z0, self.workspace, decay),
-                            warm_start=self._warm)
+                            warm_start=self._warm_start())
         return res
 
 

@@ -319,16 +319,26 @@ def test_startup_transient_converges_in_few_iterations(monkeypatch):
 
 def _recorded_attempts(monkeypatch, scenario):
     """(controller, z0, gamma, warm start, result) of each solve at one
-    gamma (LinearMpc._solve_once) of a run, z0 goal-centered."""
+    gamma (LinearMpc._solve_once) of a run, z0 goal-centered. The warm start
+    is the one solve_sqp received, or for a certified solve the one it
+    would have received."""
     attempts = []
+    received = []
     solve_once = LinearMpc._solve_once
+    sqp = scmpc.mpc.solve_sqp
+
+    def recording_sqp(problem, warm_start=None):
+        received.append(warm_start)
+        return sqp(problem, warm_start=warm_start)
 
     def recording(controller, z0, gamma):
-        warm_start = controller._warm
+        received.clear()
         res = solve_once(controller, z0, gamma)
+        warm_start = received[0] if received else controller._warm_start()
         attempts.append((controller, z0, gamma, warm_start, res))
         return res
 
+    monkeypatch.setattr(scmpc.mpc, "solve_sqp", recording_sqp)
     monkeypatch.setattr(LinearMpc, "_solve_once", recording)
     run_closed_loop(scenario)
     monkeypatch.undo()
@@ -773,14 +783,17 @@ def test_out_of_box_state_flags_infeasible(monkeypatch):
 
 def test_position_box_is_in_world_coordinates_for_both_controllers():
     # With the goal at (5, 5), (-6, 5) lies inside the box [-10, 10]^2 and
-    # (12, 5) outside it, for the linear scheme as for the baseline.
+    # (12, 5) outside it, for the linear scheme as for the baseline. Either
+    # way the prediction is in world coordinates: it starts at the
+    # measured state.
     cfg = MpcConfig(v_min=[-50, -50], v_max=[50, 50])
     goal = (5.0, 5.0)
     for x, status in ((-6.0, "optimal"), (12.0, "infeasible")):
-        assert LinearMpc(cfg, goal=goal).solve(
-            [x, 0.5, 5.0, 0.0]).status == status
-        assert NonlinearMpc(cfg, goal=goal).solve(
-            [x, 5.0, 0.0]).status == status
+        for controller, state in ((LinearMpc(cfg, goal=goal), [x, 0.5, 5.0, 0.0]),
+                                  (NonlinearMpc(cfg, goal=goal), [x, 5.0, 0.0])):
+            res = controller.solve(state)
+            assert res.status == status
+            np.testing.assert_array_equal(res.z_prediction[0], state)
 
 
 def _stacked_kkt_oracle(cfg, model, td, z0):
@@ -979,6 +992,16 @@ def test_nmpc_slower_than_linear_scheme_per_step():
     assert np.median(nl_times) > np.median(lin_times)
 
 
+def _lifted_and_exact_barrier_rows(ws, z0, decay):
+    """The barrier rows at the free plan from the certificate's product
+    with lift(z0), and from _barrier_rows on the plan's positions."""
+    _, _, _, i_h, i_m = ws.free_starts
+    out = ws.free_stack @ np.concatenate([z0, np.outer(z0, z0).ravel(), [1.0]])
+    pos = ws.pos_f @ z0 + ws.pos_maps @ (ws.free_map @ z0)
+    exact, _ = scmpc.mpc._barrier_rows(pos, ws.center, ws.radius_sq, decay)
+    return out[i_h:i_m] - decay * out[i_m:-1], exact
+
+
 @settings(max_examples=300, deadline=None)
 @given(horizon=st.integers(1, 10),
        gamma=st.floats(1e-3, 1.0),
@@ -997,11 +1020,14 @@ def test_workspace_certificate_matches_the_qcqp_rows(horizon, gamma, mode, z0,
     # The certificate decides from the workspace's stacked map what the rows
     # of build_qcqp's problem decide at the free minimizer, up to roundoff
     # at the tolerance, and a certified plan is that minimizer bit for bit.
+    # Its lifted barrier values agree with _barrier_rows at the free plan.
     cfg = MpcConfig(horizon=horizon, gamma=gamma, v_min=[-v_max, -v_max],
                     v_max=[v_max, v_max])
     controller = LinearMpc(cfg, [Obstacle(*o) for o in obstacles], mode=mode)
     ws = controller.workspace
     z0 = np.array(z0)
+    lifted, exact = _lifted_and_exact_barrier_rows(ws, z0, 1.0 - controller.gamma)
+    np.testing.assert_allclose(lifted, exact, rtol=0.0, atol=1e-9)
     if not ws.inside(z0):
         event("outside the position box")
         assert controller.solve(z0).status == "infeasible"
@@ -1047,3 +1073,80 @@ def test_certificate_takes_barrier_violations_up_to_feas_tol():
             assert abs(worst - violation) < 1e-3 * FEAS_TOL
             res = controller.workspace.certify(z0, decay)
             assert (res is not None) == certified
+
+
+def test_certificate_leaves_far_rounding_to_the_sqp():
+    # With the box at 1e5 m and an obstacle about 1e5 m from the goal, the
+    # lifted barrier values lose more than FEAS_TOL to rounding. Obstacles
+    # sized so that the free plan's worst barrier row is violated by
+    # 2 or 0.5 FEAS_TOL: a certified plan must meet the rows within
+    # FEAS_TOL, and each step still ends optimal through the SQP.
+    big = 1e5
+    cfg = MpcConfig(pos_min=[-big, -big], pos_max=[big, big],
+                    v_min=[-1e7, -1e7], v_max=[1e7, 1e7])
+    z0 = np.array([0.7 * big, -0.5, 0.7 * big, 0.3])
+    ws = LinearMpc(cfg).workspace
+    pos = ws.pos_f @ z0 + ws.pos_maps @ (ws.free_map @ z0)
+    for mode, decay, offset in (("euclid", 0.0, (0.0, -1.0)),
+                                ("cbf", 1.0 - cfg.gamma, (1e4, -1e4))):
+        center = pos[4] + np.array(offset)
+        dist_sq = np.sum((pos - center) ** 2, axis=1)
+        base = np.min(dist_sq[1:] - decay * dist_sq[:-1])
+        for violation in (2.0 * FEAS_TOL, 0.5 * FEAS_TOL):
+            r_sq = (base + violation) / (1.0 - decay)
+            obstacle = Obstacle(center[0], center[1],
+                                math.sqrt(r_sq - 2.0 * FEAS_TOL))
+            controller = LinearMpc(cfg, [obstacle], mode=mode)
+            lifted, exact = _lifted_and_exact_barrier_rows(
+                controller.workspace, z0, decay)
+            assert np.max(np.abs(lifted - exact)) > FEAS_TOL
+            assert abs(np.min(exact) + violation) < 0.1 * FEAS_TOL
+            res = controller.workspace.certify(z0, decay)
+            assert res is None or np.min(exact) >= -FEAS_TOL
+            step = controller.solve(z0)
+            assert step.status == "optimal" and step.qp_iterations_total > 0
+
+
+def test_warm_start_is_built_only_for_an_sqp(monkeypatch):
+    # Each SQP of the nominal run starts from the previous step's plan
+    # shifted one stage, with K z_N appended, bit for bit; certified solves
+    # build no warm start.
+    received, steps, builds = [], [], []
+    sqp, warm_start = scmpc.mpc.solve_sqp, LinearMpc._warm_start
+    solve_once, solve = LinearMpc._solve_once, LinearMpc.solve
+
+    def recording_sqp(problem, warm_start=None):
+        received.append((len(steps), warm_start))
+        return sqp(problem, warm_start=warm_start)
+
+    def counted(controller):
+        builds.append(controller)
+        return warm_start(controller)
+
+    def recording_once(controller, z0, gamma):
+        res = solve_once(controller, z0, gamma)
+        # The goal-centered plan and z_N, before solve shifts the result.
+        steps[-1] = (res.status, res.v_sequence.ravel().copy(),
+                     res.z_prediction[-1].copy())
+        return res
+
+    def recording(controller, z0):
+        steps.append(None)
+        return solve(controller, z0)
+
+    monkeypatch.setattr(scmpc.mpc, "solve_sqp", recording_sqp)
+    monkeypatch.setattr(LinearMpc, "_warm_start", counted)
+    monkeypatch.setattr(LinearMpc, "_solve_once", recording_once)
+    monkeypatch.setattr(LinearMpc, "solve", recording)
+    scenario = nominal_scenario(duration=50.0)
+    run_closed_loop(scenario)
+    assert len(steps) == 1000
+    assert all(status == "optimal" for status, _, _ in steps)
+    assert len(builds) == len(received) == 18
+    K = _setup(scenario.mpc)[1].K
+    for step, warm in received:
+        if step == 1:
+            assert warm is None
+            continue
+        _, plan, z_n = steps[step - 2]
+        np.testing.assert_array_equal(warm, np.concatenate([plan[2:], K @ z_n]))
