@@ -17,13 +17,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .dfl import DflGuard, decoupling_matrix, map_x_array_to_z, map_z_to_x
-from .errors import ConfigError, InfeasibleError, integer
+from .errors import ConfigError, InfeasibleError, integer, real
 from .model import ExtendedState, RobotParams
 from .mpc import (FEAS_TOL, LinearMpc, MpcConfig, estimate_flops_ip,
                   estimate_flops_sqp)
@@ -57,23 +57,12 @@ def _require_keys(section, allowed, where: str):
             raise ConfigError(f"unknown key {where}.{key}")
 
 
-def _real(value):
-    """A finite float; NaN and infinities fail."""
-    out = float(value)
-    if not math.isfinite(out):
-        raise ValueError("expected a finite number")
-    return out
-
-
 def _reals(value):
-    """A float array with no NaN or infinite entry."""
-    out = np.asarray(value, dtype=float)
-    if not np.isfinite(out).all():
-        raise ValueError("expected finite numbers")
-    return out
+    """Nested lists of finite numbers, not strings or booleans."""
+    return [_reals(v) if isinstance(v, list) else real(v) for v in value]
 
 
-def _value(section: dict, key: str, default, where: str, kind=_real):
+def _value(section: dict, key: str, default, where: str, kind=real):
     """section[key] (default if absent) converted by kind.
 
     A missing required key (default None) or a value kind cannot convert
@@ -89,13 +78,6 @@ def _value(section: dict, key: str, default, where: str, kind=_real):
                           f"({exc})") from None
 
 
-def _boolean(value):
-    """A JSON true or false; strings and numbers fail."""
-    if not isinstance(value, bool):
-        raise ValueError("expected true or false")
-    return value
-
-
 def _list(kind, size=None):
     """A converter to a list of kind values, of the given length if any."""
     def convert(value):
@@ -104,6 +86,14 @@ def _list(kind, size=None):
             raise ValueError(f"expected {size} entries")
         return out
     return convert
+
+
+def _make(kind, where: str, kwargs: dict):
+    """kind(**kwargs); a ConfigError names its key under the section where."""
+    try:
+        return kind(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}.{exc}") from None
 
 
 def load_config(path) -> dict:
@@ -120,18 +110,15 @@ def load_config(path) -> dict:
 
     robot = raw.get("robot", {})
     _require_keys(robot, {"wheel_radius", "axle_length"}, "robot")
-    out["robot"] = RobotParams(
-        wheel_radius=_value(robot, "wheel_radius", 0.1, "robot"),
-        axle_length=_value(robot, "axle_length", 0.5, "robot"),
-    )
+    out["robot"] = _make(RobotParams, "robot", robot)
 
     sc = raw.get("scenario", {})
     _require_keys(sc, {"start", "goal", "duration", "mode", "substeps",
                        "obstacles", "noise"}, "scenario")
     out["start"] = ExtendedState(*_value(sc, "start", [7.0, 7.0, math.pi, 0.5],
-                                         "scenario", _list(_real, 4)))
+                                         "scenario", _list(real, 4)))
     out["goal"] = tuple(_value(sc, "goal", [0.0, 0.0], "scenario",
-                               _list(_real, 2)))
+                               _list(real, 2)))
     out["duration"] = _value(sc, "duration", 30.0, "scenario")
     out["mode"] = _value(sc, "mode", "cbf", "scenario", str)
     out["substeps"] = _value(sc, "substeps", 1, "scenario", integer)
@@ -144,23 +131,14 @@ def load_config(path) -> dict:
     out["obstacles"] = tuple(obstacles)
     noise = sc.get("noise", {})
     _require_keys(noise, {"enabled", "variance", "mask"}, "scenario.noise")
-    out["noise"] = {
-        "enabled": _value(noise, "enabled", False, "scenario.noise",
-                          _boolean),
-        "variance": _value(noise, "variance", 0.05, "scenario.noise"),
-        "mask": tuple(_value(noise, "mask", [True, True, True],
-                             "scenario.noise", _list(_boolean, 3))),
-    }
+    out["noise"] = asdict(_make(NoiseConfig, "scenario", noise))
 
     mp = raw.get("mpc", {})
     _require_keys(mp, {"horizon", "constraint_horizon", "gamma", "ts", "q",
                        "r", "v_min", "v_max", "pos_min", "pos_max", "u_min",
                        "u_max", "nmpc_q", "nmpc_r", "nmpc_p"}, "mpc")
-    kwargs = {}
-    for key, kind in (("horizon", integer), ("constraint_horizon", integer),
-                      ("gamma", _real), ("ts", _real)):
-        if key in mp:
-            kwargs[key] = _value(mp, key, None, "mpc", kind)
+    kwargs = {key: mp[key] for key in ("horizon", "constraint_horizon",
+                                       "gamma", "ts") if key in mp}
     for json_key, attr in (("q", "Q"), ("r", "R"), ("nmpc_q", "nmpc_Q"),
                            ("nmpc_r", "nmpc_R"), ("nmpc_p", "nmpc_P"),
                            ("v_min", "v_min"), ("v_max", "v_max"),
@@ -168,20 +146,16 @@ def load_config(path) -> dict:
                            ("u_min", "u_min"), ("u_max", "u_max")):
         if json_key in mp:
             kwargs[attr] = _value(mp, json_key, None, "mpc", _reals)
-    try:
-        out["mpc"] = MpcConfig(**kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"mpc: {exc}")
+    out["mpc"] = _make(MpcConfig, "mpc", kwargs)
 
     dfl = raw.get("dfl", {})
     _require_keys(dfl, {"zeta_threshold"}, "dfl")
-    out["guard"] = DflGuard(zeta_threshold=_value(dfl, "zeta_threshold", 0.01,
-                                                  "dfl"))
+    out["guard"] = _make(DflGuard, "dfl", dfl)
 
     sweep = raw.get("sweep", {})
     _require_keys(sweep, {"gamma", "horizon", "mode"}, "sweep")
     out["sweep"] = {key: _value(sweep, key, [], "sweep", _list(kind))
-                    for key, kind in (("gamma", _real), ("horizon", integer),
+                    for key, kind in (("gamma", real), ("horizon", integer),
                                       ("mode", str))}
 
     timing = raw.get("timing", {})
@@ -202,25 +176,17 @@ def _derive_seed(base_seed: int, run_index: int) -> int:
 def _build_scenario(cfg: dict, gamma, horizon, mode, noise_seed) -> Scenario:
     """The config's scenario with gamma, horizon and mode overridden where
     not None."""
-    mpc = cfg["mpc"]
-    if gamma is not None or horizon is not None:
-        updates = {}
-        if gamma is not None:
-            updates["gamma"] = float(gamma)
-        if horizon is not None:
-            updates["horizon"] = int(horizon)
-        mpc = replace(mpc, **updates)
+    updates = {key: value for key, value in (("gamma", gamma),
+                                             ("horizon", horizon))
+               if value is not None}
     return Scenario(
         start=cfg["start"],
         goal=cfg["goal"],
         obstacles=cfg["obstacles"],
-        mpc=mpc,
+        mpc=replace(cfg["mpc"], **updates),
         guard=cfg["guard"],
         duration=cfg["duration"],
-        noise=NoiseConfig(enabled=cfg["noise"]["enabled"],
-                          variance=cfg["noise"]["variance"],
-                          seed=noise_seed,
-                          mask=cfg["noise"]["mask"]),
+        noise=NoiseConfig(**{**cfg["noise"], "seed": noise_seed}),
         mode=mode if mode is not None else cfg["mode"],
         substeps=cfg["substeps"],
         robot=cfg["robot"],

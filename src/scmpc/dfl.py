@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import real
 from .model import ExtendedState
 
 __all__ = [
@@ -33,8 +33,7 @@ class DflGuard:
     zeta_threshold: float = 0.01
 
     def __post_init__(self):
-        if not self.zeta_threshold > 0.0:
-            raise ConfigError("zeta_threshold must be positive")
+        real(self.zeta_threshold, "zeta_threshold", above=0.0)
 
 
 def _linearizing_law(x3, zeta, v1, v2, zeta_threshold):

@@ -1,5 +1,6 @@
-"""Exception types and the integer check shared across the package."""
+"""Exception types and the scalar checks shared across the package."""
 
+import math
 import numbers
 
 
@@ -25,3 +26,26 @@ def integer(value, name="value", minimum=0) -> int:
     if value < minimum:
         raise ConfigError(f"{name} must be at least {minimum}")
     return int(value)
+
+
+def real(value, name="value", above=-math.inf, minimum=-math.inf,
+         maximum=math.inf) -> float:
+    """value as a float if a finite real number (not a bool or a string)
+    above `above` and within [minimum, maximum], else ConfigError naming
+    name."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, not {value!r}")
+    for bad, bound in ((value <= above, f"above {above:g}"),
+                       (value < minimum, f"at least {minimum:g}"),
+                       (value > maximum, f"at most {maximum:g}")):
+        if bad:
+            raise ConfigError(f"{name} must be {bound}, not {value!r}")
+    return float(value)
+
+
+def flag(value, name="value") -> bool:
+    """value if a bool, else ConfigError naming name."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, not {value!r}")
+    return value

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, real
 
 __all__ = [
     "RobotParams",
@@ -32,10 +32,8 @@ class RobotParams:
     axle_length: float = 0.5
 
     def __post_init__(self):
-        if not self.wheel_radius > 0.0:
-            raise ConfigError("wheel_radius must be positive")
-        if not self.axle_length > 0.0:
-            raise ConfigError("axle_length must be positive")
+        real(self.wheel_radius, "wheel_radius", above=0.0)
+        real(self.axle_length, "axle_length", above=0.0)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, integer
+from .errors import ConfigError, integer, real
 from .lti import LtiModel, TerminalData, discretize_double_integrator, terminal_data
 from .model import unicycle_rhs
 from .qp import solve_qp
@@ -114,10 +114,8 @@ class MpcConfig:
         object.__setattr__(self, "horizon", integer(self.horizon, "horizon", 1))
         object.__setattr__(self, "constraint_horizon", integer(
             self.constraint_horizon, "constraint_horizon"))
-        if not 0.0 < self.gamma <= 1.0:
-            raise ConfigError("gamma must lie in (0, 1]")
-        if not self.ts > 0.0:
-            raise ConfigError("ts must be positive")
+        real(self.gamma, "gamma", above=0.0, maximum=1.0)
+        real(self.ts, "ts", above=0.0)
         object.__setattr__(self, "Q", _as_matrix(self.Q, (4, 4), "Q"))
         object.__setattr__(self, "R", _as_matrix(self.R, (2, 2), "R"))
         object.__setattr__(self, "nmpc_Q", _as_matrix(self.nmpc_Q, (3, 3), "nmpc_Q"))

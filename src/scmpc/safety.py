@@ -6,13 +6,11 @@ H(z+) >= (1 - gamma) H(z) limits how fast the barrier may decay; the
 Euclidean baseline keeps only the plain per-step sign condition H >= 0.
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, real
 from .lti import LtiModel
 
 __all__ = [
@@ -33,11 +31,9 @@ class Obstacle:
     radius: float
 
     def __post_init__(self):
-        if not (all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    and math.isfinite(v) for v in (self.x, self.y, self.radius))
-                and self.radius > 0.0):
-            raise ConfigError("obstacle center and radius must be finite "
-                              "numbers and the radius positive")
+        real(self.x, "obstacle x")
+        real(self.y, "obstacle y")
+        real(self.radius, "obstacle radius", above=0.0)
 
     def center(self) -> np.ndarray:
         return np.array([self.x, self.y])

@@ -11,13 +11,12 @@ baseline measures the pose and drives the plain unicycle directly.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dfl import DflGuard, closed_loop_rhs, dfl_control, map_x_array_to_z
-from .errors import ConfigError, InfeasibleError, integer
+from .errors import ConfigError, InfeasibleError, flag, integer, real
 from .mpc import LinearMpc, MpcConfig, NonlinearMpc
 from .model import (ExtendedState, RobotParams, UnicycleInput, rk4_step,
                     unicycle_rhs, unicycle_to_wheel)
@@ -51,15 +50,13 @@ class NoiseConfig:
     mask: tuple = (True, True, True)
 
     def __post_init__(self):
-        var = self.variance
-        if (isinstance(var, bool) or not isinstance(var, numbers.Real)
-                or not math.isfinite(var) or not var >= 0.0):
-            raise ConfigError("noise variance must be a finite nonnegative "
-                              "number")
-        flags = (self.enabled, *self.mask)
-        if len(self.mask) != 3 or not all(isinstance(f, bool) for f in flags):
-            raise ConfigError("noise enabled and 3 mask entries must be bools")
-        object.__setattr__(self, "seed", integer(self.seed, "noise seed"))
+        flag(self.enabled, "noise.enabled")
+        real(self.variance, "noise.variance", minimum=0.0)
+        if not isinstance(self.mask, (tuple, list)) or len(self.mask) != 3:
+            raise ConfigError("noise.mask must hold 3 flags")
+        object.__setattr__(self, "mask", tuple(flag(f, "noise.mask")
+                                               for f in self.mask))
+        object.__setattr__(self, "seed", integer(self.seed, "noise.seed"))
 
 
 @dataclass(frozen=True)
@@ -78,14 +75,16 @@ class Scenario:
     robot: RobotParams = field(default_factory=RobotParams)
 
     def __post_init__(self):
-        if not 0.0 < self.duration < math.inf:
-            raise ConfigError("duration must be positive and finite")
+        real(self.duration, "duration", above=0.0)
         if self.mode not in ("cbf", "euclid", "nmpc"):
             raise ConfigError(f"unknown mode '{self.mode}'")
         object.__setattr__(self, "substeps",
                            integer(self.substeps, "substeps", 1))
-        if self.start.zeta < 0.0:
-            raise ConfigError("initial zeta must be nonnegative")
+        for key, value in vars(self.start).items():
+            real(value, f"start.{key}")
+        real(self.start.zeta, "start.zeta", minimum=0.0)
+        for value in self.goal:
+            real(value, "goal")
 
 
 @dataclass

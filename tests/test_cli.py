@@ -112,7 +112,13 @@ def test_bad_config_value_exits_three(cli_config_file, tmp_path, capsys):
                        ("mpc.horizon", 8.7), ("mpc.constraint_horizon", 1.5),
                        ("seed", 1.9), ("seed", "12"), ("seed", -1),
                        ("sweep.horizon", [8.5]),
-                       ("timing.horizons", [8, True])):
+                       ("timing.horizons", [8, True]),
+                       # Reals take only finite numbers, not strings or bools.
+                       ("scenario.obstacles",
+                        [{"x": True, "y": 0.0, "radius": 1.0}]),
+                       ("mpc.gamma", "0.5"),
+                       ("scenario.noise.variance", True),
+                       ("mpc.q", [True, 1.0, 1.0, 1.0])):
         cfg = cli_config_file({key: value})
         assert main(["simulate", "--config", cfg,
                      "--out", str(tmp_path / "x")]) == 3
@@ -159,6 +165,25 @@ def test_infeasible_run_exits_two(cli_config_file, tmp_path):
     assert code == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["runs"][0]["aborted"] is True
+
+
+def test_start_inside_an_obstacle_aborts_every_run(cli_config_file, tmp_path,
+                                                   capsys):
+    # Every run raises InfeasibleError before its first step.
+    cfg = cli_config_file({"scenario.start": [3.5, 3.5, math.pi, 0.5]})
+    out = tmp_path / "sweep"
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--sweep"]) == 2
+    assert not list(out.glob("*.csv"))
+    runs = json.loads((out / "summary.json").read_text())["runs"]
+    assert [e["gamma"] for e in runs] == [0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
+    for entry in runs:
+        assert entry["aborted"] is True and "steps" not in entry
+        assert "infeasible" in entry["error"]
+    capsys.readouterr()
+    assert main(["compare-timing", "--config", cfg,
+                 "--out", str(tmp_path / "t")]) == 2
+    assert "run aborted infeasible" in capsys.readouterr().err
 
 
 def test_summary_recomputable_from_csv(cli_config_file, tmp_path):

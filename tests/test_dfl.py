@@ -13,8 +13,9 @@ GUARD = DflGuard(zeta_threshold=0.01)
 
 
 def test_guard_validation():
-    with pytest.raises(ConfigError):
-        DflGuard(zeta_threshold=0.0)
+    for threshold in (0.0, True, math.inf):
+        with pytest.raises(ConfigError):
+            DflGuard(zeta_threshold=threshold)
 
 
 def test_control_law_examples():

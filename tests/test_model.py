@@ -22,6 +22,10 @@ def test_params_validation():
         RobotParams(wheel_radius=0.0)
     with pytest.raises(ConfigError):
         RobotParams(axle_length=-1.0)
+    for kwargs in ({"wheel_radius": math.inf}, {"wheel_radius": "x"},
+                   {"axle_length": True}):
+        with pytest.raises(ConfigError):
+            RobotParams(**kwargs)
 
 
 def test_unicycle_to_wheel_examples():

@@ -51,9 +51,16 @@ def test_config_validation():
                    {"Q": np.diag([np.nan, 1.0, 1.0, 1.0])},
                    {"Q": np.diag([np.inf, 1.0, 1.0, 1.0])},
                    {"nmpc_P": np.diag([np.inf, 1.0, 0.0])},
-                   {"v_max": [np.inf, 10.0]}, {"pos_min": [-np.inf, -10.0]}):
+                   {"v_max": [np.inf, 10.0]}, {"pos_min": [-np.inf, -10.0]},
+                   {"Q": np.eye(3)}, {"v_min": [-1.0, -1.0, -1.0]},
+                   {"u_min": [2.0, -3.0]}, {"Q": np.diag([1.0, -1.0, 1.0, 1.0])},
+                   # Reals take only finite numbers, not bools or strings.
+                   {"ts": math.inf}, {"gamma": True}, {"ts": True},
+                   {"gamma": "0.5"}):
         with pytest.raises(ConfigError):
             MpcConfig(**kwargs)
+    with pytest.raises(ConfigError, match="nmpc"):
+        LinearMpc(MpcConfig(), mode="nmpc")
     cfg = MpcConfig(horizon=6.0, constraint_horizon=np.int64(3))
     assert (cfg.horizon, cfg.constraint_horizon) == (6, 3)
     assert type(cfg.horizon) is type(cfg.constraint_horizon) is int

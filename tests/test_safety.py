@@ -11,11 +11,14 @@ OBS = Obstacle(3.5, 3.5, 1.5)
 
 
 def test_obstacle_validation():
-    for args in ((0.0, 0.0, 0.0), (math.inf, 3.5, 1.0), (math.nan, 3.5, 1.0),
-                 (3.5, -math.inf, 1.0), (3.5, 3.5, math.inf),
-                 (3.5, 3.5, math.nan), ("a", 0, 1), (1, 2, "3"),
-                 (True, 0, 1)):
-        with pytest.raises(ConfigError, match="obstacle"):
+    # The message names the offending field.
+    for args, name in (((0.0, 0.0, 0.0), "radius"), ((math.inf, 3.5, 1.0), "x"),
+                       ((math.nan, 3.5, 1.0), "x"), ((3.5, -math.inf, 1.0), "y"),
+                       ((3.5, 3.5, math.inf), "radius"),
+                       ((3.5, 3.5, math.nan), "radius"), (("a", 0, 1), "x"),
+                       ((1, 2, "3"), "radius"), ((True, 0, 1), "x"),
+                       ((0, np.True_, 1), "y")):
+        with pytest.raises(ConfigError, match=f"obstacle {name}"):
             Obstacle(*args)
 
 

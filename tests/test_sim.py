@@ -15,13 +15,17 @@ from scmpc.sim import StepRecord, inject_noise
 
 
 def test_scenario_validation():
-    for duration in (0.0, math.inf, math.nan):
+    for duration in (0.0, math.inf, math.nan, True, "3"):
         with pytest.raises(ConfigError, match="duration"):
             Scenario(start=ExtendedState(0, 0, 0, 0.5), duration=duration)
     with pytest.raises(ConfigError):
         Scenario(start=ExtendedState(0, 0, 0, 0.5), mode="wrong")
     with pytest.raises(ConfigError):
         Scenario(start=ExtendedState(0, 0, 0, -0.1))
+    with pytest.raises(ConfigError, match="start"):
+        Scenario(start=ExtendedState(math.nan, 0, 0, 0.5))
+    with pytest.raises(ConfigError, match="goal"):
+        Scenario(start=ExtendedState(0, 0, 0, 0.5), goal=(0.0, math.nan))
     for substeps in (2.5, 0, "2", True):
         with pytest.raises(ConfigError, match="substeps"):
             Scenario(start=ExtendedState(0, 0, 0, 0.5), substeps=substeps)
