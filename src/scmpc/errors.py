@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import sys
 
 
 class ConfigError(ValueError):
@@ -30,11 +31,11 @@ def integer(value, name="value", minimum=0) -> int:
 
 def real(value, name="value", above=-math.inf, minimum=-math.inf,
          maximum=math.inf) -> float:
-    """value as a float if a finite real number (not a bool or a string)
-    above `above` and within [minimum, maximum], else ConfigError naming
-    name."""
+    """value as a float if a real number (not a bool or a string) that is
+    a finite float, above `above` and within [minimum, maximum], else
+    ConfigError naming name."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
+            or not abs(value) <= sys.float_info.max):
         raise ConfigError(f"{name} must be a finite number, not {value!r}")
     for bad, bound in ((value <= above, f"above {above:g}"),
                        (value < minimum, f"at least {minimum:g}"),

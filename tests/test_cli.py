@@ -116,7 +116,7 @@ def test_bad_config_value_exits_three(cli_config_file, tmp_path, capsys):
                        # Reals take only finite numbers, not strings or bools.
                        ("scenario.obstacles",
                         [{"x": True, "y": 0.0, "radius": 1.0}]),
-                       ("mpc.gamma", "0.5"),
+                       ("mpc.gamma", "0.5"), ("mpc.gamma", 10**400),
                        ("scenario.noise.variance", True),
                        ("mpc.q", [True, 1.0, 1.0, 1.0])):
         cfg = cli_config_file({key: value})
