@@ -11,7 +11,9 @@ import pytest
 
 from scmpc.cli import (RunManifest, compare_timing, load_config, main, run,
                        _ip_iteration_model)
+from scmpc import DflGuard, NoiseConfig
 from scmpc.errors import ConfigError
+from scmpc.model import RobotParams
 from scmpc.mpc import estimate_flops_ip, estimate_flops_sqp
 
 EXPECTED_HEADER = ("t,x1,x2,x3,zeta,u1,u2,omega_r,omega_l,v1,v2,"
@@ -314,9 +316,15 @@ def test_main_simulate_round_trip(cli_config_file, tmp_path):
     assert (tmp_path / "m" / "summary.json").exists()
 
 
-def test_load_config_defaults():
+def test_load_config_defaults(tmp_path):
     with pytest.raises(ConfigError):
         load_config("/nonexistent/path.json")
+    # Absent robot, dfl and noise keys take the dataclasses' defaults.
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    cfg = load_config(path)
+    assert cfg["robot"] == RobotParams() and cfg["guard"] == DflGuard()
+    assert NoiseConfig(**cfg["noise"]) == NoiseConfig()
 
 
 NO_SCIPY_SCRIPT = """
