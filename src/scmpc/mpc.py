@@ -25,11 +25,11 @@ solves once more at doubled gamma and reports the iterations of both
 solves.
 
 Before any QCQP is built, the linear scheme certifies the cost's free
-(unconstrained) minimizer by one product with a matrix precomputed per
-configuration: if it meets every row within FEAS_TOL, no feasible plan has
-a lower cost, however nonconvex the barrier rows are, so it is the
-solution. This settles a typical warm-started step; it counts as one SQP
-iteration and no QP.
+(unconstrained) minimizer by one product with a matrix built per decay:
+if it meets every row within FEAS_TOL, no feasible plan has a lower cost,
+however nonconvex the barrier rows are, so it is the solution. This
+settles a typical warm-started step; it counts as one SQP iteration and
+no QP.
 """
 
 import math
@@ -135,22 +135,22 @@ class MpcConfig:
             raise ConfigError("R must be positive definite")
 
 
-def _barrier_rows(pos, center, radius_sq, decay, sens=None):
-    """Barrier decay rows h_o(p_{k+1}) - decay * h_o(p_k) and their Jacobian.
+def _barrier_rows(d, radius_sq, decay):
+    """Barrier decay rows h_o(p_{k+1}) - decay * h_o(p_k).
 
-    pos holds the positions p_0, ..., p_N (N+1, 2), center and radius_sq
-    the obstacles (n_obs, 2) and (n_obs,), and h_o(p) = |p - c_o|^2 - r_o^2.
-    The n_obs * N rows are obstacle-major: row o * N + k bounds step k + 1
-    against obstacle o. With the position sensitivities sens (N+1, 2, nv)
-    the (n_obs * N, nv) Jacobian is returned too, else None.
+    d holds the offsets p_k - c_o (n_obs, N+1, 2) of the positions
+    p_0, ..., p_N from the obstacle centers, and h_o(p) = |p - c_o|^2 -
+    radius_sq_o. The n_obs * N rows are obstacle-major: row o * N + k
+    bounds step k + 1 against obstacle o.
     """
-    d = pos[None] - center[:, None]
     h = (d * d).sum(axis=2) - radius_sq[:, None]
-    rows = (h[:, 1:] - decay * h[:, :-1]).ravel()
-    if sens is None:
-        return rows, None
+    return (h[:, 1:] - decay * h[:, :-1]).ravel()
+
+
+def _barrier_jacobian(d, sens, decay):
+    """The rows' Jacobian, given the position sensitivities sens."""
     dh = 2.0 * np.einsum("kin,oki->okn", sens, d)
-    return rows, (dh[:, 1:] - decay * dh[:, :-1]).reshape(-1, sens.shape[2])
+    return (dh[:, 1:] - decay * dh[:, :-1]).reshape(-1, sens.shape[2])
 
 
 @dataclass
@@ -164,7 +164,8 @@ class QuadraticRow:
     gamma = 1 (euclid) each row bounds h_o(p_{k+1}) >= 0 on its own.
     radius_sq is each obstacle's squared radius plus 2 * FEAS_TOL:
     solve_sqp accepts row violations up to FEAS_TOL, and the back-off
-    keeps such a plan's positions outside the true disk.
+    keeps such a plan's positions outside the true disk. value and
+    gradient take d = offsets_at(v) if the caller has it.
     """
 
     maps: np.ndarray
@@ -177,15 +178,19 @@ class QuadraticRow:
     def __len__(self) -> int:
         return len(self.radius_sq) * (len(self.offsets) - 1)
 
-    def value(self, v: np.ndarray) -> np.ndarray:
-        """The row values at v."""
-        return _barrier_rows(self.offsets + self.maps @ v, self.center,
-                             self.radius_sq, self.decay)[0]
+    def offsets_at(self, v: np.ndarray) -> np.ndarray:
+        """The offsets p_k(v) - c_o (n_obs, N+1, 2)."""
+        return (self.offsets + self.maps @ v)[None] - self.center[:, None]
 
-    def gradient(self, v: np.ndarray) -> np.ndarray:
+    def value(self, v: np.ndarray, d=None) -> np.ndarray:
+        """The row values at v."""
+        return _barrier_rows(self.offsets_at(v) if d is None else d,
+                             self.radius_sq, self.decay)
+
+    def gradient(self, v: np.ndarray, d=None) -> np.ndarray:
         """The (K, nv) Jacobian of the row values at v."""
-        return _barrier_rows(self.offsets + self.maps @ v, self.center,
-                             self.radius_sq, self.decay, self.maps)[1]
+        return _barrier_jacobian(self.offsets_at(v) if d is None else d,
+                                 self.maps, self.decay)
 
     def curvature(self, weights: np.ndarray) -> np.ndarray:
         """The (nv, nv) weighted sum of the constant row Hessians.
@@ -253,20 +258,22 @@ class QcqpProblem:
         return np.vstack([self.z0, stacked.reshape(self.n_steps, 4)])
 
     def evaluate(self, v: np.ndarray):
-        """Cost, the barrier rows as -c(v) <= 0, and the values c(v)."""
-        c = self.quad_rows.value(v)
-        return self.cost(v), -c, c
+        """Cost, the barrier rows as -c(v) <= 0, and (c(v), offsets)."""
+        d = self.quad_rows.offsets_at(v)
+        c = self.quad_rows.value(v, d)
+        return self.cost(v), -c, (c, d)
 
-    def linearize(self, v: np.ndarray, c: np.ndarray, multipliers=None):
-        """QP model at v and the Jacobian of -c.
+    def linearize(self, v: np.ndarray, aux, multipliers=None):
+        """QP model at v and the Jacobian of -c, from evaluate's aux.
 
         Without nonzero multipliers of the rows -c <= 0 the model is the
         cost itself. Otherwise its Hessian is that of the Lagrangian,
         H - sum_k lambda_k * hess(c_k), with eigenvalues floored, and its
         linear term keeps the cost gradient at v.
         """
+        c, d = aux
         rows = self.quad_rows
-        grad = rows.gradient(v)
+        grad = rows.gradient(v, d)
         stuck = np.flatnonzero(c < 0.0)
         if stuck.size:
             stuck = stuck[np.einsum("kn,kn->k", grad[stuck], grad[stuck]) < 1e-18]
@@ -284,17 +291,35 @@ class QcqpProblem:
         return w, self.hessian @ v + self.gradient - w @ v, -grad
 
 
+def _once(build):
+    """A function returning build(), built on its first call."""
+    kept = []
+
+    def value():
+        if not kept:
+            kept.append(build())
+        return kept[0]
+    return value
+
+
 @dataclass
 class SolveResult:
-    """Solver outcome: status, input plan, prediction, and diagnostics."""
+    """Solver outcome: status, input plan, prediction, and diagnostics.
+
+    predict builds z_prediction when it is first read.
+    """
 
     status: str  # optimal | max_iter | infeasible
     v_sequence: np.ndarray
-    z_prediction: np.ndarray
+    predict: object
     cost: float
     sqp_iterations: int
     qp_iterations_total: int
     solve_time: float = 0.0  # the controller's whole step, timed by it
+
+    @property
+    def z_prediction(self) -> np.ndarray:
+        return self.predict()
 
 
 def prediction_matrices(model: LtiModel, n_steps: int):
@@ -382,19 +407,18 @@ class _CondensedWorkspace:
 
         # free_stack @ (z0, vec(z0 z0'), 1) is the free plan, F z0, value @ z0
         # (the cost is z0' value z0), the affine residuals, h_o(p_k) for
-        # k = 1..N, then k = 0..N-1, and z0'z0. On the free plan p_k = P_k z0:
+        # k = 1..N, then k = 0..N-1. On the free plan p_k = P_k z0:
         # h_o(p_k) = z0'P_k'P_k z0 - 2 c_o'P_k z0 + |c_o|^2 - r_o^2.
         value = self.offset_form + 0.5 * self.grad_map.T @ self.free_map
         top = np.vstack([self.free_map, F, 0.5 * (value + value.T),
                          self.lin_rows @ self.free_map - self.h_lin])
         n_obs, n_top = len(self.center), len(top)
-        stack = np.zeros((n_top + 2 * n_obs * n + 1, 21))
+        stack = np.zeros((n_top + 2 * n_obs * n, 21))
         stack[:n_top, :4] = top
         stack[n_top - len(self.h_const):n_top, 20] = -self.h_const
-        stack[-1, 4:20:5] = 1.0
         p_k = (self.pos_f + self.pos_maps @ self.free_map)[
             np.array([np.arange(1, n + 1), np.arange(n)])]
-        h = stack[n_top:-1].reshape(2, n_obs, n, 21)
+        h = stack[n_top:].reshape(2, n_obs, n, 21)
         h[..., :4] = -2.0 * np.einsum("oi,jkix->jokx", self.center, p_k)
         h[..., 4:20] = np.einsum("jkix,jkiy->jkxy", p_k, p_k).reshape(2, 1, n, 16)
         h[..., 20] = ((self.center**2).sum(axis=1) - self.radius_sq)[:, None]
@@ -402,10 +426,10 @@ class _CondensedWorkspace:
         # Where each block after the plan starts.
         self.free_starts = [nv, nv + 4 * n, nv + 4 * n + 4, n_top,
                             n_top + n_obs * n]
-        # Expanded, |p - c|^2 loses digits as coordinates grow; a row's
-        # rounding is below this times max(1, z0'z0).
-        self.round_scale = 64 * np.finfo(float).eps * float(
-            np.abs(h).sum(axis=-1).max(initial=0.0))
+        self._lift = np.zeros(23)  # certify's
+        self._lift[20] = 1.0
+        self._outer = self._lift[4:20].reshape(4, 4)
+        self._certificates = {}
 
     def inside(self, z0: np.ndarray) -> bool:
         """Whether the measured position lies in the position box (a NaN
@@ -416,33 +440,43 @@ class _CondensedWorkspace:
     def certify(self, z0: np.ndarray, decay: float):
         """The cost's free minimizer at z0 as the solution, if it is one.
 
-        Returns an "optimal" SolveResult of one SQP iteration and no QP
-        when the plan free_map @ z0 meets the affine rows and the barrier
-        rows at this decay within FEAS_TOL less round_scale * max(1, z0'z0);
-        else None. No feasible plan has a lower cost, however nonconvex the
-        barrier rows are. The prediction is F z0 + G V, as
-        QcqpProblem.predict computes it. z0 is not tested against the
-        position box.
+        A matrix per decay, kept from its first use, times the lift
+        (z0, vec(z0 z0'), 1, m, m^2), m = max |z0_i|, is the plan, F z0,
+        the cost row, the affine residuals and the barrier residuals
+        -(h_o(p_{k+1}) - decay h_o(p_k)) plus a bound on their rounding,
+        which grows with the coordinates: 64 eps (C + L m + Q m^2), where
+        C, L and Q sum |h_next| + decay |h_now| over the constant, linear
+        and quadratic columns. If no residual exceeds FEAS_TOL, no feasible
+        plan has a lower cost, however nonconvex the barrier rows are: an
+        "optimal" SolveResult of one SQP iteration and no QP is returned,
+        else None. The prediction is F z0 + G V, as QcqpProblem.predict
+        computes it. z0 is not tested against the position box.
         """
         i_f, i_c, i_a, i_h, i_m = self.free_starts
-        out = self.free_stack @ np.concatenate([z0, (z0[:, None] * z0).ravel(),
-                                               (1.0,)])
-        if not out[i_a:i_h].max() <= FEAS_TOL:
+        stack = self._certificates.get(decay)
+        if stack is None:
+            h_next, h_now = self.free_stack[i_h:i_m], self.free_stack[i_m:]
+            eps64 = 64 * np.finfo(float).eps
+            size = eps64 * (abs(h_next) + decay * abs(h_now))
+            stack = self._certificates[decay] = np.zeros((i_m, 23))
+            stack[:, :21] = self.free_stack[:i_m]
+            stack[i_h:, :21] = decay * h_now - h_next
+            stack[i_h:, 20] += size[:, 20]
+            stack[i_h:, 21] = size[:, :4].sum(axis=1)
+            stack[i_h:, 22] = size[:, 4:20].sum(axis=1)
+        lift = self._lift
+        lift[:4] = z0
+        np.multiply(z0[:, None], z0, out=self._outer)
+        lift[21] = m = max(map(abs, z0.tolist()))
+        lift[22] = m * m
+        out = stack.dot(lift)  # @ without its overhead
+        if not out[i_a:].max() <= FEAS_TOL:
             return None
-        if i_m > i_h:
-            rows = out[i_h:i_m] - decay * out[i_m:-1]
-            if not rows.min() >= self.round_scale * max(1.0, out[-1]) - FEAS_TOL:
-                return None
         v = out[:i_f]
-        stacked = out[i_f:i_c] + self.G @ v
-        return SolveResult(
-            status="optimal",
-            v_sequence=v.reshape(-1, 2),
-            z_prediction=np.concatenate([z0, stacked]).reshape(-1, 4),
-            cost=float(z0 @ out[i_c:i_a]),
-            sqp_iterations=1,
-            qp_iterations_total=0,
-        )
+        return SolveResult("optimal", v.reshape(-1, 2), _once(
+            lambda: np.concatenate([z0, out[i_f:i_c] + self.G @ v]
+                                   ).reshape(-1, 4)),
+            float(z0.dot(out[i_c:i_a])), 1, 0)
 
 
 def build_qcqp(z0, workspace, decay: float) -> QcqpProblem:
@@ -587,14 +621,8 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
         if not moved:
             break
 
-    return SolveResult(
-        status=status,
-        v_sequence=v.reshape(-1, 2).copy(),
-        z_prediction=problem.predict(v),
-        cost=cost,
-        sqp_iterations=it,
-        qp_iterations_total=qp_total,
-    )
+    return SolveResult(status, v.reshape(-1, 2).copy(),
+                       _once(lambda: problem.predict(v)), cost, it, qp_total)
 
 
 def _solve_relaxing_gamma(solve, gamma: float) -> SolveResult:
@@ -615,10 +643,10 @@ class LinearMpc:
     """Receding-horizon controller on the linear coordinates.
 
     Owns the discrete model, terminal data, the condensed workspace, and
-    the last plan and z_N, from which only an SQP builds the shifted warm
-    start. Predictions are in world coordinates. A measured position
-    outside the position box (or NaN) is infeasible at any gamma, so the
-    step solves nothing.
+    the last plan and its goal-centered predict, from which only an SQP
+    builds the shifted warm start. Predictions are in world coordinates.
+    A measured position outside the position box (or NaN) is infeasible
+    at any gamma, so the step solves nothing.
     Otherwise each solve at one gamma first certifies the cost's free
     minimizer and builds the QCQP only when that fails. On an infeasible
     step the barrier decay is relaxed once (gamma doubled, capped at 1);
@@ -641,7 +669,7 @@ class LinearMpc:
                           for o in obstacles]
         self.workspace = _CondensedWorkspace(cfg, self.model, self.terminal,
                                              self.obstacles, self.goal_z[::2])
-        self._last = None  # the last plan and its goal-centered z_N
+        self._last = None
 
     def solve(self, z0) -> SolveResult:
         t0 = time.perf_counter()
@@ -651,12 +679,13 @@ class LinearMpc:
             res = _solve_relaxing_gamma(lambda g: self._solve_once(z0s, g),
                                         self.gamma)
         else:  # the zero plan with its prediction and cost
-            pred = np.concatenate([z0s, ws.F @ z0s]).reshape(-1, 4)
-            res = SolveResult("infeasible", np.zeros((ws.n_steps, 2)), pred,
-                              float(z0s @ ws.offset_form @ z0s), 0, 0)
+            res = SolveResult("infeasible", np.zeros((ws.n_steps, 2)), _once(
+                lambda: np.concatenate([z0s, ws.F @ z0s]).reshape(-1, 4)),
+                float(z0s @ ws.offset_form @ z0s), 0, 0)
+        centered = res.predict
         if res.status != "infeasible":
-            self._last = res.v_sequence.ravel(), res.z_prediction[-1]
-        res.z_prediction = res.z_prediction + self.goal_z
+            self._last = res.v_sequence.ravel(), centered
+        res.predict = _once(lambda: centered() + self.goal_z)
         res.solve_time = time.perf_counter() - t0
         return res
 
@@ -664,8 +693,8 @@ class LinearMpc:
         """The last plan shifted one stage and K z_N, or None."""
         if self._last is None:
             return None
-        plan, z_n = self._last
-        return np.concatenate([plan[2:], self.terminal.K @ z_n])
+        plan, centered = self._last
+        return np.concatenate([plan[2:], self.terminal.K @ centered()[-1]])
 
     def _solve_once(self, z0: np.ndarray, gamma: float) -> SolveResult:
         """One solve at gamma from the goal-centered state z0: the
@@ -759,17 +788,18 @@ class _RolloutProblem:
         return self.rollout(u)[0]
 
     def evaluate(self, u):
-        """True cost, position and barrier rows, and the rollout at u."""
+        """True cost, position and barrier rows, and the rollout and
+        offsets at u."""
         states, sens = self.rollout(u)
         err = states - self.goal
         cost = float(np.einsum("ki,kij,kj->", err, self.weights, err)
                      + u @ self.input_weight @ u)
         pos = states[1:, :2]
-        rows, _ = _barrier_rows(states[:, :2], self.center, self.radius_sq,
-                                self.decay)
+        d = states[None, :, :2] - self.center[:, None]
+        rows = _barrier_rows(d, self.radius_sq, self.decay)
         g = np.concatenate([(pos - self.pos_max).ravel(),
                             (self.pos_min - pos).ravel(), -rows])
-        return cost, g, (states, sens)
+        return cost, g, (states, sens, d)
 
     def linearize(self, u, aux, multipliers=None):
         """Gauss-Newton model of the cost and the rows' Jacobian at u.
@@ -777,13 +807,12 @@ class _RolloutProblem:
         The multipliers are ignored: the model keeps the Gauss-Newton
         Hessian without the rows' curvature.
         """
-        states, sens = aux
+        states, sens, d = aux
         s, w = sens[1:], self.weights[1:]
         off = states[1:] - s @ u - self.goal
         hess = 2.0 * (self.input_weight + np.einsum("kin,kim->nm", s, w @ s))
         grad = 2.0 * np.einsum("kin,kij,kj->n", s, w, off)
-        _, dh = _barrier_rows(states[:, :2], self.center, self.radius_sq,
-                              self.decay, sens[:, :2])
+        dh = _barrier_jacobian(d, sens[:, :2], self.decay)
         jac_pos = s[:, :2].reshape(-1, 2 * self.n_steps)
         jac = np.vstack([jac_pos, -jac_pos, -dh])
         return 0.5 * (hess + hess.T), grad, jac

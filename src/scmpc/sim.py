@@ -150,8 +150,7 @@ def inject_noise(s: ExtendedState, variance: float, rng: np.random.Generator,
     Only the masked pose states are touched; the plant state itself and
     the speed state are left unchanged.
     """
-    if variance < 0.0:
-        raise ConfigError("variance must be nonnegative")
+    variance = real(variance, "variance", minimum=0.0)
     if variance == 0.0:
         return s
     sigma = math.sqrt(variance)

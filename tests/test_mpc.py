@@ -10,7 +10,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import scmpc.mpc
-from conftest import nominal_scenario
+from conftest import nominal_scenario, tuned_mpc_config
 from scmpc import (ConfigError, MpcConfig, Obstacle, build_qcqp,
                    discretize_double_integrator, run_closed_loop, solve_sqp,
                    terminal_data)
@@ -279,9 +279,9 @@ def test_zero_multipliers_keep_the_cost_model(monkeypatch):
         assert np.array_equal(hessian, far.hessian)
         assert np.array_equal(gradient, far.gradient)
     v = np.linspace(-1.0, 1.0, 2 * cfg.horizon)
-    c = far.quad_rows.value(v)
+    aux = far.evaluate(v)[2]
     for lam in (None, np.zeros(len(far.quad_rows))):
-        hessian, gradient, _ = far.linearize(v, c, lam)
+        hessian, gradient, _ = far.linearize(v, aux, lam)
         assert hessian is far.hessian and gradient is far.gradient
     # The obstacle on the path binds: after the first QP the model has the
     # Lagrangian Hessian and still the cost gradient at the iterate.
@@ -742,7 +742,7 @@ def test_iterate_at_obstacle_center_uses_fallback_direction():
     assert not np.any(prob.quad_rows.gradient(v0)[n])
     # The stuck row pushes its step's position away from its own obstacle,
     # along the direction from that center toward the initial position.
-    _, _, jac = prob.linearize(v0, c)
+    _, _, jac = prob.linearize(v0, prob.evaluate(v0)[2])
     away = z0[[0, 2]] - center
     np.testing.assert_allclose(jac[n], -2.0 * prob.quad_rows.maps[1].T @ away,
                                rtol=0.0, atol=1e-12)
@@ -1005,8 +1005,9 @@ def _lifted_and_exact_barrier_rows(ws, z0, decay):
     _, _, _, i_h, i_m = ws.free_starts
     out = ws.free_stack @ np.concatenate([z0, np.outer(z0, z0).ravel(), [1.0]])
     pos = ws.pos_f @ z0 + ws.pos_maps @ (ws.free_map @ z0)
-    exact, _ = scmpc.mpc._barrier_rows(pos, ws.center, ws.radius_sq, decay)
-    return out[i_h:i_m] - decay * out[i_m:-1], exact
+    exact = scmpc.mpc._barrier_rows(pos[None] - ws.center[:, None],
+                                    ws.radius_sq, decay)
+    return out[i_h:i_m] - decay * out[i_m:], exact
 
 
 @settings(max_examples=300, deadline=None)
@@ -1157,3 +1158,119 @@ def test_warm_start_is_built_only_for_an_sqp(monkeypatch):
             continue
         _, plan, z_n = steps[step - 2]
         np.testing.assert_array_equal(warm, np.concatenate([plan[2:], K @ z_n]))
+
+
+def test_certificate_decides_at_each_decay_as_the_exact_rows_do():
+    # One controller certifies at its own decay and at the retry decay
+    # min(2 gamma, 1), a euclid controller at decay 0. The free plan
+    # approaches the obstacle ahead of it, and the radius lies between
+    # what the decays 0.8 and 0.9 allow: the plan meets the rows at 0 and
+    # 0.8 only. Each decision is the exact rows' at the free plan.
+    cfg = MpcConfig(horizon=8, gamma=0.1)
+    z0 = np.array([2.0, -0.5, 1.0, 0.3])
+    obstacles = [Obstacle(0.0, 0.0, 1.3)]
+    cbf = LinearMpc(cfg, obstacles)
+    euclid = LinearMpc(cfg, obstacles, mode="euclid")
+    for controller, decay, certified in ((cbf, 0.9, False), (cbf, 0.8, True),
+                                         (cbf, 0.9, False), (euclid, 0.0, True)):
+        ws = controller.workspace
+        free = ws.free_map @ z0
+        exact = build_qcqp(z0, ws, decay).quad_rows.value(free)
+        assert abs(np.min(exact)) > 0.01
+        assert (np.min(exact) >= -FEAS_TOL) == certified
+        res = ws.certify(z0, decay)
+        assert (res is not None) == certified
+        if certified:
+            np.testing.assert_array_equal(res.v_sequence.ravel(), free)
+
+
+def test_certificate_guard_scales_with_the_world_not_its_square():
+    # The rounding guard bounds each column block by the size of its own
+    # lift entries. With the box at 2e3 m, the state 1e3 m from the goal
+    # and an obstacle 1 m from the free plan's fifth position, sized so
+    # that the plan clears it by 1e-3 in h, the step is certified: one SQP
+    # iteration and no QP. A guard of max(1, z0'z0) times the largest row
+    # sum is about 1e-2 here and sends the step to the SQP.
+    big = 1e3
+    cfg = MpcConfig(pos_min=[-2 * big, -2 * big], pos_max=[2 * big, 2 * big],
+                    v_min=[-1e7, -1e7], v_max=[1e7, 1e7])
+    z0 = np.array([0.7 * big, -0.5, 0.7 * big, 0.3])
+    ws = LinearMpc(cfg).workspace
+    pos = ws.pos_f @ z0 + ws.pos_maps @ (ws.free_map @ z0)
+    center = pos[4] + np.array([0.0, -1.0])
+    r_sq = np.min(np.sum((pos[1:] - center) ** 2, axis=1)) - 1e-3
+    controller = LinearMpc(cfg, [Obstacle(center[0], center[1],
+                                          math.sqrt(r_sq - 2.0 * FEAS_TOL))],
+                           mode="euclid")
+    lifted, exact = _lifted_and_exact_barrier_rows(controller.workspace, z0, 0.0)
+    assert abs(np.min(exact) - 1e-3) < 1e-6
+    step = controller.solve(z0)
+    assert step.status == "optimal"
+    assert (step.sqp_iterations, step.qp_iterations_total) == (1, 0)
+    np.testing.assert_array_equal(step.v_sequence.ravel(),
+                                  controller.workspace.free_map @ z0)
+
+
+def test_prediction_read_in_world_frame_matches_the_eager_formula():
+    # z_prediction is built when first read, and kept. It is, bit for bit,
+    # what each kind of step computed before: the certified plan's
+    # F z0 + G V from the lifted product, the SQP's problem.predict and the
+    # out-of-box zero plan's F z0, each shifted by the goal.
+    goal = (1.5, -2.0)
+    goal_z = np.array([goal[0], 0.0, goal[1], 0.0])
+    controller = LinearMpc(tuned_mpc_config(), [Obstacle(5.0, 1.5, 1.5)],
+                           goal=goal)
+    ws = controller.workspace
+    i_f, i_c = ws.free_starts[:2]
+    # The nominal start and obstacle moved by the goal: its free plan
+    # crosses the barrier, so the first step runs the SQP.
+    for state, kind in (([8.5, -0.5, 5.0, 0.0], "sqp"),
+                        ([2.0, 0.1, -1.5, 0.0], "certified"),
+                        ([25.0, 0.0, 0.0, 0.0], "outside")):
+        z0 = np.array(state) - goal_z
+        res = controller.solve(state)
+        v = res.v_sequence.ravel()
+        if kind == "sqp":
+            assert res.status == "optimal" and res.qp_iterations_total > 0
+            eager = build_qcqp(z0, ws, 1.0 - controller.gamma).predict(v)
+        elif kind == "certified":
+            assert res.status == "optimal" and res.qp_iterations_total == 0
+            out = ws.free_stack @ np.concatenate(
+                [z0, (z0[:, None] * z0).ravel(), (1.0,)])
+            np.testing.assert_array_equal(v, out[:i_f])
+            eager = np.concatenate([z0, out[i_f:i_c] + ws.G @ v]).reshape(-1, 4)
+        else:
+            assert res.status == "infeasible" and not v.any()
+            eager = np.concatenate([z0, ws.F @ z0]).reshape(-1, 4)
+        pred = res.z_prediction
+        assert pred.tobytes() == (eager + goal_z).tobytes()
+        assert res.z_prediction is pred
+
+
+def test_unread_predictions_are_not_built(monkeypatch):
+    # The closed loop reads only the first planned input. A prediction is
+    # built only where an SQP's warm start reads the previous step's z_N:
+    # 17 times in the nominal run (its first of 18 SQPs has no previous
+    # plan), never for a certified step and never in world coordinates.
+    in_warm_start, builds = [], []
+    once, warm_start = scmpc.mpc._once, LinearMpc._warm_start
+
+    def flagged(controller):
+        in_warm_start.append(True)
+        try:
+            return warm_start(controller)
+        finally:
+            in_warm_start.pop()
+
+    def counting(build):
+        def counted():
+            builds.append(bool(in_warm_start))
+            return build()
+        return once(counted)
+
+    monkeypatch.setattr(LinearMpc, "_warm_start", flagged)
+    monkeypatch.setattr(scmpc.mpc, "_once", counting)
+    log = run_closed_loop(nominal_scenario(duration=50.0))
+    assert len(log.records) == 1000
+    assert sum(r.sqp_iterations == 1 for r in log.records) >= 900
+    assert builds == [True] * 17

@@ -98,6 +98,14 @@ def test_inject_noise_zero_variance_is_identity():
     assert inject_noise(s, 0.0, rng) is s
 
 
+@pytest.mark.parametrize("variance", [float("nan"), float("inf"), True,
+                                      "0.05", -1.0])
+def test_inject_noise_rejects_a_bad_variance(variance):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConfigError, match="variance"):
+        inject_noise(ExtendedState(1.0, 2.0, 0.3, 0.7), variance, rng)
+
+
 def test_inject_noise_statistics():
     rng = np.random.default_rng(22)
     s = ExtendedState(0.0, 0.0, 0.0, 1.0)
