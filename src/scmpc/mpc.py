@@ -271,9 +271,9 @@ class QcqpProblem:
         H - sum_k lambda_k * hess(c_k), with eigenvalues floored, and its
         linear term keeps the cost gradient at v.
         """
-        c, d = aux
+        c, off = aux
         rows = self.quad_rows
-        grad = rows.gradient(v, d)
+        grad = rows.gradient(v, off)
         stuck = np.flatnonzero(c < 0.0)
         if stuck.size:
             stuck = stuck[np.einsum("kn,kn->k", grad[stuck], grad[stuck]) < 1e-18]
