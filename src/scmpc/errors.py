@@ -37,11 +37,11 @@ def real(value, name="value", above=-math.inf, minimum=-math.inf,
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not abs(value) <= sys.float_info.max):
         raise ConfigError(f"{name} must be a finite number, not {value!r}")
-    for bad, bound in ((value <= above, f"above {above:g}"),
-                       (value < minimum, f"at least {minimum:g}"),
-                       (value > maximum, f"at most {maximum:g}")):
+    for bad, word, bound in ((value <= above, "above", above),
+                             (value < minimum, "at least", minimum),
+                             (value > maximum, "at most", maximum)):
         if bad:
-            raise ConfigError(f"{name} must be {bound}, not {value!r}")
+            raise ConfigError(f"{name} must be {word} {bound:g}, not {value!r}")
     return float(value)
 
 

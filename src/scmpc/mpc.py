@@ -30,6 +30,10 @@ if it meets every row within FEAS_TOL, no feasible plan has a lower cost,
 however nonconvex the barrier rows are, so it is the solution. This
 settles a typical warm-started step; it counts as one SQP iteration and
 no QP.
+
+A solve returns the input plan, not its predicted states: the step
+applies the first input, and the next SQP starts from the plan shifted
+one stage with K z_N appended, z_N = F_N z0 + G_N V on the model.
 """
 
 import math
@@ -65,23 +69,26 @@ FEAS_TOL = 1e-6
 MAX_SQP_ITER = 50
 
 
+def _real_array(value, name):
+    """value as a float array if each entry passes errors.real, which
+    rejects bools, strings and non-finite numbers."""
+    arr = np.asarray(value, dtype=object)
+    return np.array([real(x, name) for x in arr.flat]).reshape(arr.shape)
+
+
 def _as_matrix(value, shape, name):
-    arr = np.asarray(value, dtype=float)
+    arr = _real_array(value, name)
     if arr.ndim == 1 and shape[0] == shape[1] and arr.size == shape[0]:
         arr = np.diag(arr)
     if arr.shape != shape:
         raise ConfigError(f"{name} must have shape {shape}")
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"{name} must be finite")
     return arr
 
 
 def _as_vector(value, size, name):
-    arr = np.asarray(value, dtype=float).ravel()
+    arr = _real_array(value, name).ravel()
     if arr.size != size:
         raise ConfigError(f"{name} must have {size} entries")
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"{name} must be finite")
     return arr
 
 
@@ -242,8 +249,6 @@ class QcqpProblem:
     lin_rows: np.ndarray
     lin_rhs: np.ndarray
     quad_rows: QuadraticRow
-    pred_map: np.ndarray
-    pred_off: np.ndarray
     z0: np.ndarray
     n_steps: int
     v_lo: np.ndarray
@@ -252,10 +257,6 @@ class QcqpProblem:
     def cost(self, v: np.ndarray) -> float:
         return float(0.5 * v @ self.hessian @ v + self.gradient @ v
                      + self.cost_offset)
-
-    def predict(self, v: np.ndarray) -> np.ndarray:
-        stacked = self.pred_off + self.pred_map @ v
-        return np.vstack([self.z0, stacked.reshape(self.n_steps, 4)])
 
     def evaluate(self, v: np.ndarray):
         """Cost, the barrier rows as -c(v) <= 0, and (c(v), offsets)."""
@@ -291,35 +292,20 @@ class QcqpProblem:
         return w, self.hessian @ v + self.gradient - w @ v, -grad
 
 
-def _once(build):
-    """A function returning build(), built on its first call."""
-    kept = []
-
-    def value():
-        if not kept:
-            kept.append(build())
-        return kept[0]
-    return value
-
-
 @dataclass
 class SolveResult:
-    """Solver outcome: status, input plan, prediction, and diagnostics.
+    """Solver outcome: status, input plan, cost, and diagnostics.
 
-    predict builds z_prediction when it is first read.
+    The plan is the whole result: a receding-horizon step applies its first
+    input, and the predicted states follow from the model.
     """
 
     status: str  # optimal | max_iter | infeasible
     v_sequence: np.ndarray
-    predict: object
     cost: float
     sqp_iterations: int
     qp_iterations_total: int
     solve_time: float = 0.0  # the controller's whole step, timed by it
-
-    @property
-    def z_prediction(self) -> np.ndarray:
-        return self.predict()
 
 
 def prediction_matrices(model: LtiModel, n_steps: int):
@@ -340,11 +326,11 @@ class _CondensedWorkspace:
     """Constant matrices of the condensed problem for one configuration.
 
     Everything that does not depend on the measured state is precomputed
-    here: prediction maps, the cost Hessian and the map from z0 to the
-    cost's unconstrained minimizer, the affine description of the linear
-    rows (the position box less shift, the goal), the closed-loop
-    powers behind the terminal rows, the barrier-row position maps, and the
-    lifted map behind the free-minimizer certificate.
+    here: the cost Hessian and the map from z0 to the cost's unconstrained
+    minimizer, the affine description of the linear rows (the position box
+    less shift, the goal), the closed-loop powers behind the terminal rows,
+    the maps (F_N, G_N) with z_N = F_N z0 + G_N V, the barrier-row position
+    maps, and the lifted map behind the free-minimizer certificate.
     """
 
     def __init__(self, cfg: MpcConfig, model: LtiModel, terminal: TerminalData,
@@ -363,7 +349,6 @@ class _CondensedWorkspace:
         self.grad_map = 2.0 * (G.T @ qt @ F)
         self.free_map = -np.linalg.solve(self.hessian, self.grad_map)
         self.offset_form = cfg.Q + F.T @ qt @ F
-        self.F, self.G = F, G
         self.n_steps = n
         self.v_lo = np.tile(cfg.v_min, n)
         self.v_hi = np.tile(cfg.v_max, n)
@@ -378,7 +363,7 @@ class _CondensedWorkspace:
                    np.tile(pos_max, n - 1), -np.tile(pos_min, n - 1)]
         h_lin = [np.zeros((nv, 4)), np.zeros((nv, 4)), -F_pos[:-2], F_pos[:-2]]
 
-        F_N, G_N = F[4 * (n - 1):4 * n], G[4 * (n - 1):4 * n]
+        self.F_N, self.G_N = F_N, G_N = F[4 * (n - 1):], G[4 * (n - 1):]
         A_cl = model.A + model.B @ terminal.K
         sel = np.zeros((2, 4))
         sel[0, 0] = 1.0
@@ -405,12 +390,12 @@ class _CondensedWorkspace:
         self.radius_sq = np.array([obs.radius**2 + 2.0 * FEAS_TOL
                                    for obs in obstacles], dtype=float)
 
-        # free_stack @ (z0, vec(z0 z0'), 1) is the free plan, F z0, value @ z0
+        # free_stack @ (z0, vec(z0 z0'), 1) is the free plan, value @ z0
         # (the cost is z0' value z0), the affine residuals, h_o(p_k) for
         # k = 1..N, then k = 0..N-1. On the free plan p_k = P_k z0:
         # h_o(p_k) = z0'P_k'P_k z0 - 2 c_o'P_k z0 + |c_o|^2 - r_o^2.
         value = self.offset_form + 0.5 * self.grad_map.T @ self.free_map
-        top = np.vstack([self.free_map, F, 0.5 * (value + value.T),
+        top = np.vstack([self.free_map, 0.5 * (value + value.T),
                          self.lin_rows @ self.free_map - self.h_lin])
         n_obs, n_top = len(self.center), len(top)
         stack = np.zeros((n_top + 2 * n_obs * n, 21))
@@ -424,8 +409,7 @@ class _CondensedWorkspace:
         h[..., 20] = ((self.center**2).sum(axis=1) - self.radius_sq)[:, None]
         self.free_stack = stack
         # Where each block after the plan starts.
-        self.free_starts = [nv, nv + 4 * n, nv + 4 * n + 4, n_top,
-                            n_top + n_obs * n]
+        self.free_starts = [nv, nv + 4, n_top, n_top + n_obs * n]
         self._lift = np.zeros(23)  # certify's
         self._lift[20] = 1.0
         self._outer = self._lift[4:20].reshape(4, 4)
@@ -441,18 +425,17 @@ class _CondensedWorkspace:
         """The cost's free minimizer at z0 as the solution, if it is one.
 
         A matrix per decay, kept from its first use, times the lift
-        (z0, vec(z0 z0'), 1, m, m^2), m = max |z0_i|, is the plan, F z0,
-        the cost row, the affine residuals and the barrier residuals
+        (z0, vec(z0 z0'), 1, m, m^2), m = max |z0_i|, is the plan, the
+        cost row, the affine residuals and the barrier residuals
         -(h_o(p_{k+1}) - decay h_o(p_k)) plus a bound on their rounding,
         which grows with the coordinates: 64 eps (C + L m + Q m^2), where
         C, L and Q sum |h_next| + decay |h_now| over the constant, linear
         and quadratic columns. If no residual exceeds FEAS_TOL, no feasible
         plan has a lower cost, however nonconvex the barrier rows are: an
         "optimal" SolveResult of one SQP iteration and no QP is returned,
-        else None. The prediction is F z0 + G V, as QcqpProblem.predict
-        computes it. z0 is not tested against the position box.
+        else None. z0 is not tested against the position box.
         """
-        i_f, i_c, i_a, i_h, i_m = self.free_starts
+        i_c, i_a, i_h, i_m = self.free_starts
         stack = self._certificates.get(decay)
         if stack is None:
             h_next, h_now = self.free_stack[i_h:i_m], self.free_stack[i_m:]
@@ -472,11 +455,8 @@ class _CondensedWorkspace:
         out = stack.dot(lift)  # @ without its overhead
         if not out[i_a:].max() <= FEAS_TOL:
             return None
-        v = out[:i_f]
-        return SolveResult("optimal", v.reshape(-1, 2), _once(
-            lambda: np.concatenate([z0, out[i_f:i_c] + self.G @ v]
-                                   ).reshape(-1, 4)),
-            float(z0.dot(out[i_c:i_a])), 1, 0)
+        return SolveResult("optimal", out[:i_c].reshape(-1, 2),
+                           float(z0.dot(out[i_c:i_a])), 1, 0)
 
 
 def build_qcqp(z0, workspace, decay: float) -> QcqpProblem:
@@ -493,8 +473,6 @@ def build_qcqp(z0, workspace, decay: float) -> QcqpProblem:
         lin_rows=ws.lin_rows,
         lin_rhs=ws.h_const + ws.h_lin @ z0,
         quad_rows=quad_rows,
-        pred_map=ws.G,
-        pred_off=ws.F @ z0,
         z0=z0,
         n_steps=ws.n_steps,
         v_lo=ws.v_lo,
@@ -512,13 +490,13 @@ def _merit_penalty(violations: np.ndarray) -> float:
 def solve_sqp(problem, warm_start=None) -> SolveResult:
     """Solve a problem with affine and nonlinear rows by SQP.
 
-    The driver reads eight names of the problem: its affine rows
+    The driver reads seven names of the problem: its affine rows
     lin_rows @ v <= lin_rhs, the input box v_lo/v_hi that sizes v and
     clips the warm start (zero by default), evaluate(v) -> (cost, g, aux)
     with the nonlinear rows g(v) <= 0, linearize(v, aux, multipliers) ->
     (H, grad, J) with the quadratic model 0.5 x'Hx + grad'x, whose gradient
-    H v + grad at v is the cost gradient, and the Jacobian J of g, and
-    predict(v). The multipliers are those of the rows g in the previous QP
+    H v + grad at v is the cost gradient, and the Jacobian J of g. The
+    multipliers are those of the rows g in the previous QP
     (None on the first iteration), so H may be a Lagrangian Hessian. The
     problem's hessian attribute is its cost Hessian when the cost is
     convex quadratic (None otherwise); a model whose H is that very object
@@ -621,8 +599,7 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
         if not moved:
             break
 
-    return SolveResult(status, v.reshape(-1, 2).copy(),
-                       _once(lambda: problem.predict(v)), cost, it, qp_total)
+    return SolveResult(status, v.reshape(-1, 2).copy(), cost, it, qp_total)
 
 
 def _solve_relaxing_gamma(solve, gamma: float) -> SolveResult:
@@ -643,10 +620,10 @@ class LinearMpc:
     """Receding-horizon controller on the linear coordinates.
 
     Owns the discrete model, terminal data, the condensed workspace, and
-    the last plan and its goal-centered predict, from which only an SQP
-    builds the shifted warm start. Predictions are in world coordinates.
-    A measured position outside the position box (or NaN) is infeasible
-    at any gamma, so the step solves nothing.
+    the last plan with the goal-centered state it was solved from, from
+    which only an SQP builds the shifted warm start. A measured position
+    outside the position box (or NaN) is infeasible at any gamma, so the
+    step solves nothing.
     Otherwise each solve at one gamma first certifies the cost's free
     minimizer and builds the QCQP only when that fails. On an infeasible
     step the barrier decay is relaxed once (gamma doubled, capped at 1);
@@ -678,23 +655,23 @@ class LinearMpc:
         if ws.inside(z0s):
             res = _solve_relaxing_gamma(lambda g: self._solve_once(z0s, g),
                                         self.gamma)
-        else:  # the zero plan with its prediction and cost
-            res = SolveResult("infeasible", np.zeros((ws.n_steps, 2)), _once(
-                lambda: np.concatenate([z0s, ws.F @ z0s]).reshape(-1, 4)),
-                float(z0s @ ws.offset_form @ z0s), 0, 0)
-        centered = res.predict
+        else:  # the zero plan and its cost
+            res = SolveResult("infeasible", np.zeros((ws.n_steps, 2)),
+                              float(z0s @ ws.offset_form @ z0s), 0, 0)
         if res.status != "infeasible":
-            self._last = res.v_sequence.ravel(), centered
-        res.predict = _once(lambda: centered() + self.goal_z)
+            self._last = res.v_sequence.ravel(), z0s
         res.solve_time = time.perf_counter() - t0
         return res
 
     def _warm_start(self):
-        """The last plan shifted one stage and K z_N, or None."""
+        """The last plan shifted one stage and K z_N, with its terminal state
+        z_N = F_N z0 + G_N V, or None."""
         if self._last is None:
             return None
-        plan, centered = self._last
-        return np.concatenate([plan[2:], self.terminal.K @ centered()[-1]])
+        plan, z0 = self._last
+        ws = self.workspace
+        z_n = ws.F_N @ z0 + ws.G_N @ plan
+        return np.concatenate([plan[2:], self.terminal.K @ z_n])
 
     def _solve_once(self, z0: np.ndarray, gamma: float) -> SolveResult:
         """One solve at gamma from the goal-centered state z0: the
@@ -783,9 +760,6 @@ class _RolloutProblem:
             sens[k + 1] = a @ sens[k]
             sens[k + 1, :, 2 * k:2 * k + 2] += b
         return states, sens
-
-    def predict(self, u):
-        return self.rollout(u)[0]
 
     def evaluate(self, u):
         """True cost, position and barrier rows, and the rollout and

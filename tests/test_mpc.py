@@ -56,7 +56,12 @@ def test_config_validation():
                    {"u_min": [2.0, -3.0]}, {"Q": np.diag([1.0, -1.0, 1.0, 1.0])},
                    # Reals take only finite numbers, not bools or strings.
                    {"ts": math.inf}, {"gamma": True}, {"ts": True},
-                   {"gamma": "0.5"}):
+                   {"gamma": "0.5"},
+                   # So does every entry of an array field.
+                   {"v_min": ["-10", "-10"]}, {"v_max": [True, True]},
+                   {"R": [True, True]}, {"Q": np.eye(4) > 0},
+                   {"pos_min": np.array(["-10", "-10"], dtype=object)},
+                   {"nmpc_Q": [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 0.0]]}):
         with pytest.raises(ConfigError):
             MpcConfig(**kwargs)
     with pytest.raises(ConfigError, match="nmpc"):
@@ -580,9 +585,6 @@ class _DiskProblem:
     def linearize(self, v, aux, multipliers=None):
         return self.hessian, self.gradient, np.array([[2.0 * v[0], 0.0]])
 
-    def predict(self, v):
-        return v.reshape(1, 2)
-
 
 class _Reads:
     """A problem's attributes, recording each name solve_sqp reads."""
@@ -600,9 +602,9 @@ def test_sqp_exit_needs_the_full_step():
     res = solve_sqp(problem)
     assert res.status == "optimal"
     np.testing.assert_allclose(res.v_sequence.ravel(), [1.5, 0.0], atol=1e-6)
-    # solve_sqp reads no name beyond the eight of its docstring.
-    assert problem.names <= {"lin_rows", "lin_rhs", "v_lo", "v_hi", "hessian",
-                             "evaluate", "linearize", "predict"}
+    # solve_sqp reads the seven names of its docstring and no other.
+    assert problem.names == {"lin_rows", "lin_rhs", "v_lo", "v_hi", "hessian",
+                             "evaluate", "linearize"}
 
 
 def _line_search_trace(monkeypatch, problem, warm_start):
@@ -790,9 +792,7 @@ def test_out_of_box_state_flags_infeasible(monkeypatch):
 
 def test_position_box_is_in_world_coordinates_for_both_controllers():
     # With the goal at (5, 5), (-6, 5) lies inside the box [-10, 10]^2 and
-    # (12, 5) outside it, for the linear scheme as for the baseline. Either
-    # way the prediction is in world coordinates: it starts at the
-    # measured state.
+    # (12, 5) outside it, for the linear scheme as for the baseline.
     cfg = MpcConfig(v_min=[-50, -50], v_max=[50, 50])
     goal = (5.0, 5.0)
     for x, status in ((-6.0, "optimal"), (12.0, "infeasible")):
@@ -800,7 +800,6 @@ def test_position_box_is_in_world_coordinates_for_both_controllers():
                                   (NonlinearMpc(cfg, goal=goal), [x, 5.0, 0.0])):
             res = controller.solve(state)
             assert res.status == status
-            np.testing.assert_array_equal(res.z_prediction[0], state)
 
 
 def _stacked_kkt_oracle(cfg, model, td, z0):
@@ -864,17 +863,6 @@ def test_degenerate_bounds_with_blocked_path_infeasible():
     assert res.status == "infeasible"
 
 
-def test_prediction_satisfies_dynamics():
-    cfg = MpcConfig(horizon=8)
-    model, td = _setup(cfg)
-    z0 = np.array([7.0, -0.5, 7.0, 0.0])
-    res = solve_sqp(_qcqp(z0, cfg, [Obstacle(3.5, 3.5, 1.5)]))
-    z = res.z_prediction
-    for k in range(cfg.horizon):
-        step = model.A @ z[k] + model.B @ res.v_sequence[k]
-        assert np.max(np.abs(z[k + 1] - step)) <= 1e-10
-
-
 def test_decay_chain_on_predictions():
     cfg = MpcConfig(horizon=8, gamma=0.1, Q=np.diag([1, 0.08, 1, 0.08]),
                     R=np.diag([0.05, 0.05]), v_min=[-50, -50], v_max=[50, 50])
@@ -882,8 +870,12 @@ def test_decay_chain_on_predictions():
     z0 = np.array([6.0, -1.5, 6.0, -1.5])
     res = solve_sqp(_qcqp(z0, cfg, [obs]))
     assert res.status == "optimal"
+    model = _setup(cfg)[0]
+    states = [z0]
+    for v in res.v_sequence:
+        states.append(model.A @ states[-1] + model.B @ v)
     h = [(z[0] - obs.x) ** 2 + (z[2] - obs.y) ** 2 - obs.radius**2
-         for z in res.z_prediction]
+         for z in states]
     for k in range(1, len(h)):
         assert h[k] >= (1.0 - cfg.gamma) ** k * h[0] - 1e-6 * k
 
@@ -979,7 +971,6 @@ def test_nmpc_single_solve_interface():
         np.array([3.0, -2.0, 0.5]))
     assert res.status in ("optimal", "max_iter")
     assert res.v_sequence.shape == (cfg.horizon, 2)
-    assert res.z_prediction.shape == (cfg.horizon + 1, 3)
     assert np.all(res.v_sequence <= cfg.u_max + 1e-8)
     assert np.all(res.v_sequence >= cfg.u_min - 1e-8)
 
@@ -1002,7 +993,7 @@ def test_nmpc_slower_than_linear_scheme_per_step():
 def _lifted_and_exact_barrier_rows(ws, z0, decay):
     """The barrier rows at the free plan from the certificate's product
     with lift(z0), and from _barrier_rows on the plan's positions."""
-    _, _, _, i_h, i_m = ws.free_starts
+    _, _, i_h, i_m = ws.free_starts
     out = ws.free_stack @ np.concatenate([z0, np.outer(z0, z0).ravel(), [1.0]])
     pos = ws.pos_f @ z0 + ws.pos_maps @ (ws.free_map @ z0)
     exact = scmpc.mpc._barrier_rows(pos[None] - ws.center[:, None],
@@ -1052,7 +1043,6 @@ def test_workspace_certificate_matches_the_qcqp_rows(horizon, gamma, mode, z0,
         assert res.status == "optimal"
         assert (res.sqp_iterations, res.qp_iterations_total) == (1, 0)
         np.testing.assert_array_equal(res.v_sequence.ravel(), v)
-        np.testing.assert_array_equal(res.z_prediction, problem.predict(v))
         cost = problem.cost(v)
         assert abs(res.cost - cost) <= 1e-12 * (1.0 + abs(cost))
 
@@ -1117,8 +1107,8 @@ def test_certificate_leaves_far_rounding_to_the_sqp():
 
 def test_warm_start_is_built_only_for_an_sqp(monkeypatch):
     # Each SQP of the nominal run starts from the previous step's plan
-    # shifted one stage, with K z_N appended, bit for bit; certified solves
-    # build no warm start.
+    # shifted one stage, bit for bit, with K z_N appended, z_N the model's
+    # rollout of that plan; certified solves build no warm start.
     received, steps, builds = [], [], []
     sqp, warm_start = scmpc.mpc.solve_sqp, LinearMpc._warm_start
     solve_once, solve = LinearMpc._solve_once, LinearMpc.solve
@@ -1133,9 +1123,8 @@ def test_warm_start_is_built_only_for_an_sqp(monkeypatch):
 
     def recording_once(controller, z0, gamma):
         res = solve_once(controller, z0, gamma)
-        # The goal-centered plan and z_N, before solve shifts the result.
-        steps[-1] = (res.status, res.v_sequence.ravel().copy(),
-                     res.z_prediction[-1].copy())
+        # The plan and the goal-centered state it was solved from.
+        steps[-1] = (res.status, res.v_sequence.ravel().copy(), z0.copy())
         return res
 
     def recording(controller, z0):
@@ -1151,13 +1140,16 @@ def test_warm_start_is_built_only_for_an_sqp(monkeypatch):
     assert len(steps) == 1000
     assert all(status == "optimal" for status, _, _ in steps)
     assert len(builds) == len(received) == 18
-    K = _setup(scenario.mpc)[1].K
+    model, td = _setup(scenario.mpc)
     for step, warm in received:
         if step == 1:
             assert warm is None
             continue
         _, plan, z_n = steps[step - 2]
-        np.testing.assert_array_equal(warm, np.concatenate([plan[2:], K @ z_n]))
+        for v in plan.reshape(-1, 2):
+            z_n = model.A @ z_n + model.B @ v
+        np.testing.assert_array_equal(warm[:-2], plan[2:])
+        np.testing.assert_allclose(warm[-2:], td.K @ z_n, rtol=0.0, atol=1e-12)
 
 
 def test_certificate_decides_at_each_decay_as_the_exact_rows_do():
@@ -1209,68 +1201,3 @@ def test_certificate_guard_scales_with_the_world_not_its_square():
     assert (step.sqp_iterations, step.qp_iterations_total) == (1, 0)
     np.testing.assert_array_equal(step.v_sequence.ravel(),
                                   controller.workspace.free_map @ z0)
-
-
-def test_prediction_read_in_world_frame_matches_the_eager_formula():
-    # z_prediction is built when first read, and kept. It is, bit for bit,
-    # what each kind of step computed before: the certified plan's
-    # F z0 + G V from the lifted product, the SQP's problem.predict and the
-    # out-of-box zero plan's F z0, each shifted by the goal.
-    goal = (1.5, -2.0)
-    goal_z = np.array([goal[0], 0.0, goal[1], 0.0])
-    controller = LinearMpc(tuned_mpc_config(), [Obstacle(5.0, 1.5, 1.5)],
-                           goal=goal)
-    ws = controller.workspace
-    i_f, i_c = ws.free_starts[:2]
-    # The nominal start and obstacle moved by the goal: its free plan
-    # crosses the barrier, so the first step runs the SQP.
-    for state, kind in (([8.5, -0.5, 5.0, 0.0], "sqp"),
-                        ([2.0, 0.1, -1.5, 0.0], "certified"),
-                        ([25.0, 0.0, 0.0, 0.0], "outside")):
-        z0 = np.array(state) - goal_z
-        res = controller.solve(state)
-        v = res.v_sequence.ravel()
-        if kind == "sqp":
-            assert res.status == "optimal" and res.qp_iterations_total > 0
-            eager = build_qcqp(z0, ws, 1.0 - controller.gamma).predict(v)
-        elif kind == "certified":
-            assert res.status == "optimal" and res.qp_iterations_total == 0
-            out = ws.free_stack @ np.concatenate(
-                [z0, (z0[:, None] * z0).ravel(), (1.0,)])
-            np.testing.assert_array_equal(v, out[:i_f])
-            eager = np.concatenate([z0, out[i_f:i_c] + ws.G @ v]).reshape(-1, 4)
-        else:
-            assert res.status == "infeasible" and not v.any()
-            eager = np.concatenate([z0, ws.F @ z0]).reshape(-1, 4)
-        pred = res.z_prediction
-        assert pred.tobytes() == (eager + goal_z).tobytes()
-        assert res.z_prediction is pred
-
-
-def test_unread_predictions_are_not_built(monkeypatch):
-    # The closed loop reads only the first planned input. A prediction is
-    # built only where an SQP's warm start reads the previous step's z_N:
-    # 17 times in the nominal run (its first of 18 SQPs has no previous
-    # plan), never for a certified step and never in world coordinates.
-    in_warm_start, builds = [], []
-    once, warm_start = scmpc.mpc._once, LinearMpc._warm_start
-
-    def flagged(controller):
-        in_warm_start.append(True)
-        try:
-            return warm_start(controller)
-        finally:
-            in_warm_start.pop()
-
-    def counting(build):
-        def counted():
-            builds.append(bool(in_warm_start))
-            return build()
-        return once(counted)
-
-    monkeypatch.setattr(LinearMpc, "_warm_start", flagged)
-    monkeypatch.setattr(scmpc.mpc, "_once", counting)
-    log = run_closed_loop(nominal_scenario(duration=50.0))
-    assert len(log.records) == 1000
-    assert sum(r.sqp_iterations == 1 for r in log.records) >= 900
-    assert builds == [True] * 17

@@ -7,9 +7,12 @@ state. The run set is nominal cbf and euclid (50 s), nominal cbf with 4
 plant substeps (10 s), nominal cbf with start, goal and obstacle moved by
 (-3, -3) (10 s), euclid on the library's default MpcConfig (30 s), the
 gamma points below 1 of configs/nominal.json (10 s each), the obstacle
-course at N = 14 under noise seeds 0-3 (30 s), the nmpc baseline (8 s)
-and the nmpc baseline under noise seed 0 with 2 plant substeps (8 s). A
-run that aborts mid-way keeps its partial log. The runs share two worker
+course at N = 14 under noise seeds 0-3 (30 s), the nominal scenario under
+noise seeds 0-3 at gamma 0.5, at gamma 0.9 and in euclid mode (10 s
+each; most abort by step 14, after an infeasible solve and its gamma
+retry), the nmpc baseline (8 s) and the nmpc baseline under noise seed 0
+with 2 plant substeps (8 s). A run that aborts mid-way keeps its partial
+log. The runs share two worker
 processes.
 
 Compare two checkouts from the root of either:
@@ -90,6 +93,14 @@ def run_set(config_path):
         runs[f"course-seed{noise_seed}-30s"] = replace(
             course, noise=NoiseConfig(enabled=True, variance=0.05,
                                       seed=noise_seed))
+    for label, gamma, mode in (("gamma0.5", 0.5, None), ("gamma0.9", 0.9, None),
+                               ("euclid", None, "euclid")):
+        noisy = replace(_build_scenario(cfg, gamma, None, mode, seed),
+                        duration=10.0)
+        for noise_seed in range(4):
+            runs[f"noisy-{label}-seed{noise_seed}-10s"] = replace(
+                noisy, noise=NoiseConfig(enabled=True, variance=0.05,
+                                         seed=noise_seed))
     runs["nmpc-8s"] = replace(base, mode="nmpc", duration=8.0)
     runs["nmpc-seed0-substeps2-8s"] = replace(
         runs["nmpc-8s"], substeps=2,
