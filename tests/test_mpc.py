@@ -1145,11 +1145,11 @@ def test_warm_start_is_built_only_for_an_sqp(monkeypatch):
         if step == 1:
             assert warm is None
             continue
-        _, plan, z_n = steps[step - 2]
+        _, plan, z = steps[step - 2]
         for v in plan.reshape(-1, 2):
-            z_n = model.A @ z_n + model.B @ v
+            z = model.A @ z + model.B @ v
         np.testing.assert_array_equal(warm[:-2], plan[2:])
-        np.testing.assert_allclose(warm[-2:], td.K @ z_n, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(warm[-2:], td.K @ z, rtol=0.0, atol=1e-12)
 
 
 def test_certificate_decides_at_each_decay_as_the_exact_rows_do():
