@@ -78,6 +78,10 @@ def _value(section: dict, key: str, default, where: str, kind=real):
                           f"({exc})") from None
 
 
+def _positive(value):
+    return real(value, above=0.0)
+
+
 def _list(kind, size=None):
     """A converter to a list of kind values, of the given length if any."""
     def convert(value):
@@ -119,15 +123,16 @@ def load_config(path) -> dict:
                                          "scenario", _list(real, 4)))
     out["goal"] = tuple(_value(sc, "goal", [0.0, 0.0], "scenario",
                                _list(real, 2)))
-    out["duration"] = _value(sc, "duration", 30.0, "scenario")
+    out["duration"] = _value(sc, "duration", 30.0, "scenario", _positive)
     out["mode"] = _value(sc, "mode", "cbf", "scenario", str)
     out["substeps"] = _value(sc, "substeps", 1, "scenario", integer)
     obstacles = []
     for i, entry in enumerate(_value(sc, "obstacles", [], "scenario", list)):
         where = f"scenario.obstacles[{i}]"
         _require_keys(entry, {"x", "y", "radius"}, where)
-        obstacles.append(Obstacle(*[_value(entry, key, None, where)
-                                    for key in ("x", "y", "radius")]))
+        obstacles.append(Obstacle(*[
+            _value(entry, key, None, where, kind)
+            for key, kind in (("x", real), ("y", real), ("radius", _positive))]))
     out["obstacles"] = tuple(obstacles)
     noise = sc.get("noise", {})
     _require_keys(noise, {"enabled", "variance", "mask"}, "scenario.noise")
@@ -163,7 +168,7 @@ def load_config(path) -> dict:
     out["timing"] = {
         "horizons": _value(timing, "horizons", [8, 10, 12, 14], "timing",
                            _list(integer)),
-        "duration": _value(timing, "duration", 8.0, "timing"),
+        "duration": _value(timing, "duration", 8.0, "timing", _positive),
     }
     return out
 
@@ -193,29 +198,23 @@ def _build_scenario(cfg: dict, gamma, horizon, mode, noise_seed) -> Scenario:
     )
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def write_trajectory_csv(log, path) -> None:
     """Write one run as CSV with one barrier/distance column pair per
-    obstacle; numeric fields carry full float precision."""
+    obstacle; float fields carry full precision (%.17g, as
+    format(value, ".17g")), the SQP iteration count is an integer."""
     n_obs = len(log.scenario.obstacles)
     head = ["t", "x1", "x2", "x3", "zeta", "u1", "u2", "omega_r", "omega_l",
             "v1", "v2"]
     for i in range(n_obs):
         head += [f"H{i}", f"dist{i}"]
     head += ["cost", "sqp_iters", "solve_ms"]
+    row = ",".join(["%.17g"] * (len(head) - 2) + ["%d", "%.17g"])
     lines = [",".join(head)]
     for r in log.records:
-        row = [r.t, r.x1, r.x2, r.x3, r.zeta, r.u1, r.u2, r.omega_r,
-               r.omega_l, r.v1, r.v2]
-        for i in range(n_obs):
-            row += [r.barriers[i], r.distances[i]]
-        fields = [_fmt(v) for v in row]
-        fields += [_fmt(r.cost), str(int(r.sqp_iterations)),
-                   _fmt(r.solve_time * 1e3)]
-        lines.append(",".join(fields))
+        pairs = [h for pair in zip(r.barriers, r.distances) for h in pair]
+        lines.append(row % (r.t, r.x1, r.x2, r.x3, r.zeta, r.u1, r.u2,
+                            r.omega_r, r.omega_l, r.v1, r.v2, *pairs, r.cost,
+                            r.sqp_iterations, r.solve_time * 1e3))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -378,15 +377,14 @@ def compare_timing(manifest: RunManifest, horizons=None) -> dict:
     seed = (cfg["seed"] if manifest.seed is None
             else integer(manifest.seed, "--seed"))
     horizons = horizons or cfg["timing"]["horizons"]
-    duration = cfg["timing"]["duration"]
+    timed = {**cfg, "duration": cfg["timing"]["duration"]}
     out_dir = Path(manifest.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for n in horizons:
         entry = {"horizon": int(n)}
         for mode in ("cbf", "nmpc"):
-            scenario = _build_scenario(cfg, None, int(n), mode, seed)
-            scenario = replace(scenario, duration=duration)
+            scenario = _build_scenario(timed, None, int(n), mode, seed)
             log = run_closed_loop(scenario)
             run_stats = _run_summary(log, None, seed)
             times, flops = run_stats["solve_ms"], run_stats["flops"]

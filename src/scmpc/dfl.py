@@ -36,27 +36,17 @@ class DflGuard:
         real(self.zeta_threshold, "zeta_threshold", above=0.0)
 
 
-def _linearizing_law(x3, zeta, v1, v2, zeta_threshold):
-    """cos x3, sin x3 and the input (accel, turn) of the linearizing law."""
-    c, sn = math.cos(x3), math.sin(x3)
-    accel = v1 * c + v2 * sn
-    if zeta > zeta_threshold:
-        turn = (-v1 * sn + v2 * c) / zeta
-    else:
-        turn = 0.0
-    return c, sn, accel, turn
-
-
-def dfl_control(s: ExtendedState, v, guard: DflGuard):
-    """Map a virtual acceleration v = (v1, v2) to the extended-model input
+def dfl_control(x, v, guard: DflGuard):
+    """Map a virtual acceleration v = (v1, v2) at the extended state x, a
+    4-sequence (x1, x2, heading, zeta), to the extended-model input
     (accel, turn).
 
     accel = v1*cos(x3) + v2*sin(x3). The turn rate divides by zeta, so it
     is zeroed whenever zeta is at or below the guard threshold; the
-    acceleration channel stays active so the speed can recover.
+    acceleration channel stays active so the speed can recover. The law
+    is the one in closed_loop_rhs, read off its last two entries.
     """
-    _, _, accel, turn = _linearizing_law(s.x3, s.zeta, v[0], v[1],
-                                         guard.zeta_threshold)
+    _, _, turn, accel = closed_loop_rhs(x, v, guard)
     return accel, turn
 
 
@@ -109,10 +99,11 @@ def closed_loop_rhs(x, v, guard: DflGuard) -> tuple:
 
     x is a 4-sequence of floats (x1, x2, heading, zeta) and the derivative
     is a tuple of floats, equal bit for bit to
-    ``extended_rhs(x, dfl_control(ExtendedState(*x), v, guard))``; the law
-    and the kinematics share one cos/sin evaluation.
+    ``extended_rhs(x, dfl_control(x, v, guard))``; the law and the
+    kinematics share one cos/sin evaluation.
     """
     zeta = x[3]
-    c, sn, accel, turn = _linearizing_law(x[2], zeta, v[0], v[1],
-                                          guard.zeta_threshold)
-    return (zeta * c, zeta * sn, turn, accel)
+    c, sn = math.cos(x[2]), math.sin(x[2])
+    v1, v2 = v[0], v[1]
+    turn = (-v1 * sn + v2 * c) / zeta if zeta > guard.zeta_threshold else 0.0
+    return (zeta * c, zeta * sn, turn, v1 * c + v2 * sn)

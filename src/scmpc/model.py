@@ -14,8 +14,6 @@ from .errors import ConfigError, real
 
 __all__ = [
     "RobotParams",
-    "WheelSpeeds",
-    "UnicycleInput",
     "ExtendedState",
     "unicycle_to_wheel",
     "unicycle_rhs",
@@ -37,22 +35,6 @@ class RobotParams:
 
 
 @dataclass(frozen=True)
-class WheelSpeeds:
-    """Right and left wheel angular rates, rad/s."""
-
-    omega_r: float
-    omega_l: float
-
-
-@dataclass(frozen=True)
-class UnicycleInput:
-    """Forward velocity u1 (m/s) and turn rate u2 (rad/s)."""
-
-    u1: float
-    u2: float
-
-
-@dataclass(frozen=True)
 class ExtendedState:
     """Pose plus the integrator state zeta, the commanded forward speed."""
 
@@ -65,15 +47,14 @@ class ExtendedState:
         return np.array([self.x1, self.x2, self.x3, self.zeta])
 
 
-def unicycle_to_wheel(u: UnicycleInput, p: RobotParams) -> WheelSpeeds:
-    """Wheel rates that produce the unicycle input.
+def unicycle_to_wheel(u1: float, u2: float, p: RobotParams) -> tuple:
+    """Right and left wheel rates (rad/s) that produce the unicycle input:
+    forward velocity u1 (m/s) and turn rate u2 (rad/s).
 
     Inverts u1 = (r/2)(omega_r + omega_l), u2 = (r/d)(omega_r - omega_l).
     """
     r, d = p.wheel_radius, p.axle_length
-    omega_r = u.u1 / r + d * u.u2 / (2.0 * r)
-    omega_l = u.u1 / r - d * u.u2 / (2.0 * r)
-    return WheelSpeeds(omega_r, omega_l)
+    return u1 / r + d * u2 / (2.0 * r), u1 / r - d * u2 / (2.0 * r)
 
 
 def unicycle_rhs(x, u):

@@ -650,7 +650,7 @@ class LinearMpc:
 
     def solve(self, z0) -> SolveResult:
         t0 = time.perf_counter()
-        z0s = np.asarray(z0, dtype=float).ravel() - self.goal_z
+        z0s = z0 - self.goal_z
         ws = self.workspace
         if ws.inside(z0s):
             res = _solve_relaxing_gamma(lambda g: self._solve_once(z0s, g),
@@ -659,7 +659,7 @@ class LinearMpc:
             res = SolveResult("infeasible", np.zeros((ws.n_steps, 2)),
                               float(z0s @ ws.offset_form @ z0s), 0, 0)
         if res.status != "infeasible":
-            self._last = res.v_sequence.ravel(), z0s
+            self._last = res.v_sequence, z0s
         res.solve_time = time.perf_counter() - t0
         return res
 
@@ -669,6 +669,7 @@ class LinearMpc:
         if self._last is None:
             return None
         plan, z0 = self._last
+        plan = plan.ravel()
         ws = self.workspace
         z_n = ws.F_N @ z0 + ws.G_N @ plan
         return np.concatenate([plan[2:], self.terminal.K @ z_n])

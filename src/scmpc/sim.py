@@ -1,9 +1,9 @@
 """Closed-loop execution: sample, measure, solve, actuate, integrate.
 
-The scenario's mode fixes the controller, the measurement, the plant and
-the actuation once per run; every step then samples the plant (optionally
-through additive Gaussian measurement noise), solves, applies the first
-planned input and integrates with RK4. In cbf and euclid mode the
+The scenario's mode fixes the controller and the plant once per run;
+every step then reads the plant's float state (optionally through
+additive Gaussian measurement noise), solves, applies the first planned
+input and integrates with RK4. In cbf and euclid mode the
 controller measures the linear coordinates, and the linearizing feedback
 runs inside the integration of the extended unicycle with v held, so the
 realized motion tracks the discrete prediction model. In nmpc mode the
@@ -18,8 +18,8 @@ import numpy as np
 from .dfl import DflGuard, closed_loop_rhs, dfl_control, map_x_array_to_z
 from .errors import ConfigError, InfeasibleError, flag, integer, real
 from .mpc import LinearMpc, MpcConfig, NonlinearMpc
-from .model import (ExtendedState, RobotParams, UnicycleInput, rk4_step,
-                    unicycle_rhs, unicycle_to_wheel)
+from .model import (ExtendedState, RobotParams, rk4_step, unicycle_rhs,
+                    unicycle_to_wheel)
 from .safety import barrier_xy
 
 __all__ = [
@@ -162,14 +162,6 @@ def inject_noise(s: ExtendedState, variance: float, rng: np.random.Generator,
     return ExtendedState(vals[0], vals[1], vals[2], s.zeta)
 
 
-def _distances(x1, x2, obstacles):
-    return tuple(math.hypot(x1 - o.x, x2 - o.y) - o.radius for o in obstacles)
-
-
-def _barriers(x1, x2, obstacles):
-    return tuple(barrier_xy(x1, x2, o) for o in obstacles)
-
-
 def run_closed_loop(sc: Scenario) -> TrajectoryLog:
     """Execute one receding-horizon run and log every control step.
 
@@ -177,69 +169,71 @@ def run_closed_loop(sc: Scenario) -> TrajectoryLog:
     obstacle). A solver failure at the first step raises InfeasibleError;
     a failure later truncates the log and marks the run aborted.
     """
-    for obs in sc.obstacles:
+    obstacles = sc.obstacles
+    for obs in obstacles:
         if barrier_xy(sc.start.x1, sc.start.x2, obs) < 0.0:
             raise InfeasibleError(
                 "initial state lies inside an obstacle, the run is infeasible at k=0"
             )
-    # The mode fixes the controller and the plant interface once. The plant
-    # state is a list of floats: (x1, x2, heading, zeta), without zeta in
-    # nmpc mode. actuate gives the applied (u1, u2), the speed that drives
-    # the wheels and is logged as zeta, and the logged virtual input.
+    # The plant state is a list of floats, (x1, x2, heading, zeta), which
+    # the step reads directly: the linear controller measures its map to z
+    # and the plant runs the linearizing feedback. In nmpc mode the state
+    # is the pose alone, which the baseline measures and whose bare
+    # unicycle it drives.
+    nmpc = sc.mode == "nmpc"
     x = [float(v) for v in sc.start.as_array()]
-    if sc.mode == "nmpc":
-        controller = NonlinearMpc(sc.mpc, obstacles=sc.obstacles, goal=sc.goal)
+    guard = sc.guard
+    if nmpc:
+        controller = NonlinearMpc(sc.mpc, obstacles=obstacles, goal=sc.goal)
         x = x[:3]
-        sample = lambda state: ExtendedState(*state, 0.0)
-        measure = lambda s: s.as_array()[:3]
-        rhs = unicycle_rhs
-        actuate = lambda s, v: (v, v[0], (0.0, 0.0))
+        rhs, pad = unicycle_rhs, (0.0,)
     else:
-        controller = LinearMpc(sc.mpc, obstacles=sc.obstacles, goal=sc.goal,
+        controller = LinearMpc(sc.mpc, obstacles=obstacles, goal=sc.goal,
                                mode=sc.mode)
-        sample = lambda state: ExtendedState(*state)
-        measure = lambda s: map_x_array_to_z(s.as_array())
-        rhs = lambda state, v: closed_loop_rhs(state, v, sc.guard)
-        actuate = lambda s, v: (dfl_control(s, v, sc.guard), s.zeta, v)
-    rng = np.random.default_rng(np.random.SeedSequence(sc.noise.seed))
-    ts = sc.mpc.ts
+        rhs, pad = lambda state, v: closed_loop_rhs(state, v, guard), ()
+    noise = sc.noise
+    rng = np.random.default_rng(np.random.SeedSequence(noise.seed))
+    ts, robot, substeps = sc.mpc.ts, sc.robot, sc.substeps
     n_steps = int(round(sc.duration / ts))
-    h = ts / sc.substeps
+    h = ts / substeps
     records = []
     aborted = False
 
     for k in range(n_steps):
-        plant_state = sample(x)
-        measured = plant_state
-        if sc.noise.enabled:
-            measured = inject_noise(plant_state, sc.noise.variance, rng,
-                                    sc.noise.mask)
-        res = controller.solve(measure(measured))
+        measured = x
+        if noise.enabled:
+            s = inject_noise(ExtendedState(*x, *pad), noise.variance,
+                             rng, noise.mask)
+            measured = (s.x1, s.x2, s.x3, s.zeta)
+        res = controller.solve(measured if nmpc else map_x_array_to_z(measured))
         if res.status == "infeasible":
             if k == 0:
                 raise InfeasibleError("optimization infeasible at k=0")
             aborted = True
             break
 
-        v = (float(res.v_sequence[0, 0]), float(res.v_sequence[0, 1]))
-        (u1, u2), speed, v_log = actuate(plant_state, v)
-        wheels = unicycle_to_wheel(UnicycleInput(speed, u2), sc.robot)
-        for _ in range(sc.substeps):
-            x = rk4_step(rhs, x, v, h)
-
+        # The first planned input: the unicycle input itself in nmpc mode,
+        # else the virtual input v that the feedback turns into it.
+        v = res.v_sequence[0].tolist()
+        if nmpc:
+            (u1, u2), v1, v2 = v, 0.0, 0.0
+            speed = u1
+        else:
+            u1, u2 = dfl_control(x, v, guard)
+            speed = x[3]
+            v1, v2 = v
+        omega_r, omega_l = unicycle_to_wheel(speed, u2, robot)
+        px, py = x[0], x[1]
+        barriers = distances = ()
+        for obs in obstacles:
+            barriers += (barrier_xy(px, py, obs),)
+            distances += (math.hypot(px - obs.x, py - obs.y) - obs.radius,)
         records.append(StepRecord(
-            t=k * ts,
-            x1=plant_state.x1, x2=plant_state.x2, x3=plant_state.x3,
-            zeta=speed,
-            u1=u1, u2=u2,
-            omega_r=wheels.omega_r, omega_l=wheels.omega_l,
-            v1=v_log[0], v2=v_log[1],
-            barriers=_barriers(plant_state.x1, plant_state.x2, sc.obstacles),
-            distances=_distances(plant_state.x1, plant_state.x2, sc.obstacles),
-            cost=res.cost,
-            sqp_iterations=res.sqp_iterations,
-            solve_time=res.solve_time,
-        ))
+            k * ts, px, py, x[2], speed, u1, u2, omega_r, omega_l, v1, v2,
+            barriers, distances, res.cost, res.sqp_iterations,
+            res.solve_time))
+        for _ in range(substeps):
+            x = rk4_step(rhs, x, v, h)
 
     return TrajectoryLog(scenario=sc, records=records, aborted=aborted,
                          final_state=np.array(x))

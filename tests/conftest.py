@@ -120,8 +120,11 @@ def cli_config_file(tmp_path):
             for dotted, value in updates.items():
                 node = cfg
                 parts = dotted.split(".")
-                for part in parts[:-1]:
-                    node = node[part]
+                for part in parts[:-1]:  # "name" or "name[index]"
+                    name, _, index = part.partition("[")
+                    node = node[name]
+                    if index:
+                        node = node[int(index.rstrip("]"))]
                 node[parts[-1]] = value
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))

@@ -61,7 +61,13 @@ def test_every_traced_layer_of_the_linear_path_is_called():
                    if not path.startswith("cli") and "Nonlinear" not in path]
     assert "mpc.QuadraticRow.gradient" in linear_path
     assert [name for name in linear_path if not calls[name]] == []
-    assert calls["sim.rk4_step"] == 20
+    # The plant-side layers per step: one map to z, one RK4 step of four
+    # right-hand sides, one barrier per obstacle, plus the start check.
+    plant = {name: calls[name] for name in (
+        "sim.map_x_array_to_z", "sim.rk4_step", "sim.closed_loop_rhs",
+        "sim.barrier_xy")}
+    assert plant == {"sim.map_x_array_to_z": 20, "sim.rk4_step": 20,
+                     "sim.closed_loop_rhs": 80, "sim.barrier_xy": 21}
 
 
 def test_linear_mpc_takes_the_mode_fourth_and_keeps_its_config():

@@ -4,14 +4,16 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import nominal_scenario
 from scmpc.cli import (RunManifest, compare_timing, load_config, main, run,
-                       _ip_iteration_model)
-from scmpc import DflGuard, NoiseConfig
+                       write_trajectory_csv, _ip_iteration_model)
+from scmpc import DflGuard, NoiseConfig, Obstacle, run_closed_loop
 from scmpc.errors import ConfigError
 from scmpc.model import RobotParams
 from scmpc.mpc import estimate_flops_ip, estimate_flops_sqp
@@ -120,7 +122,10 @@ def test_bad_config_value_exits_three(cli_config_file, tmp_path, capsys):
                         [{"x": True, "y": 0.0, "radius": 1.0}]),
                        ("mpc.gamma", "0.5"), ("mpc.gamma", 10**400),
                        ("scenario.noise.variance", True),
-                       ("mpc.q", [True, 1.0, 1.0, 1.0])):
+                       ("mpc.q", [True, 1.0, 1.0, 1.0]),
+                       # Values only a dataclass checked, now with key paths.
+                       ("scenario.obstacles[0].radius", -1),
+                       ("scenario.duration", -1), ("timing.duration", -1)):
         cfg = cli_config_file({key: value})
         assert main(["simulate", "--config", cfg,
                      "--out", str(tmp_path / "x")]) == 3
@@ -239,6 +244,31 @@ def test_multi_obstacle_csv_columns(cli_config_file, tmp_path):
     header_line = next(out.glob("*.csv")).read_text().splitlines()[0]
     assert header_line == ("t,x1,x2,x3,zeta,u1,u2,omega_r,omega_l,v1,v2,"
                            "H0,dist0,H1,dist1,cost,sqp_iters,solve_ms")
+
+
+def test_csv_fields_are_the_record_fields_at_full_precision(tmp_path):
+    # Two obstacles under noise: every float column, the barrier and
+    # distance pairs among them, is format(value, ".17g") of its field.
+    sc = replace(nominal_scenario(noise_seed=0, duration=1.0),
+                 obstacles=(Obstacle(3.5, 3.5, 1.5), Obstacle(6.0, 5.0, 0.5)))
+    log = run_closed_loop(sc)
+    path = tmp_path / "run.csv"
+    write_trajectory_csv(log, path)
+    lines = path.read_text().splitlines()
+    head = lines[0].split(",")
+    assert len(lines) == len(log.records) + 1 > 1
+    names = ("t", "x1", "x2", "x3", "zeta", "u1", "u2", "omega_r", "omega_l",
+             "v1", "v2", "cost")
+    for r, line in zip(log.records, lines[1:]):
+        text = dict(zip(head, line.split(",")))
+        floats = {name: getattr(r, name) for name in names}
+        for i in range(2):
+            floats[f"H{i}"], floats[f"dist{i}"] = r.barriers[i], r.distances[i]
+        floats["solve_ms"] = r.solve_time * 1e3
+        assert sorted(text) == sorted([*floats, "sqp_iters"])
+        assert {k: text[k] for k in floats} == {
+            k: format(v, ".17g") for k, v in floats.items()}
+        assert text["sqp_iters"] == str(r.sqp_iterations)
 
 
 def test_csv_determinism_excluding_wall_clock(cli_config_file, tmp_path):

@@ -19,16 +19,14 @@ def test_guard_validation():
 
 
 def test_control_law_examples():
-    u1, u2 = dfl_control(ExtendedState(0, 0, 0.0, 1.0), (1.0, 0.0), GUARD)
+    u1, u2 = dfl_control((0, 0, 0.0, 1.0), (1.0, 0.0), GUARD)
     assert (u1, u2) == pytest.approx((1.0, 0.0), abs=1e-15)
-    u1, u2 = dfl_control(ExtendedState(0, 0, math.pi / 2, 2.0), (0.0, 1.0),
-                         GUARD)
+    u1, u2 = dfl_control((0, 0, math.pi / 2, 2.0), (0.0, 1.0), GUARD)
     assert (u1, u2) == pytest.approx((1.0, 0.0), abs=1e-12)
 
 
 def test_guard_zeros_turn_rate_only():
-    s = ExtendedState(1.0, -1.0, 0.8, 0.005)
-    u1, u2 = dfl_control(s, (0.7, -0.4), GUARD)
+    u1, u2 = dfl_control((1.0, -1.0, 0.8, 0.005), (0.7, -0.4), GUARD)
     assert u2 == 0.0
     assert u1 == pytest.approx(0.7 * math.cos(0.8) - 0.4 * math.sin(0.8), abs=1e-15)
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from oracles import closed_loop_rhs_array, rk4_step_array, unicycle_rhs_array
 from scmpc import ConfigError, DflGuard
 from scmpc.dfl import closed_loop_rhs
-from scmpc.model import (RobotParams, UnicycleInput, extended_rhs, rk4_step,
-                         unicycle_rhs, unicycle_to_wheel)
+from scmpc.model import (RobotParams, extended_rhs, rk4_step, unicycle_rhs,
+                         unicycle_to_wheel)
 
 P = RobotParams(wheel_radius=0.1, axle_length=0.5)
 # Wheel rates (omega_r, omega_l) to body velocity (u1, u2):
@@ -29,16 +29,16 @@ def test_params_validation():
 
 
 def test_unicycle_to_wheel_examples():
-    w = unicycle_to_wheel(UnicycleInput(0.1, 0.0), P)
-    assert (w.omega_r, w.omega_l) == pytest.approx((1.0, 1.0), abs=1e-12)
-    w = unicycle_to_wheel(UnicycleInput(0.0, 0.0), P)
-    assert (w.omega_r, w.omega_l) == (0.0, 0.0)
+    w = unicycle_to_wheel(0.1, 0.0, P)
+    assert w == pytest.approx((1.0, 1.0), abs=1e-12)
+    w = unicycle_to_wheel(0.0, 0.0, P)
+    assert w == (0.0, 0.0)
     # closed-form 2x2 inverse
     inv = np.linalg.inv(WHEEL_TO_BODY)
     expect = inv @ np.array([0.1, 0.4])
-    w = unicycle_to_wheel(UnicycleInput(0.1, 0.4), P)
-    assert (w.omega_r, w.omega_l) == pytest.approx(tuple(expect), abs=1e-12)
-    assert (w.omega_r, w.omega_l) == pytest.approx((2.0, 0.0), abs=1e-12)
+    w = unicycle_to_wheel(0.1, 0.4, P)
+    assert w == pytest.approx(tuple(expect), abs=1e-12)
+    assert w == pytest.approx((2.0, 0.0), abs=1e-12)
 
 
 def test_unicycle_derivative_examples():

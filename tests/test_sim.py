@@ -11,6 +11,10 @@ from conftest import (comparison_scenario, nominal_scenario,
 from scmpc import (ConfigError, ExtendedState, InfeasibleError, MpcConfig,
                    NoiseConfig, Obstacle, Scenario, cost_sequence,
                    first_deviation_step, run_closed_loop)
+from scmpc.dfl import closed_loop_rhs, dfl_control
+from scmpc.model import rk4_step, unicycle_rhs, unicycle_to_wheel
+from scmpc.mpc import LinearMpc, NonlinearMpc
+from scmpc.safety import barrier_xy
 from scmpc.sim import StepRecord, inject_noise
 
 
@@ -134,6 +138,53 @@ def test_noise_stream_determinism(mode):
         for name in names:
             assert getattr(ra, name) == getattr(rb, name)
     assert np.array_equal(a.final_state, b.final_state)
+
+
+@pytest.mark.parametrize("sc", [
+    nominal_scenario(noise_seed=0, duration=5.0),
+    nominal_scenario(mode="euclid", duration=5.0),
+    nominal_scenario(mode="nmpc", substeps=2, duration=2.0),
+], ids=["cbf-noise0", "euclid", "nmpc-substeps2"])
+def test_records_agree_with_the_models_bit_for_bit(sc, monkeypatch):
+    # Every logged field is recomputed from the logged plant state with the
+    # package's one copy of each formula, and the logged plant state of the
+    # next step (or the final state) is the RK4 integration of this one.
+    plans = []
+    for cls in (LinearMpc, NonlinearMpc):
+        def recorded(self, z0, _solve=cls.solve):
+            res = _solve(self, z0)
+            plans.append(tuple(res.v_sequence[0].tolist()))
+            return res
+        monkeypatch.setattr(cls, "solve", recorded)
+    log = run_closed_loop(sc)
+    nmpc = sc.mode == "nmpc"
+    h = sc.mpc.ts / sc.substeps
+    assert len(log.records) > 1
+    for k, r in enumerate(log.records):
+        x = [r.x1, r.x2, r.x3] if nmpc else [r.x1, r.x2, r.x3, r.zeta]
+        if nmpc:
+            assert (r.u1, r.u2) == plans[k] and r.zeta == r.u1
+            assert (r.v1, r.v2) == (0.0, 0.0)
+            rhs, u = unicycle_rhs, (r.u1, r.u2)
+        else:
+            assert (r.v1, r.v2) == plans[k]
+            assert (r.u1, r.u2) == dfl_control(x, plans[k], sc.guard)
+            rhs = lambda s, v: closed_loop_rhs(s, v, sc.guard)
+            u = (r.v1, r.v2)
+        assert (r.omega_r, r.omega_l) == unicycle_to_wheel(r.zeta, r.u2,
+                                                           sc.robot)
+        assert r.barriers == tuple(barrier_xy(r.x1, r.x2, o)
+                                   for o in sc.obstacles)
+        assert r.distances == tuple(math.hypot(r.x1 - o.x, r.x2 - o.y)
+                                    - o.radius for o in sc.obstacles)
+        for _ in range(sc.substeps):
+            x = rk4_step(rhs, x, u, h)
+        if k + 1 < len(log.records):
+            nxt = log.records[k + 1]
+            assert x == ([nxt.x1, nxt.x2, nxt.x3] if nmpc
+                         else [nxt.x1, nxt.x2, nxt.x3, nxt.zeta])
+        else:
+            assert x == log.final_state.tolist()
 
 
 def test_cost_sequence_descends_without_constraints():
