@@ -306,6 +306,7 @@ class SolveResult:
     sqp_iterations: int
     qp_iterations_total: int
     solve_time: float = 0.0  # the controller's whole step, timed by it
+    working_set: list | None = None  # the final QP's; None if no QP ran
 
 
 def prediction_matrices(model: LtiModel, n_steps: int):
@@ -487,7 +488,7 @@ def _merit_penalty(violations: np.ndarray) -> float:
     return float(np.maximum(violations - 0.5 * FEAS_TOL, 0.0).sum())
 
 
-def solve_sqp(problem, warm_start=None) -> SolveResult:
+def solve_sqp(problem, warm_start=None, working_set=None) -> SolveResult:
     """Solve a problem with affine and nonlinear rows by SQP.
 
     The driver reads seven names of the problem: its affine rows
@@ -503,11 +504,12 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
     is the exact cost. Each iteration solves the dense QP with the rows
     [lin_rows; J] x <= [lin_rhs; J v - g] and backtracks from the full step
     on an l1 merit function evaluated on the original rows (Nocedal &
-    Wright, ch. 18). The first QP starts its working set from the rows
-    that the current iterate meets or violates; from the second iteration
-    on, the QP starts from the previous QP's working set, since the row
-    layout is the same in every iteration. A right start set costs one
-    KKT solve; a wrong one only moves where the QP's dual loop starts.
+    Wright, ch. 18). The first QP starts from working_set, such as the
+    final working set of the previous solve of a problem with the same
+    row layout, or else from the rows that the iterate meets or violates;
+    each later QP starts from the previous QP's working set. A right start
+    set costs one KKT solve; a wrong one only moves where the QP's dual
+    loop starts. The result carries the final QP's working set.
     Each iterate is evaluated once: its cost, rows, merit penalty and worst
     violation come from the evaluation that produced it, and only the block
     of J is rewritten in the QP's rows from one iteration to the next.
@@ -545,7 +547,7 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
     it = 0
     n_lin = len(problem.lin_rows)
     lam = None
-    guess = None
+    guess = working_set
     cost, g, aux, pen, worst = evaluate(v)
     rows = np.empty((n_lin + len(g), len(v)))
     rhs = np.empty(len(rows))
@@ -599,7 +601,8 @@ def solve_sqp(problem, warm_start=None) -> SolveResult:
         if not moved:
             break
 
-    return SolveResult(status, v.reshape(-1, 2).copy(), cost, it, qp_total)
+    return SolveResult(status, v.reshape(-1, 2).copy(), cost, it, qp_total,
+                       working_set=guess)
 
 
 def _solve_relaxing_gamma(solve, gamma: float) -> SolveResult:
@@ -621,9 +624,11 @@ class LinearMpc:
 
     Owns the discrete model, terminal data, the condensed workspace, and
     the last plan with the goal-centered state it was solved from, from
-    which only an SQP builds the shifted warm start. A measured position
-    outside the position box (or NaN) is infeasible at any gamma, so the
-    step solves nothing.
+    which only an SQP builds the shifted warm start. Beside them it keeps
+    the last SQP's final working set, unshifted, as the next SQP's start
+    set (Ferreau, Bock & Diehl, 2008); a certified, infeasible or
+    out-of-box step drops it. A measured position outside the position
+    box (or NaN) is infeasible at any gamma, so the step solves nothing.
     Otherwise each solve at one gamma first certifies the cost's free
     minimizer and builds the QCQP only when that fails. On an infeasible
     step the barrier decay is relaxed once (gamma doubled, capped at 1);
@@ -659,7 +664,9 @@ class LinearMpc:
             res = SolveResult("infeasible", np.zeros((ws.n_steps, 2)),
                               float(z0s @ ws.offset_form @ z0s), 0, 0)
         if res.status != "infeasible":
-            self._last = res.v_sequence, z0s
+            self._last = res.v_sequence, z0s, res.working_set
+        elif self._last is not None:
+            self._last = *self._last[:2], None
         res.solve_time = time.perf_counter() - t0
         return res
 
@@ -668,7 +675,7 @@ class LinearMpc:
         z_N = F_N z0 + G_N V, or None."""
         if self._last is None:
             return None
-        plan, z0 = self._last
+        plan, z0, _ = self._last
         plan = plan.ravel()
         ws = self.workspace
         z_n = ws.F_N @ z0 + ws.G_N @ plan
@@ -676,12 +683,14 @@ class LinearMpc:
 
     def _solve_once(self, z0: np.ndarray, gamma: float) -> SolveResult:
         """One solve at gamma from the goal-centered state z0: the
-        certificate, else SQP on the QCQP from the warm start."""
+        certificate, else SQP on the QCQP from the warm start and the
+        kept working set."""
         decay = 1.0 - gamma
         res = self.workspace.certify(z0, decay)
         if res is None:
             res = solve_sqp(build_qcqp(z0, self.workspace, decay),
-                            warm_start=self._warm_start())
+                            warm_start=self._warm_start(),
+                            working_set=self._last and self._last[2])
         return res
 
 

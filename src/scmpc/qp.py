@@ -14,10 +14,11 @@ drops that row. A violated row with no primal direction and no working
 multiplier that decreases proves the rows inconsistent.
 
 The working set may start from a guess, such as the previous SQP
-iteration's, or from the rows that a start point x0 meets or violates
-(as in the online active set of Ferreau, Bock & Diehl, 2008). Negative
-start multipliers are dropped one KKT solve at a time; a start set with
-more rows than unknowns, or with dependent rows, gives way to the empty set.
+iteration's or the previous MPC solve's final set (the hot start of the
+online active set method of Ferreau, Bock & Diehl, 2008), or from the rows
+that a start point x0 meets or violates. Negative start multipliers are
+dropped one KKT solve at a time; a start set with more rows than unknowns,
+or with dependent rows, gives way to the empty set.
 """
 
 from dataclasses import dataclass
@@ -88,11 +89,13 @@ def solve_qp(hessian, gradient, rows, rhs, x0=None,
     Returns the minimizer with the final working set, the full multiplier
     vector (zeros on inactive rows), and the iteration count, which counts
     KKT solves. The working rows hold as equalities to roundoff, and an
-    optimal exit meets every row within tol; where an ill-conditioned
-    solve leaves a working row violated by more, the exit is max_iter. A
-    max_iter exit returns the current iterate with the multipliers of its
-    working set, which for max_iter = 0 is the start point (x0, or zero)
-    with no working set; an infeasible exit returns no working set.
+    optimal exit meets every row within tol. Where an ill-conditioned
+    solve leaves a working row violated by more, one refinement KKT solve
+    on the final working set follows; if a row is still violated, or a
+    multiplier turns negative, the exit is max_iter. A max_iter exit
+    returns the current iterate with the multipliers of its working set,
+    which for max_iter = 0 is the start point (x0, or zero) with no
+    working set; an infeasible exit returns no working set.
     """
     H = np.asarray(hessian, dtype=float)
     g = np.asarray(gradient, dtype=float)
@@ -182,6 +185,17 @@ def solve_qp(hessian, gradient, rows, rhs, x0=None,
         viol[work] = -np.inf
         p, t = int(viol.argmax()), 0.0
         if viol[p] <= tol:
+            if worst > tol:
+                # Roundoff leaves a working row violated: refine once on the
+                # final working set with the KKT residual as right-hand side.
+                A = G[work]
+                sol = _kkt_solve(H, A, np.concatenate(
+                    [neg_g - H @ x - A.T @ lam, h[work] - A @ x]))
+                it += 1
+                if sol is not None:
+                    x, lam = x + sol[0], lam + sol[1]
+                    if lam.min() >= -1e-10:
+                        worst = float((G @ x - h).max())
             if worst <= tol:
                 status = "optimal"
             break

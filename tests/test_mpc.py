@@ -330,24 +330,26 @@ def test_startup_transient_converges_in_few_iterations(monkeypatch):
 
 
 def _recorded_attempts(monkeypatch, scenario):
-    """(controller, z0, gamma, warm start, result) of each solve at one
-    gamma (LinearMpc._solve_once) of a run, z0 goal-centered. The warm start
-    is the one solve_sqp received, or for a certified solve the one it
-    would have received."""
+    """(controller, z0, gamma, start, result) of each solve at one gamma
+    (LinearMpc._solve_once) of a run, z0 goal-centered. start holds the
+    warm_start and working_set keywords that solve_sqp received, or for a
+    certified solve those it would have received."""
     attempts = []
     received = []
     solve_once = LinearMpc._solve_once
     sqp = scmpc.mpc.solve_sqp
 
-    def recording_sqp(problem, warm_start=None):
-        received.append(warm_start)
-        return sqp(problem, warm_start=warm_start)
+    def recording_sqp(problem, **start):
+        received.append(start)
+        return sqp(problem, **start)
 
     def recording(controller, z0, gamma):
         received.clear()
         res = solve_once(controller, z0, gamma)
-        warm_start = received[0] if received else controller._warm_start()
-        attempts.append((controller, z0, gamma, warm_start, res))
+        start = received[0] if received else {
+            "warm_start": controller._warm_start(),
+            "working_set": controller._last and controller._last[2]}
+        attempts.append((controller, z0, gamma, start, res))
         return res
 
     monkeypatch.setattr(scmpc.mpc, "solve_sqp", recording_sqp)
@@ -402,9 +404,10 @@ def test_sqp_exit_stops_only_where_a_resolve_confirms(monkeypatch):
     assert len(attempts) == 41
     # Without the exit every warm-started step takes at least two.
     assert sum(a[4].sqp_iterations == 1 for a in attempts) >= 20
-    for controller, z0, gamma, _, res in attempts:
+    for controller, z0, gamma, start, res in attempts:
         again = solve_sqp(_attempt_problem(controller, z0, gamma),
-                          warm_start=res.v_sequence.ravel())
+                          warm_start=res.v_sequence.ravel(),
+                          working_set=start["working_set"])
         assert res.status == again.status == "optimal"
         assert again.sqp_iterations == 1
         np.testing.assert_array_equal(again.v_sequence, res.v_sequence)
@@ -469,7 +472,7 @@ def test_relaxed_step_reports_both_solves(monkeypatch):
     # The retry gets a plain gamma, doubled.
     assert [c[3] for c in calls] == [0.1, 0.2]
     assert res.status == "optimal"
-    assert (res.sqp_iterations, res.qp_iterations_total) == (2, 9)
+    assert (res.sqp_iterations, res.qp_iterations_total) == (2, 7)
     assert log.records[20].sqp_iterations == 2
     assert all(len(c) == 1 for _, c in steps[:20])
 
@@ -494,11 +497,10 @@ def test_certified_plans_match_the_solve_without_certificate(monkeypatch):
         return qp
 
     monkeypatch.setattr(scmpc.mpc, "solve_qp", recording)
-    for controller, z0, gamma, warm_start, res in certified:
+    for controller, z0, gamma, start, res in certified:
         assert res.status == "optimal" and res.sqp_iterations == 1
         minimizers.clear()
-        again = solve_sqp(_attempt_problem(controller, z0, gamma),
-                          warm_start=warm_start)
+        again = solve_sqp(_attempt_problem(controller, z0, gamma), **start)
         assert again.status == res.status
         plan = res.v_sequence.ravel()
         np.testing.assert_allclose(minimizers[0], plan, rtol=0.0, atol=1e-9)
@@ -525,14 +527,14 @@ def test_certified_steps_build_no_qcqp(monkeypatch):
 def test_free_minimizer_through_the_barrier_is_not_certified(monkeypatch):
     # At the nominal start the cost's unconstrained minimizer violates the
     # barrier rows, so the step builds the QCQP and runs the SQP on it.
-    controller, z0, gamma, warm_start, res = _recorded_attempts(
+    controller, z0, gamma, start, res = _recorded_attempts(
         monkeypatch, nominal_scenario(duration=0.05))[0]
     problem = _attempt_problem(controller, z0, gamma)
     free = controller.workspace.free_map @ z0
     assert np.min(problem.quad_rows.value(free)) < -FEAS_TOL
     assert np.max(problem.lin_rows @ free - problem.lin_rhs) <= 0.0
     assert controller.workspace.certify(z0, 1.0 - gamma) is None
-    again = solve_sqp(problem, warm_start=warm_start)
+    again = solve_sqp(problem, **start)
     assert res.status == again.status == "optimal"
     assert res.qp_iterations_total == again.qp_iterations_total > 0
     assert res.sqp_iterations == again.sqp_iterations
@@ -607,10 +609,10 @@ def test_sqp_exit_needs_the_full_step():
                              "evaluate", "linearize"}
 
 
-def _line_search_trace(monkeypatch, problem, warm_start):
-    """solve_sqp's result, its evaluate calls, and per QP the merit penalty
-    at the QP's start v, the cost's slope along its step and the number of
-    trial points evaluated after it."""
+def _line_search_trace(monkeypatch, problem, start):
+    """solve_sqp(problem, **start)'s result, its evaluate calls, and per QP
+    the merit penalty at the QP's start v, the cost's slope along its step
+    and the number of trial points evaluated after it."""
     trace, evals = [], [0]
     solve_qp, evaluate = scmpc.mpc.solve_qp, type(problem).evaluate
 
@@ -630,19 +632,20 @@ def _line_search_trace(monkeypatch, problem, warm_start):
 
     monkeypatch.setattr(scmpc.mpc, "solve_qp", recording)
     monkeypatch.setattr(type(problem), "evaluate", counting)
-    res = solve_sqp(problem, warm_start=warm_start)
+    res = solve_sqp(problem, **start)
     monkeypatch.undo()
     return res, evals[0], trace
 
 
 def _gamma_half_step_10(monkeypatch):
-    """The QCQP and warm start of step 10 of the gamma = 0.5 sweep point."""
+    """The QCQP and solve_sqp's start keywords of step 10 of the
+    gamma = 0.5 sweep point."""
     cfg = load_config(CONFIG)
     scenario = _build_scenario(cfg, 0.5, None, None, cfg["seed"])
     attempts = _recorded_attempts(
         monkeypatch, replace(scenario, duration=11 * scenario.mpc.ts))
-    controller, z0, gamma, warm_start, _ = attempts[10]
-    return _attempt_problem(controller, z0, gamma), warm_start
+    controller, z0, gamma, start, _ = attempts[10]
+    return _attempt_problem(controller, z0, gamma), start
 
 
 def test_sqp_stops_where_no_trial_can_lower_the_merit(monkeypatch):
@@ -650,10 +653,10 @@ def test_sqp_stops_where_no_trial_can_lower_the_merit(monkeypatch):
     # penalty is zero, and the QP step raises the convex cost: no trial
     # point has a lower merit. Without the stop the line search evaluates
     # 17 trial points and ends 7e-11 from the start.
-    problem, warm_start = _gamma_half_step_10(monkeypatch)
-    v = np.clip(warm_start, problem.v_lo, problem.v_hi)
+    problem, start = _gamma_half_step_10(monkeypatch)
+    v = np.clip(start["warm_start"], problem.v_lo, problem.v_hi)
     assert np.min(problem.quad_rows.value(v)) >= -0.5 * FEAS_TOL
-    res, evals, trace = _line_search_trace(monkeypatch, problem, warm_start)
+    res, evals, trace = _line_search_trace(monkeypatch, problem, start)
     assert res.status == "optimal"
     np.testing.assert_array_equal(res.v_sequence.ravel(), v)
     assert evals == len(trace) == 1
@@ -664,12 +667,13 @@ def test_sqp_stops_where_no_trial_can_lower_the_merit(monkeypatch):
 def _penalized_start(monkeypatch):
     # Step 10's barrier rows lowered so that the start violates the worst
     # of them by 0.75 FEAS_TOL: a positive penalty that a trial may lower.
-    problem, warm_start = _gamma_half_step_10(monkeypatch)
+    problem, start = _gamma_half_step_10(monkeypatch)
     rows = problem.quad_rows
-    lowest = np.min(rows.value(np.clip(warm_start, problem.v_lo, problem.v_hi)))
+    lowest = np.min(rows.value(np.clip(start["warm_start"], problem.v_lo,
+                                       problem.v_hi)))
     shift = (0.75 * FEAS_TOL + lowest) / (1.0 - rows.decay)
     return replace(problem, quad_rows=replace(
-        rows, radius_sq=rows.radius_sq + shift)), warm_start
+        rows, radius_sq=rows.radius_sq + shift)), start
 
 
 def _gauss_newton_rollout(monkeypatch):
@@ -691,18 +695,18 @@ def _gauss_newton_rollout(monkeypatch):
                               controller.cfg.gamma, controller.goal,
                               controller.obstacles)
     assert problem.hessian is None
-    return problem, warm_start
+    return problem, {"warm_start": warm_start}
 
 
 @pytest.mark.parametrize("case, make", [
     ("penalty", _penalized_start),
     ("rollout", _gauss_newton_rollout),
-    ("disk", lambda monkeypatch: (_DiskProblem(), None)),
+    ("disk", lambda monkeypatch: (_DiskProblem(), {})),
 ])
 def test_line_search_runs_where_a_trial_may_lower_the_merit(monkeypatch, case,
                                                            make):
-    problem, warm_start = make(monkeypatch)
-    res, _, trace = _line_search_trace(monkeypatch, problem, warm_start)
+    problem, start = make(monkeypatch)
+    res, _, trace = _line_search_trace(monkeypatch, problem, start)
     assert res.status == "optimal"
     if case == "penalty":
         assert 0.0 < trace[0][0] <= FEAS_TOL and trace[0][2] >= 1
@@ -1108,14 +1112,15 @@ def test_certificate_leaves_far_rounding_to_the_sqp():
 def test_warm_start_is_built_only_for_an_sqp(monkeypatch):
     # Each SQP of the nominal run starts from the previous step's plan
     # shifted one stage, bit for bit, with K z_N appended, z_N the model's
-    # rollout of that plan; certified solves build no warm start.
+    # rollout of that plan, and from that step's final working set, or none
+    # after a certified step; certified solves build no warm start.
     received, steps, builds = [], [], []
     sqp, warm_start = scmpc.mpc.solve_sqp, LinearMpc._warm_start
     solve_once, solve = LinearMpc._solve_once, LinearMpc.solve
 
-    def recording_sqp(problem, warm_start=None):
-        received.append((len(steps), warm_start))
-        return sqp(problem, warm_start=warm_start)
+    def recording_sqp(problem, warm_start=None, working_set=None):
+        received.append((len(steps), warm_start, working_set))
+        return sqp(problem, warm_start=warm_start, working_set=working_set)
 
     def counted(controller):
         builds.append(controller)
@@ -1123,8 +1128,10 @@ def test_warm_start_is_built_only_for_an_sqp(monkeypatch):
 
     def recording_once(controller, z0, gamma):
         res = solve_once(controller, z0, gamma)
-        # The plan and the goal-centered state it was solved from.
-        steps[-1] = (res.status, res.v_sequence.ravel().copy(), z0.copy())
+        # The plan, the goal-centered state it was solved from and the
+        # final working set.
+        steps[-1] = (res.status, res.v_sequence.ravel().copy(), z0.copy(),
+                     res.working_set)
         return res
 
     def recording(controller, z0):
@@ -1138,18 +1145,77 @@ def test_warm_start_is_built_only_for_an_sqp(monkeypatch):
     scenario = nominal_scenario(duration=50.0)
     run_closed_loop(scenario)
     assert len(steps) == 1000
-    assert all(status == "optimal" for status, _, _ in steps)
+    assert all(step[0] == "optimal" for step in steps)
     assert len(builds) == len(received) == 18
+    assert sum(work is not None for _, _, work in received) > 0
     model, td = _setup(scenario.mpc)
-    for step, warm in received:
+    for step, warm, work in received:
         if step == 1:
-            assert warm is None
+            assert warm is None and work is None
             continue
-        _, plan, z = steps[step - 2]
+        _, plan, z, last_work = steps[step - 2]
+        assert work == last_work
         for v in plan.reshape(-1, 2):
             z = model.A @ z + model.B @ v
         np.testing.assert_array_equal(warm[:-2], plan[2:])
         np.testing.assert_allclose(warm[-2:], td.K @ z, rtol=0.0, atol=1e-12)
+
+
+def test_hot_start_changes_only_the_kkt_count(monkeypatch):
+    # The QPs are strictly convex, so the start working set changes only
+    # which KKT solves reach each QP's minimizer. Re-solving each
+    # uncertified step of the nominal run cold, from the same warm start
+    # without the kept set, gives the same status, SQP count and plan, and
+    # the hot-started run spends fewer KKT solves.
+    attempts = _recorded_attempts(monkeypatch, nominal_scenario(duration=50.0))
+    opened = [a for a in attempts if a[4].qp_iterations_total > 0]
+    assert len(opened) == 18
+    assert sum(a[3]["working_set"] is not None for a in opened) > 0
+    cold_total = 0
+    for controller, z0, gamma, start, res in opened:
+        cold = solve_sqp(_attempt_problem(controller, z0, gamma),
+                         warm_start=start["warm_start"])
+        assert cold.status == res.status
+        assert cold.sqp_iterations == res.sqp_iterations
+        np.testing.assert_allclose(cold.v_sequence, res.v_sequence, rtol=0.0,
+                                   atol=1e-9)
+        cold_total += cold.qp_iterations_total
+    assert sum(a[4].qp_iterations_total for a in opened) < cold_total
+
+
+def test_start_set_is_dropped_after_a_step_without_one(monkeypatch):
+    # A certified step, an infeasible result and an out-of-box measurement
+    # each drop the kept working set, so the next SQP's first QP gets no
+    # guess; after an SQP step it gets that step's final working set.
+    firsts, guesses = [], []
+    sqp, qp = scmpc.mpc.solve_sqp, scmpc.mpc.solve_qp
+
+    def recording_sqp(*args, **kwargs):
+        firsts.append(len(guesses))
+        return sqp(*args, **kwargs)
+
+    def recording_qp(*args, **kwargs):
+        guesses.append(kwargs.get("working_set"))
+        return qp(*args, **kwargs)
+
+    monkeypatch.setattr(scmpc.mpc, "solve_sqp", recording_sqp)
+    monkeypatch.setattr(scmpc.mpc, "solve_qp", recording_qp)
+    controller = LinearMpc(MpcConfig(), [Obstacle(3.5, 3.5, 1.5)])
+    opened = np.array([7.0, -0.5, 7.0, 0.0])  # not certified
+    res = controller.solve(opened)
+    for z0, status, sqps in (([0.0, 0.0, 0.0, 0.0], "optimal", 0),
+                             ([5.2, -2.0, 3.5, 0.0], "infeasible", 2),
+                             ([20.0, 0.0, 0.0, 0.0], "infeasible", 0)):
+        assert res.status == "optimal" and res.working_set
+        n_sqp = len(firsts)
+        dropping = controller.solve(np.array(z0))
+        assert dropping.status == status and len(firsts) == n_sqp + sqps
+        if sqps:
+            assert guesses[firsts[n_sqp]] == res.working_set
+        res = controller.solve(opened)
+        assert guesses[firsts[-1]] is None
+    controller.solve(opened)
+    assert guesses[firsts[-1]] == res.working_set
 
 
 def test_certificate_decides_at_each_decay_as_the_exact_rows_do():

@@ -69,6 +69,22 @@ def test_diff_lists_the_runs_that_only_one_dump_has(tmp_path, capsys):
     assert sum(line.startswith("shared: max dev") for line in lines) == 1
 
 
+def test_diff_totals_the_shared_runs(tmp_path, capsys):
+    # Three shared runs take fewer, more and as many KKT solves; the run
+    # that only one dump has is not counted.
+    def one(sqp, qp):
+        return _run([[0.0, 1.0, 2.0, 0.1, 0.2, [0.5], sqp]],
+                    [["optimal", sqp, qp]])
+
+    a = {"fewer": one(3, 9), "more": one(1, 2), "same": one(2, 4),
+         "old": one(5, 50)}
+    b = {"fewer": one(2, 4), "more": one(1, 5), "same": one(2, 4)}
+    trajdiff.diff(_write(tmp_path, "a.json", a), _write(tmp_path, "b.json", b))
+    lines = capsys.readouterr().out.splitlines()
+    assert ("totals: SQP iterations 6 / 5; QP iterations 15 / 13; "
+            "runs with more / fewer QP iterations 1 / 1") in lines
+
+
 def _write(tmp_path, name, runs):
     path = tmp_path / name
     path.write_text(json.dumps({"fields": NAMES, "runs": runs}))

@@ -29,7 +29,9 @@ decimals, the step and abort counts, the number of steps whose status
 differs, the steps that take more and fewer SQP iterations, the SQP and QP
 iteration totals, and the largest QP iteration count of one step. A second
 line lists each step whose SQP count changed, with the change. A run that
-only one dump has is listed as missing from the other.
+only one dump has is listed as missing from the other. A totals line
+follows: the shared runs' summed SQP iterations and QP KKT solves on each
+side, and how many runs take more and fewer KKT solves.
 
 diff exits 0 when the two dumps are bit-identical: the same runs, and in
 each every step field, the final state, every call's status and SQP and
@@ -244,6 +246,7 @@ def diff(path_a, path_b):
         sys.exit("the dumps record different StepRecord fields")
     names = a["fields"]
     differ = []
+    totals = Counter()
     for name in a["runs"]:
         if name not in b["runs"]:
             print(f"{name}: missing from {path_b}")
@@ -252,6 +255,9 @@ def diff(path_a, path_b):
         d = diff_run(a["runs"][name], b["runs"][name], names)
         if not d["identical"]:
             differ.append(name)
+        totals.update(sqp_a=d["sqp"][0], sqp_b=d["sqp"][1], qp_a=d["qp"][0],
+                      qp_b=d["qp"][1], qp_more=d["qp"][1] > d["qp"][0],
+                      qp_fewer=d["qp"][1] < d["qp"][0])
         da, db = d["min_dist"]
         same = f"{da:.7f}" == f"{db:.7f}"
         groups = ", ".join(f"{g} {dev:.2e}" for g, dev in d["groups"].items())
@@ -273,6 +279,10 @@ def diff(path_a, path_b):
         if name not in a["runs"]:
             print(f"{name}: missing from {path_a}")
             differ.append(name)
+    print(f"totals: SQP iterations {totals['sqp_a']} / {totals['sqp_b']}; "
+          f"QP iterations {totals['qp_a']} / {totals['qp_b']}; "
+          f"runs with more / fewer QP iterations "
+          f"{totals['qp_more']} / {totals['qp_fewer']}")
     if differ:
         print(f"{len(differ)} runs differ: {', '.join(differ)}")
     else:
