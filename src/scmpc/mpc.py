@@ -6,9 +6,11 @@ input, position, and terminal constraints, and one quadratic barrier row
 per obstacle per step. The barrier rows are the only nonconvexity; the
 solver linearizes them about the current iterate, solves the resulting
 dense QP with an active-set method, and applies a merit line search on
-the original quadratic constraints. Their curvature is constant, so the
-QP Hessian is the Hessian of the Lagrangian at the previous QP's
-multipliers, convexified by eigenvalue flooring.
+the original quadratic constraints. Their curvature is constant: each
+row is a quadratic form in the inputs whose per-step Hessian is stacked
+once per decay, so one product gives the rows and their gradient at an
+iterate, and the QP Hessian is the Hessian of the Lagrangian at the
+previous QP's multipliers, convexified by eigenvalue flooring.
 
 The nonlinear baseline hands the same SQP driver a single-shooting
 problem on the unicycle model discretized with RK4, relinearizing the
@@ -33,7 +35,9 @@ no QP.
 
 A solve returns the input plan, not its predicted states: the step
 applies the first input, and the next SQP starts from the plan shifted
-one stage with K z_N appended, z_N = F_N z0 + G_N V on the model.
+one stage with K z_N appended, z_N = F_N z0 + G_N V on the model, and
+from the final QP's working set and barrier-row multipliers, unshifted;
+a step without an SQP drops the two together.
 """
 
 import math
@@ -167,12 +171,19 @@ class QuadraticRow:
     The rows are _barrier_rows on the predicted positions
     p_k(V) = offsets_k + maps_k @ V, k = 0, ..., N: maps (N+1, 2, nv) with
     maps_0 = 0, since p_0 is the measured position, and offsets (N+1, 2).
-    gram (N+1, nv, nv) holds maps_k' maps_k. decay is 1 - gamma; at
-    gamma = 1 (euclid) each row bounds h_o(p_{k+1}) >= 0 on its own.
-    radius_sq is each obstacle's squared radius plus 2 * FEAS_TOL:
-    solve_sqp accepts row violations up to FEAS_TOL, and the back-off
-    keeps such a plan's positions outside the true disk. value and
-    gradient take d = offsets_at(v) if the caller has it.
+    decay is 1 - gamma; at gamma = 1 (euclid) each row bounds
+    h_o(p_{k+1}) >= 0 on its own. radius_sq is each obstacle's squared
+    radius plus 2 * FEAS_TOL: solve_sqp accepts row violations up to
+    FEAS_TOL, and the back-off keeps such a plan's positions outside the
+    true disk.
+
+    Each row is a quadratic form in V: row o * N + k is
+    constant + linear @ V + 0.5 V' hess_k V. hessians (N nv, nv) stacks the
+    per-step Hessians hess_k = 2 (gram_{k+1} - decay gram_k), gram_k =
+    maps_k' maps_k, which every obstacle shares and the workspace builds
+    once per decay; linear (n_obs, N nv) and constant are the rows'
+    gradient and value at V = 0, set from the other fields. value and
+    gradient take q = hessians @ v if the caller has it.
     """
 
     maps: np.ndarray
@@ -180,37 +191,36 @@ class QuadraticRow:
     center: np.ndarray
     radius_sq: np.ndarray
     decay: float
-    gram: np.ndarray
+    hessians: np.ndarray
+    linear: np.ndarray = field(init=False)
+    constant: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        d = self.offsets[None] - self.center[:, None]
+        self.constant = _barrier_rows(d, self.radius_sq, self.decay)
+        self.linear = _barrier_jacobian(d, self.maps, self.decay).reshape(
+            len(self.center), len(self.hessians))
 
     def __len__(self) -> int:
-        return len(self.radius_sq) * (len(self.offsets) - 1)
+        return len(self.constant)
 
-    def offsets_at(self, v: np.ndarray) -> np.ndarray:
-        """The offsets p_k(v) - c_o (n_obs, N+1, 2)."""
-        return (self.offsets + self.maps @ v)[None] - self.center[:, None]
-
-    def value(self, v: np.ndarray, d=None) -> np.ndarray:
+    def value(self, v: np.ndarray, q=None) -> np.ndarray:
         """The row values at v."""
-        return _barrier_rows(self.offsets_at(v) if d is None else d,
-                             self.radius_sq, self.decay)
+        if q is None:
+            q = self.hessians.dot(v)
+        return self.constant + (self.linear + 0.5 * q).reshape(-1, len(v)).dot(v)
 
-    def gradient(self, v: np.ndarray, d=None) -> np.ndarray:
+    def gradient(self, v: np.ndarray, q=None) -> np.ndarray:
         """The (K, nv) Jacobian of the row values at v."""
-        return _barrier_jacobian(self.offsets_at(v) if d is None else d,
-                                 self.maps, self.decay)
+        if q is None:
+            q = self.hessians.dot(v)
+        return (self.linear + q).reshape(-1, len(v))
 
     def curvature(self, weights: np.ndarray) -> np.ndarray:
-        """The (nv, nv) weighted sum of the constant row Hessians.
-
-        Row (o, k) has the Hessian 2 (gram_{k+1} - decay gram_k).
-        """
-        per_step = weights.reshape(-1, len(self.gram) - 1).sum(axis=0)
-        coeff = np.zeros(len(self.gram))
-        coeff[1:] += per_step
-        coeff[:-1] -= self.decay * per_step
-        # np.tensordot's own product, without its per-call overhead.
-        gram = self.gram.reshape(len(self.gram), -1)
-        return 2.0 * np.dot(coeff[None], gram).reshape(self.gram.shape[1:])
+        """The (nv, nv) weighted sum of the constant row Hessians."""
+        nv = self.hessians.shape[1]
+        per_step = weights.reshape(-1, len(self.hessians) // nv).sum(axis=0)
+        return per_step.dot(self.hessians.reshape(-1, nv * nv)).reshape(nv, nv)
 
 
 def _floor_eigenvalues(w: np.ndarray) -> np.ndarray:
@@ -259,10 +269,11 @@ class QcqpProblem:
                      + self.cost_offset)
 
     def evaluate(self, v: np.ndarray):
-        """Cost, the barrier rows as -c(v) <= 0, and (c(v), offsets)."""
-        d = self.quad_rows.offsets_at(v)
-        c = self.quad_rows.value(v, d)
-        return self.cost(v), -c, (c, d)
+        """Cost, the barrier rows as -c(v) <= 0, and (c(v), q), with
+        q = hessians @ v of the rows."""
+        q = self.quad_rows.hessians.dot(v)
+        c = self.quad_rows.value(v, q)
+        return self.cost(v), -c, (c, q)
 
     def linearize(self, v: np.ndarray, aux, multipliers=None):
         """QP model at v and the Jacobian of -c, from evaluate's aux.
@@ -272,20 +283,20 @@ class QcqpProblem:
         H - sum_k lambda_k * hess(c_k), with eigenvalues floored, and its
         linear term keeps the cost gradient at v.
         """
-        c, off = aux
+        c, q = aux
         rows = self.quad_rows
-        grad = rows.gradient(v, off)
-        stuck = np.flatnonzero(c < 0.0)
-        if stuck.size:
+        grad = rows.gradient(v, q)
+        if c.min(initial=0.0) < 0.0:
+            stuck = np.flatnonzero(c < 0.0)
             stuck = stuck[np.einsum("kn,kn->k", grad[stuck], grad[stuck]) < 1e-18]
-        if stuck.size:
-            # Iterate sits at the obstacle center; push along the
-            # direction from the center toward the initial state.
-            # Row o * N + k bounds step k + 1 against obstacle o.
-            d = self.z0[[0, 2]] - rows.center[stuck // self.n_steps]
-            d[np.einsum("ki,ki->k", d, d) < 1e-18] = (1.0, 0.0)
-            grad[stuck] = 2.0 * np.einsum(
-                "kin,ki->kn", rows.maps[stuck % self.n_steps + 1], d)
+            if stuck.size:
+                # Iterate sits at the obstacle center; push along the
+                # direction from the center toward the initial state.
+                # Row o * N + k bounds step k + 1 against obstacle o.
+                d = self.z0[[0, 2]] - rows.center[stuck // self.n_steps]
+                d[np.einsum("ki,ki->k", d, d) < 1e-18] = (1.0, 0.0)
+                grad[stuck] = 2.0 * np.einsum(
+                    "kin,ki->kn", rows.maps[stuck % self.n_steps + 1], d)
         if multipliers is None or not multipliers.any():
             return self.hessian, self.gradient, -grad
         w = _floor_eigenvalues(self.hessian - rows.curvature(multipliers))
@@ -297,7 +308,9 @@ class SolveResult:
     """Solver outcome: status, input plan, cost, and diagnostics.
 
     The plan is the whole result: a receding-horizon step applies its first
-    input, and the predicted states follow from the model.
+    input, and the predicted states follow from the model. working_set and
+    multipliers are the final QP's, the start data of the next SQP; LinearMpc
+    keeps them unshifted and drops them together.
     """
 
     status: str  # optimal | max_iter | infeasible
@@ -307,6 +320,7 @@ class SolveResult:
     qp_iterations_total: int
     solve_time: float = 0.0  # the controller's whole step, timed by it
     working_set: list | None = None  # the final QP's; None if no QP ran
+    multipliers: np.ndarray | None = None  # its nonlinear rows'; likewise
 
 
 def prediction_matrices(model: LtiModel, n_steps: int):
@@ -331,7 +345,9 @@ class _CondensedWorkspace:
     minimizer, the affine description of the linear rows (the position box
     less shift, the goal), the closed-loop powers behind the terminal rows,
     the maps (F_N, G_N) with z_N = F_N z0 + G_N V, the barrier-row position
-    maps, and the lifted map behind the free-minimizer certificate.
+    maps, and the lifted map behind the free-minimizer certificate. The
+    barrier rows' Hessian stack and the certificate's matrix are built per
+    decay on first use and kept.
     """
 
     def __init__(self, cfg: MpcConfig, model: LtiModel, terminal: TerminalData,
@@ -415,12 +431,23 @@ class _CondensedWorkspace:
         self._lift[20] = 1.0
         self._outer = self._lift[4:20].reshape(4, 4)
         self._certificates = {}
+        self._row_hessians = {}
 
     def inside(self, z0: np.ndarray) -> bool:
         """Whether the measured position lies in the position box (a NaN
         position does not)."""
         x_lo, y_lo, x_hi, y_hi = self.pos_box
         return bool(x_lo <= z0[0] <= x_hi and y_lo <= z0[2] <= y_hi)
+
+    def row_hessians(self, decay: float) -> np.ndarray:
+        """The barrier rows' per-step Hessians 2 (gram_{k+1} - decay
+        gram_k), stacked (N nv, nv), for QuadraticRow."""
+        stack = self._row_hessians.get(decay)
+        if stack is None:
+            gram = self.pos_gram
+            stack = self._row_hessians[decay] = 2.0 * (
+                gram[1:] - decay * gram[:-1]).reshape(-1, gram.shape[2])
+        return stack
 
     def certify(self, z0: np.ndarray, decay: float):
         """The cost's free minimizer at z0 as the solution, if it is one.
@@ -466,7 +493,7 @@ def build_qcqp(z0, workspace, decay: float) -> QcqpProblem:
     z0 = np.asarray(z0, dtype=float).ravel()
     ws = workspace
     quad_rows = QuadraticRow(ws.pos_maps, ws.pos_f @ z0, ws.center,
-                             ws.radius_sq, decay, ws.pos_gram)
+                             ws.radius_sq, decay, ws.row_hessians(decay))
     return QcqpProblem(
         hessian=ws.hessian,
         gradient=ws.grad_map @ z0,
@@ -488,7 +515,8 @@ def _merit_penalty(violations: np.ndarray) -> float:
     return float(np.maximum(violations - 0.5 * FEAS_TOL, 0.0).sum())
 
 
-def solve_sqp(problem, warm_start=None, working_set=None) -> SolveResult:
+def solve_sqp(problem, warm_start=None, working_set=None,
+              multipliers=None) -> SolveResult:
     """Solve a problem with affine and nonlinear rows by SQP.
 
     The driver reads seven names of the problem: its affine rows
@@ -497,9 +525,9 @@ def solve_sqp(problem, warm_start=None, working_set=None) -> SolveResult:
     with the nonlinear rows g(v) <= 0, linearize(v, aux, multipliers) ->
     (H, grad, J) with the quadratic model 0.5 x'Hx + grad'x, whose gradient
     H v + grad at v is the cost gradient, and the Jacobian J of g. The
-    multipliers are those of the rows g in the previous QP
-    (None on the first iteration), so H may be a Lagrangian Hessian. The
-    problem's hessian attribute is its cost Hessian when the cost is
+    multipliers are those of the rows g in the previous QP, or on the first
+    iteration the multipliers argument, so H may be a Lagrangian Hessian.
+    The problem's hessian attribute is its cost Hessian when the cost is
     convex quadratic (None otherwise); a model whose H is that very object
     is the exact cost. Each iteration solves the dense QP with the rows
     [lin_rows; J] x <= [lin_rhs; J v - g] and backtracks from the full step
@@ -509,7 +537,9 @@ def solve_sqp(problem, warm_start=None, working_set=None) -> SolveResult:
     row layout, or else from the rows that the iterate meets or violates;
     each later QP starts from the previous QP's working set. A right start
     set costs one KKT solve; a wrong one only moves where the QP's dual
-    loop starts. The result carries the final QP's working set.
+    loop starts. The result carries the final QP's working set and its
+    multipliers of the rows g, which together start the next solve (the
+    primal-dual hot start of Ferreau, Bock & Diehl, 2008).
     Each iterate is evaluated once: its cost, rows, merit penalty and worst
     violation come from the evaluation that produced it, and only the block
     of J is rewritten in the QP's rows from one iteration to the next.
@@ -546,7 +576,7 @@ def solve_sqp(problem, warm_start=None, working_set=None) -> SolveResult:
     rho = 10.0
     it = 0
     n_lin = len(problem.lin_rows)
-    lam = None
+    lam = multipliers
     guess = working_set
     cost, g, aux, pen, worst = evaluate(v)
     rows = np.empty((n_lin + len(g), len(v)))
@@ -559,12 +589,11 @@ def solve_sqp(problem, warm_start=None, working_set=None) -> SolveResult:
         qp = solve_qp(hessian, gradient, rows, rhs, x0=v, tol=1e-8,
                       working_set=guess)
         qp_total += qp.iterations
-        guess = qp.active_set
+        guess, lam = qp.active_set, qp.multipliers[n_lin:]
         if qp.status == "infeasible":
             status = "infeasible"
             break
         rho = max(rho, 10.0 * (1.0 + float(qp.multipliers.max())))
-        lam = qp.multipliers[n_lin:]
         d = qp.x - v
         step = float(np.abs(d).max(initial=0.0))
         if step <= OPT_TOL and worst <= FEAS_TOL:
@@ -594,7 +623,7 @@ def solve_sqp(problem, warm_start=None, working_set=None) -> SolveResult:
         # active is already the solution if it meets the rows.
         solved = (alpha == 1.0 and qp.status == "optimal"
                   and hessian is problem.hessian
-                  and not qp.multipliers[n_lin:].any())
+                  and not lam.any())
         if worst <= FEAS_TOL and (taken <= OPT_TOL or solved):
             status = "optimal"
             break
@@ -602,7 +631,7 @@ def solve_sqp(problem, warm_start=None, working_set=None) -> SolveResult:
             break
 
     return SolveResult(status, v.reshape(-1, 2).copy(), cost, it, qp_total,
-                       working_set=guess)
+                       working_set=guess, multipliers=lam)
 
 
 def _solve_relaxing_gamma(solve, gamma: float) -> SolveResult:
@@ -625,16 +654,17 @@ class LinearMpc:
     Owns the discrete model, terminal data, the condensed workspace, and
     the last plan with the goal-centered state it was solved from, from
     which only an SQP builds the shifted warm start. Beside them it keeps
-    the last SQP's final working set, unshifted, as the next SQP's start
-    set (Ferreau, Bock & Diehl, 2008); a certified, infeasible or
-    out-of-box step drops it. A measured position outside the position
-    box (or NaN) is infeasible at any gamma, so the step solves nothing.
-    Otherwise each solve at one gamma first certifies the cost's free
-    minimizer and builds the QCQP only when that fails. On an infeasible
-    step the barrier decay is relaxed once (gamma doubled, capped at 1);
-    a second failure is reported as infeasible. The constructor fixes
-    gamma: cfg's, or 1 in euclid mode, which no relaxation changes; no
-    code below it reads the mode.
+    the last SQP's final working set and that QP's barrier-row multipliers,
+    both unshifted, as the next SQP's start set and first-iteration
+    multipliers (Ferreau, Bock & Diehl, 2008); a certified, infeasible or
+    out-of-box step drops the two together. A measured position outside
+    the position box (or NaN) is infeasible at any gamma, so the step
+    solves nothing. Otherwise each solve at one gamma first certifies the
+    cost's free minimizer and builds the QCQP only when that fails. On an
+    infeasible step the barrier decay is relaxed once (gamma doubled,
+    capped at 1); a second failure is reported as infeasible. The
+    constructor fixes gamma: cfg's, or 1 in euclid mode, which no
+    relaxation changes; no code below it reads the mode.
     """
 
     def __init__(self, cfg: MpcConfig, obstacles=(), goal=(0.0, 0.0),
@@ -664,9 +694,9 @@ class LinearMpc:
             res = SolveResult("infeasible", np.zeros((ws.n_steps, 2)),
                               float(z0s @ ws.offset_form @ z0s), 0, 0)
         if res.status != "infeasible":
-            self._last = res.v_sequence, z0s, res.working_set
+            self._last = res.v_sequence, z0s, res.working_set, res.multipliers
         elif self._last is not None:
-            self._last = *self._last[:2], None
+            self._last = *self._last[:2], None, None
         res.solve_time = time.perf_counter() - t0
         return res
 
@@ -675,7 +705,7 @@ class LinearMpc:
         z_N = F_N z0 + G_N V, or None."""
         if self._last is None:
             return None
-        plan, z0, _ = self._last
+        plan, z0 = self._last[:2]
         plan = plan.ravel()
         ws = self.workspace
         z_n = ws.F_N @ z0 + ws.G_N @ plan
@@ -684,13 +714,14 @@ class LinearMpc:
     def _solve_once(self, z0: np.ndarray, gamma: float) -> SolveResult:
         """One solve at gamma from the goal-centered state z0: the
         certificate, else SQP on the QCQP from the warm start and the
-        kept working set."""
+        kept working set and multipliers."""
         decay = 1.0 - gamma
         res = self.workspace.certify(z0, decay)
         if res is None:
+            work, lam = self._last[2:] if self._last else (None, None)
             res = solve_sqp(build_qcqp(z0, self.workspace, decay),
                             warm_start=self._warm_start(),
-                            working_set=self._last and self._last[2])
+                            working_set=work, multipliers=lam)
         return res
 
 

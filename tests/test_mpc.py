@@ -87,11 +87,11 @@ def test_constraint_row_counts():
         full = np.hstack([ws.lin_rows, ws.h_lin, ws.h_const[:, None]])
         assert len(np.unique(full, axis=0)) == len(full)
     assert len(prob.quad_rows) == n * len(obstacles)
-    # One position map per predicted position p_0, ..., p_N, shared by all
-    # obstacles, with its Gram matrix.
+    # One position map per predicted position p_0, ..., p_N and one row
+    # Hessian per step, stacked, all shared by all obstacles.
     assert prob.quad_rows.maps.shape == (n + 1, 2, 2 * n)
     assert prob.quad_rows.offsets.shape == (n + 1, 2)
-    assert prob.quad_rows.gram.shape == (n + 1, 2 * n, 2 * n)
+    assert prob.quad_rows.hessians.shape == (n * 2 * n, 2 * n)
     # positive-definite cost in the condensed form
     np.testing.assert_allclose(prob.hessian, prob.hessian.T, atol=1e-12)
     assert np.min(np.linalg.eigvalsh(prob.hessian)) > 0.0
@@ -183,6 +183,72 @@ def test_stacked_barrier_rows_match_per_row_formulas():
                 got = block.gradient(v)
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def test_quadratic_form_rows_match_the_offsets_form():
+    # value and gradient evaluate each row as one quadratic form in v. On
+    # the offsets d = p_k(v) - c_o they are _barrier_rows and
+    # _barrier_jacobian. The forms cancel terms of the size of |d|^2 in
+    # their own order, also where the robot and obstacles lie 1e3 m from
+    # the goal, so they agree to 1e-12 of 1 + max |d|^2 (value) and of
+    # (1 + max |d|) max |maps| (gradient); measured 4e-14 at 1e3 m.
+    rtol = 1e-12
+    rng = np.random.default_rng(25)
+    for shift in (0.0, 1e3):
+        obstacles = [Obstacle(3.5 + shift, 3.5 + shift, 1.5),
+                     Obstacle(-2.0 + shift, 0.5 + shift, 0.5)]
+        for mode in ("cbf", "euclid"):
+            for _ in range(10):
+                cfg = MpcConfig(horizon=int(rng.integers(1, 15)),
+                                gamma=float(rng.uniform(0.05, 1.0)), **LOOSE)
+                z0 = rng.uniform(-4.0, 4.0, size=4) + shift * np.array(
+                    [1.0, 0.0, 1.0, 0.0])
+                rows = _qcqp(z0, cfg, obstacles, mode).quad_rows
+                for _ in range(5):
+                    v = rng.uniform(-3.0, 3.0, size=2 * cfg.horizon)
+                    d = (rows.offsets + rows.maps @ v)[None] - rows.center[:, None]
+                    size = float(np.max(np.sum(d * d, axis=2)))
+                    got = rows.value(v)
+                    want = scmpc.mpc._barrier_rows(d, rows.radius_sq, rows.decay)
+                    assert np.max(np.abs(got - want)) <= rtol * (1.0 + size)
+                    q = rows.hessians @ v
+                    np.testing.assert_array_equal(rows.value(v, q), got)
+                    got = rows.gradient(v)
+                    want = scmpc.mpc._barrier_jacobian(d, rows.maps, rows.decay)
+                    assert got.shape == want.shape
+                    assert np.max(np.abs(got - want)) <= rtol * (
+                        1.0 + math.sqrt(size)) * np.max(np.abs(rows.maps))
+                    np.testing.assert_array_equal(rows.gradient(v, q), got)
+
+
+def test_row_hessians_are_built_once_per_decay(monkeypatch):
+    # The workspace stacks 2 (gram_{k+1} - decay gram_k) on first use of a
+    # decay and every build_qcqp at that decay shares the stack: the
+    # nominal run's 18 QCQPs share one, and the relaxed decay has its own.
+    built = []
+    hessians = scmpc.mpc._CondensedWorkspace.row_hessians
+    build = scmpc.mpc.build_qcqp
+
+    def recording(z0, workspace, decay):
+        problem = build(z0, workspace, decay)
+        built.append((workspace, decay, problem.quad_rows.hessians))
+        return problem
+
+    monkeypatch.setattr(scmpc.mpc, "build_qcqp", recording)
+    run_closed_loop(nominal_scenario(duration=50.0))
+    assert len(built) == 18
+    ws, decay, stack = built[0]
+    assert all(b[0] is ws and b[1] == decay and b[2] is stack for b in built)
+    assert list(ws._row_hessians) == [decay]
+    gram = np.einsum("kin,kim->knm", ws.pos_maps, ws.pos_maps)
+    n, nv = ws.n_steps, 2 * ws.n_steps
+    np.testing.assert_allclose(stack.reshape(n, nv, nv),
+                               2.0 * (gram[1:] - decay * gram[:-1]),
+                               rtol=0.0, atol=1e-12 * np.max(np.abs(gram)))
+    relaxed = hessians(ws, 0.8)
+    assert relaxed is not stack and hessians(ws, 0.8) is relaxed
+    assert hessians(ws, decay) is stack
+    assert sorted(ws._row_hessians) == [0.8, decay]
 
 
 # Eigenvalues relative to the largest |eig|, which is 1: near the floor of
@@ -332,8 +398,8 @@ def test_startup_transient_converges_in_few_iterations(monkeypatch):
 def _recorded_attempts(monkeypatch, scenario):
     """(controller, z0, gamma, start, result) of each solve at one gamma
     (LinearMpc._solve_once) of a run, z0 goal-centered. start holds the
-    warm_start and working_set keywords that solve_sqp received, or for a
-    certified solve those it would have received."""
+    warm_start, working_set and multipliers keywords that solve_sqp
+    received, or for a certified solve those it would have received."""
     attempts = []
     received = []
     solve_once = LinearMpc._solve_once
@@ -346,9 +412,10 @@ def _recorded_attempts(monkeypatch, scenario):
     def recording(controller, z0, gamma):
         received.clear()
         res = solve_once(controller, z0, gamma)
+        work, lam = controller._last[2:] if controller._last else (None, None)
         start = received[0] if received else {
-            "warm_start": controller._warm_start(),
-            "working_set": controller._last and controller._last[2]}
+            "warm_start": controller._warm_start(), "working_set": work,
+            "multipliers": lam}
         attempts.append((controller, z0, gamma, start, res))
         return res
 
@@ -406,8 +473,7 @@ def test_sqp_exit_stops_only_where_a_resolve_confirms(monkeypatch):
     assert sum(a[4].sqp_iterations == 1 for a in attempts) >= 20
     for controller, z0, gamma, start, res in attempts:
         again = solve_sqp(_attempt_problem(controller, z0, gamma),
-                          warm_start=res.v_sequence.ravel(),
-                          working_set=start["working_set"])
+                          **{**start, "warm_start": res.v_sequence.ravel()})
         assert res.status == again.status == "optimal"
         assert again.sqp_iterations == 1
         np.testing.assert_array_equal(again.v_sequence, res.v_sequence)
@@ -480,9 +546,10 @@ def test_relaxed_step_reports_both_solves(monkeypatch):
 def test_certified_plans_match_the_solve_without_certificate(monkeypatch):
     # A typical nominal step returns the cost's unconstrained minimizer
     # before any QCQP is built. Solving that step's QCQP by SQP from the
-    # same warm start must give the same status, and its first QP must find
-    # the same plan. The SQP may then stop on its warm start, which its exit
-    # test allows to lie within OPT_TOL of that plan.
+    # same start must give the same status, and the first QP of the cost's
+    # own model (no start multipliers) must find the same plan. The SQP may
+    # then stop on its warm start, which its exit test allows to lie within
+    # OPT_TOL of that plan.
     attempts = _recorded_attempts(monkeypatch,
                                   nominal_scenario(duration=50.0))
     assert len(attempts) == 1000
@@ -499,11 +566,13 @@ def test_certified_plans_match_the_solve_without_certificate(monkeypatch):
     monkeypatch.setattr(scmpc.mpc, "solve_qp", recording)
     for controller, z0, gamma, start, res in certified:
         assert res.status == "optimal" and res.sqp_iterations == 1
+        problem = _attempt_problem(controller, z0, gamma)
         minimizers.clear()
-        again = solve_sqp(_attempt_problem(controller, z0, gamma), **start)
-        assert again.status == res.status
+        solve_sqp(problem, **{**start, "multipliers": None})
         plan = res.v_sequence.ravel()
         np.testing.assert_allclose(minimizers[0], plan, rtol=0.0, atol=1e-9)
+        again = solve_sqp(problem, **start)
+        assert again.status == res.status
         assert np.max(np.abs(again.v_sequence.ravel() - plan)) <= OPT_TOL
 
 
@@ -1112,15 +1181,18 @@ def test_certificate_leaves_far_rounding_to_the_sqp():
 def test_warm_start_is_built_only_for_an_sqp(monkeypatch):
     # Each SQP of the nominal run starts from the previous step's plan
     # shifted one stage, bit for bit, with K z_N appended, z_N the model's
-    # rollout of that plan, and from that step's final working set, or none
-    # after a certified step; certified solves build no warm start.
+    # rollout of that plan, and from that step's final working set and its
+    # multipliers, or neither after a certified step; certified solves
+    # build no warm start.
     received, steps, builds = [], [], []
     sqp, warm_start = scmpc.mpc.solve_sqp, LinearMpc._warm_start
     solve_once, solve = LinearMpc._solve_once, LinearMpc.solve
 
-    def recording_sqp(problem, warm_start=None, working_set=None):
-        received.append((len(steps), warm_start, working_set))
-        return sqp(problem, warm_start=warm_start, working_set=working_set)
+    def recording_sqp(problem, warm_start=None, working_set=None,
+                      multipliers=None):
+        received.append((len(steps), warm_start, working_set, multipliers))
+        return sqp(problem, warm_start=warm_start, working_set=working_set,
+                   multipliers=multipliers)
 
     def counted(controller):
         builds.append(controller)
@@ -1128,10 +1200,10 @@ def test_warm_start_is_built_only_for_an_sqp(monkeypatch):
 
     def recording_once(controller, z0, gamma):
         res = solve_once(controller, z0, gamma)
-        # The plan, the goal-centered state it was solved from and the
-        # final working set.
+        # The plan, the goal-centered state it was solved from, the final
+        # working set and its multipliers.
         steps[-1] = (res.status, res.v_sequence.ravel().copy(), z0.copy(),
-                     res.working_set)
+                     res.working_set, res.multipliers)
         return res
 
     def recording(controller, z0):
@@ -1147,14 +1219,18 @@ def test_warm_start_is_built_only_for_an_sqp(monkeypatch):
     assert len(steps) == 1000
     assert all(step[0] == "optimal" for step in steps)
     assert len(builds) == len(received) == 18
-    assert sum(work is not None for _, _, work in received) > 0
+    assert sum(work is not None for _, _, work, _ in received) > 0
+    assert sum(lam is not None and lam.any() for *_, lam in received) > 0
     model, td = _setup(scenario.mpc)
-    for step, warm, work in received:
+    for step, warm, work, lam in received:
         if step == 1:
-            assert warm is None and work is None
+            assert warm is None and work is None and lam is None
             continue
-        _, plan, z, last_work = steps[step - 2]
+        _, plan, z, last_work, last_lam = steps[step - 2]
         assert work == last_work
+        assert (lam is None) == (work is None) == (last_lam is None)
+        if lam is not None:
+            np.testing.assert_array_equal(lam, last_lam)
         for v in plan.reshape(-1, 2):
             z = model.A @ z + model.B @ v
         np.testing.assert_array_equal(warm[:-2], plan[2:])
@@ -1164,34 +1240,61 @@ def test_warm_start_is_built_only_for_an_sqp(monkeypatch):
 def test_hot_start_changes_only_the_kkt_count(monkeypatch):
     # The QPs are strictly convex, so the start working set changes only
     # which KKT solves reach each QP's minimizer. Re-solving each
-    # uncertified step of the nominal run cold, from the same warm start
-    # without the kept set, gives the same status, SQP count and plan, and
-    # the hot-started run spends fewer KKT solves.
+    # uncertified step of the nominal run from the same warm start, with the
+    # kept set but without its multipliers and then cold, without either,
+    # gives the same status, SQP count and plan, and the set spends fewer
+    # KKT solves.
     attempts = _recorded_attempts(monkeypatch, nominal_scenario(duration=50.0))
     opened = [a for a in attempts if a[4].qp_iterations_total > 0]
     assert len(opened) == 18
     assert sum(a[3]["working_set"] is not None for a in opened) > 0
-    cold_total = 0
-    for controller, z0, gamma, start, res in opened:
-        cold = solve_sqp(_attempt_problem(controller, z0, gamma),
-                         warm_start=start["warm_start"])
-        assert cold.status == res.status
-        assert cold.sqp_iterations == res.sqp_iterations
-        np.testing.assert_allclose(cold.v_sequence, res.v_sequence, rtol=0.0,
+    hot_total = cold_total = 0
+    for controller, z0, gamma, start, _ in opened:
+        problem = _attempt_problem(controller, z0, gamma)
+        hot = solve_sqp(problem, warm_start=start["warm_start"],
+                        working_set=start["working_set"])
+        cold = solve_sqp(problem, warm_start=start["warm_start"])
+        assert cold.status == hot.status
+        assert cold.sqp_iterations == hot.sqp_iterations
+        np.testing.assert_allclose(cold.v_sequence, hot.v_sequence, rtol=0.0,
                                    atol=1e-9)
+        hot_total += hot.qp_iterations_total
         cold_total += cold.qp_iterations_total
-    assert sum(a[4].qp_iterations_total for a in opened) < cold_total
+    assert hot_total < cold_total
+
+
+def test_start_multipliers_shorten_the_sqp(monkeypatch):
+    # The kept multipliers make the first QP's model the Lagrangian one, so
+    # it no longer ignores the barrier rows' curvature. Re-solving each
+    # uncertified step of the nominal run from the same warm start and set
+    # without them gives the same status and a plan within the SQP's step
+    # tolerance, in more SQP iterations in total.
+    attempts = _recorded_attempts(monkeypatch, nominal_scenario(duration=50.0))
+    opened = [a for a in attempts if a[4].qp_iterations_total > 0]
+    assert len(opened) == 18
+    assert sum(a[3]["multipliers"] is not None for a in opened) > 0
+    without_total = 0
+    for controller, z0, gamma, start, res in opened:
+        without = solve_sqp(_attempt_problem(controller, z0, gamma),
+                            **{**start, "multipliers": None})
+        assert without.status == res.status
+        np.testing.assert_allclose(without.v_sequence, res.v_sequence,
+                                   rtol=0.0, atol=10 * OPT_TOL)
+        without_total += without.sqp_iterations
+    assert sum(a[4].sqp_iterations for a in opened) < without_total
 
 
 def test_start_set_is_dropped_after_a_step_without_one(monkeypatch):
     # A certified step, an infeasible result and an out-of-box measurement
-    # each drop the kept working set, so the next SQP's first QP gets no
-    # guess; after an SQP step it gets that step's final working set.
-    firsts, guesses = [], []
+    # each drop the kept working set and its multipliers, so the next SQP's
+    # first QP gets no guess and the SQP no multipliers; after an SQP step
+    # they are that step's final working set and multipliers.
+    firsts, guesses, lams = [], [], []
     sqp, qp = scmpc.mpc.solve_sqp, scmpc.mpc.solve_qp
 
     def recording_sqp(*args, **kwargs):
         firsts.append(len(guesses))
+        lams.append(kwargs.get("multipliers"))
         return sqp(*args, **kwargs)
 
     def recording_qp(*args, **kwargs):
@@ -1207,15 +1310,18 @@ def test_start_set_is_dropped_after_a_step_without_one(monkeypatch):
                              ([5.2, -2.0, 3.5, 0.0], "infeasible", 2),
                              ([20.0, 0.0, 0.0, 0.0], "infeasible", 0)):
         assert res.status == "optimal" and res.working_set
+        assert res.multipliers.any()
         n_sqp = len(firsts)
         dropping = controller.solve(np.array(z0))
         assert dropping.status == status and len(firsts) == n_sqp + sqps
         if sqps:
             assert guesses[firsts[n_sqp]] == res.working_set
+            np.testing.assert_array_equal(lams[n_sqp], res.multipliers)
         res = controller.solve(opened)
-        assert guesses[firsts[-1]] is None
+        assert guesses[firsts[-1]] is None and lams[-1] is None
     controller.solve(opened)
     assert guesses[firsts[-1]] == res.working_set
+    np.testing.assert_array_equal(lams[-1], res.multipliers)
 
 
 def test_certificate_decides_at_each_decay_as_the_exact_rows_do():
