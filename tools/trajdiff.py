@@ -10,9 +10,11 @@ gamma points below 1 of configs/nominal.json (10 s each), the obstacle
 course at N = 14 under noise seeds 0-3 (30 s), the nominal scenario under
 noise seeds 0-3 at gamma 0.5, at gamma 0.9 and in euclid mode (10 s
 each; most abort by step 14, after an infeasible solve and its gamma
-retry), the nmpc baseline (8 s) and the nmpc baseline under noise seed 0
-with 2 plant substeps (8 s). A run that aborts mid-way keeps its partial
-log. The runs share two worker
+retry), the collinear start (heading -3pi/4, aimed at the goal through
+the obstacle's centre) in euclid mode and at gamma 0.9 (10 s each; the
+robot reverses to get round the obstacle), the nmpc baseline (8 s) and
+the nmpc baseline under noise seed 0 with 2 plant substeps (8 s). A run
+that aborts mid-way keeps its partial log. The runs share two worker
 processes.
 
 Compare two checkouts from the root of either:
@@ -103,6 +105,12 @@ def run_set(config_path):
             runs[f"noisy-{label}-seed{noise_seed}-10s"] = replace(
                 noisy, noise=NoiseConfig(enabled=True, variance=0.05,
                                          seed=noise_seed))
+    for label, gamma, mode in (("euclid", None, "euclid"),
+                               ("cbf-gamma0.9", 0.9, None)):
+        scenario = _build_scenario(cfg, gamma, None, mode, seed)
+        runs[f"collinear-{label}-10s"] = replace(
+            scenario, start=replace(scenario.start, x3=-0.75 * math.pi),
+            duration=10.0)
     runs["nmpc-8s"] = replace(base, mode="nmpc", duration=8.0)
     runs["nmpc-seed0-substeps2-8s"] = replace(
         runs["nmpc-8s"], substeps=2,
