@@ -76,20 +76,21 @@ def extended_rhs(x, control):
 def rk4_step(fn, state, u, ts: float) -> list:
     """One classical 4th-order Runge-Kutta step with the input held constant.
 
-    The stages are combined entry by entry on floats, in the order of the
-    vector form: s + (ts/2) k for the midpoints and
+    The stages are combined entry by entry, in the order of the vector
+    form: s + (ts/2) k for the midpoints and
     s + (ts/6) (((k1 + 2 k2) + 2 k3) + k4) for the step. Elementwise IEEE
-    arithmetic is the same either way, so the result equals the numpy
-    array expression bit for bit.
+    arithmetic is the same either way, so on floats the result equals the
+    numpy array expression bit for bit. An entry may also be an array (a
+    sensitivity of the variational equations); none is written into.
 
     Parameters
     ----------
     fn : callable
         Dynamics ``fn(state, u) -> derivative``; the state it receives is
-        a list of floats, and the derivative may be any sequence of n
-        numbers.
-    state : sequence of float
-        Current state, n entries.
+        a list of n entries, and the derivative may be any sequence of n
+        entries of the same shapes.
+    state : sequence of float or ndarray
+        Current state, n entries, each a float or an array.
     u : object
         Input, passed through unchanged to ``fn``.
     ts : float
@@ -97,8 +98,8 @@ def rk4_step(fn, state, u, ts: float) -> list:
 
     Returns
     -------
-    list of float
-        The state after the step.
+    list of float or ndarray
+        The state after the step, entry by entry.
     """
     if not ts > 0.0:
         raise ConfigError("ts must be positive")

@@ -14,8 +14,10 @@ previous QP's multipliers, convexified by eigenvalue flooring.
 
 The nonlinear baseline hands the same SQP driver a single-shooting
 problem on the unicycle model discretized with RK4, relinearizing the
-rollout every iteration. It is kept for timing comparisons and
-trajectory cross-checks.
+rollout every iteration. Its model is the nmpc plant: each stage is one
+model.rk4_step on the unicycle's variational equations, which gives the
+next pose and the step Jacobians together. It is kept for timing
+comparisons and trajectory cross-checks.
 
 Both problems state the safety constraint through one function,
 _barrier_rows: the discrete-time barrier condition
@@ -48,7 +50,7 @@ import numpy as np
 
 from .errors import ConfigError, integer, real
 from .lti import LtiModel, TerminalData, discretize_double_integrator, terminal_data
-from .model import unicycle_rhs
+from .model import rk4_step
 from .qp import solve_qp
 from .safety import Obstacle
 
@@ -725,39 +727,22 @@ class LinearMpc:
         return res
 
 
-def _unicycle_jacobians(x, u):
+# Every stage's start S = (S_x, S_u) = (I, 0), shared: rk4_step writes into
+# no entry of its state.
+_SENS_START = np.hstack([np.eye(3), np.zeros((3, 2))])
+
+
+def _unicycle_variational_rhs(state, u):
+    """Unicycle dynamics on (x, S) with its variational equations: the pose
+    and its sensitivity S = (S_x, S_u) to the stage's start pose and input,
+    (f(x, u), f_x S + (0, f_u)) = (f, f_x S_x, f_x S_u + f_u)."""
+    x, sens = state
     c, s = math.cos(x[2]), math.sin(x[2])
-    fx = np.zeros((3, 3))
-    fx[0, 2] = -u[0] * s
-    fx[1, 2] = u[0] * c
-    fu = np.array([[c, 0.0], [s, 0.0], [0.0, 1.0]])
-    return fx, fu
-
-
-def _rk4_with_jacobians(x, u, ts):
-    """RK4 step of the unicycle plus exact step Jacobians A, B."""
-    eye = np.eye(3)
-    k1 = np.array(unicycle_rhs(x, u))
-    j1x, j1u = _unicycle_jacobians(x, u)
-    x2 = x + 0.5 * ts * k1
-    k2 = np.array(unicycle_rhs(x2, u))
-    f2x, f2u = _unicycle_jacobians(x2, u)
-    j2x = f2x @ (eye + 0.5 * ts * j1x)
-    j2u = f2x @ (0.5 * ts * j1u) + f2u
-    x3 = x + 0.5 * ts * k2
-    k3 = np.array(unicycle_rhs(x3, u))
-    f3x, f3u = _unicycle_jacobians(x3, u)
-    j3x = f3x @ (eye + 0.5 * ts * j2x)
-    j3u = f3x @ (0.5 * ts * j2u) + f3u
-    x4 = x + ts * k3
-    k4 = np.array(unicycle_rhs(x4, u))
-    f4x, f4u = _unicycle_jacobians(x4, u)
-    j4x = f4x @ (eye + ts * j3x)
-    j4u = f4x @ (ts * j3u) + f4u
-    x_next = x + (ts / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    a = eye + (ts / 6.0) * (j1x + 2.0 * j2x + 2.0 * j3x + j4x)
-    b = (ts / 6.0) * (j1u + 2.0 * j2u + 2.0 * j3u + j4u)
-    return x_next, a, b
+    f_x = np.array([[0.0, 0.0, -u[0] * s], [0.0, 0.0, u[0] * c],
+                    [0.0, 0.0, 0.0]])
+    f_u = np.array([[0.0, 0.0, 0.0, c, 0.0], [0.0, 0.0, 0.0, s, 0.0],
+                    [0.0, 0.0, 0.0, 0.0, 1.0]])
+    return np.array([u[0] * c, u[0] * s, u[1]]), f_x @ sens + f_u
 
 
 class _RolloutProblem:
@@ -796,10 +781,12 @@ class _RolloutProblem:
         sens = np.zeros((n + 1, 3, 2 * n))
         states[0] = self.x0
         for k in range(n):
-            states[k + 1], a, b = _rk4_with_jacobians(
-                states[k], u[2 * k:2 * k + 2], self.ts)
-            sens[k + 1] = a @ sens[k]
-            sens[k + 1, :, 2 * k:2 * k + 2] += b
+            # x_{k+1} and the step Jacobians (A_k, B_k) from (x_k, (I, 0)).
+            states[k + 1], ab = rk4_step(
+                _unicycle_variational_rhs, [states[k], _SENS_START],
+                u[2 * k:2 * k + 2], self.ts)
+            sens[k + 1] = ab[:, :3] @ sens[k]
+            sens[k + 1, :, 2 * k:2 * k + 2] += ab[:, 3:]
         return states, sens
 
     def evaluate(self, u):

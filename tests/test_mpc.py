@@ -1038,6 +1038,27 @@ def test_rollout_problem_derivatives_match_finite_differences():
     assert np.min(np.linalg.eigvalsh(hess)) > 0.0
 
 
+@settings(max_examples=100, deadline=None)
+@given(pose=st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0),
+                      st.floats(-10.0, 10.0)),
+       horizon=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_rollout_states_are_the_nmpc_plant_steps(pose, horizon, seed):
+    # The baseline plans on the plant it drives: each rolled-out state is
+    # one rk4_step of unicycle_rhs from the one before, bit for bit.
+    from scmpc.model import rk4_step, unicycle_rhs
+
+    cfg = MpcConfig(horizon=horizon)
+    prob = _RolloutProblem(np.array(pose), cfg, cfg.gamma,
+                           np.zeros(3), [Obstacle(1.5, -1.0, 0.5)])
+    u = np.random.default_rng(seed).uniform(-3.0, 3.0, size=2 * horizon)
+    states, _ = prob.rollout(u)
+    x = list(pose)
+    assert states[0].tolist() == x
+    for k in range(horizon):
+        x = rk4_step(unicycle_rhs, x, (u[2 * k], u[2 * k + 1]), cfg.ts)
+        assert states[k + 1].tolist() == x
+
+
 def test_nmpc_single_solve_interface():
     cfg = MpcConfig()
     res = NonlinearMpc(cfg, obstacles=[Obstacle(1.5, -1.0, 0.5)]).solve(
