@@ -42,9 +42,11 @@ def dfl_control(x, v, guard: DflGuard):
     (accel, turn).
 
     accel = v1*cos(x3) + v2*sin(x3). The turn rate divides by zeta, so it
-    is zeroed whenever zeta is at or below the guard threshold; the
-    acceleration channel stays active so the speed can recover. The law
-    is the one in closed_loop_rhs, read off its last two entries.
+    is zeroed whenever |zeta| is at or below the guard threshold; the
+    acceleration channel stays active so the speed can recover. The
+    decoupling matrix has determinant zeta, so the law also steers a
+    reversing robot (zeta < -threshold). The law is the one in
+    closed_loop_rhs, read off its last two entries.
     """
     _, _, turn, accel = closed_loop_rhs(x, v, guard)
     return accel, turn
@@ -105,5 +107,6 @@ def closed_loop_rhs(x, v, guard: DflGuard) -> tuple:
     zeta = x[3]
     c, sn = math.cos(x[2]), math.sin(x[2])
     v1, v2 = v[0], v[1]
-    turn = (-v1 * sn + v2 * c) / zeta if zeta > guard.zeta_threshold else 0.0
+    turn = ((-v1 * sn + v2 * c) / zeta
+            if abs(zeta) > guard.zeta_threshold else 0.0)
     return (zeta * c, zeta * sn, turn, v1 * c + v2 * sn)

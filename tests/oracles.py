@@ -144,7 +144,8 @@ def closed_loop_rhs_array(x, v, zeta_threshold):
     x3, zeta = float(x[2]), float(x[3])
     c, sn = math.cos(x3), math.sin(x3)
     accel = v[0] * c + v[1] * sn
-    turn = (-v[0] * sn + v[1] * c) / zeta if zeta > zeta_threshold else 0.0
+    turn = ((-v[0] * sn + v[1] * c) / zeta
+            if abs(zeta) > zeta_threshold else 0.0)
     return np.array([x[3] * math.cos(x[2]), x[3] * math.sin(x[2]), turn,
                      accel])
 

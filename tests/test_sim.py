@@ -83,6 +83,20 @@ def test_plant_barrier_floor_with_fine_integration():
     assert min(min(r.barriers) for r in log.records) >= -1e-6
 
 
+@pytest.mark.parametrize("mode, gamma", [("euclid", 0.1), ("cbf", 0.9)])
+def test_collinear_start_reverses_round_the_obstacle(mode, gamma):
+    # Aimed at the goal through the obstacle's centre, the robot has to
+    # back up and steer while reversing; with the turn rate zeroed for
+    # every zeta < 0 it stalls 6.78 m from the goal.
+    sc = nominal_scenario(gamma=gamma, mode=mode, heading=-0.75 * math.pi,
+                          duration=10.0)
+    log = run_closed_loop(sc)
+    assert not log.aborted
+    assert log.summary.final_position_error < 0.05
+    assert log.summary.min_distance > 0.0
+    assert min(r.zeta for r in log.records) < -sc.guard.zeta_threshold
+
+
 def test_forward_invariance_and_realized_decay_chain():
     # Realized trajectory keeps the barrier safe, and consecutive plant
     # states respect the decay constraint to the solver tolerance (the
