@@ -86,8 +86,8 @@ def test_plant_barrier_floor_with_fine_integration():
 @pytest.mark.parametrize("mode, gamma", [("euclid", 0.1), ("cbf", 0.9)])
 def test_collinear_start_reverses_round_the_obstacle(mode, gamma):
     # Aimed at the goal through the obstacle's centre, the robot has to
-    # back up and steer while reversing; with the turn rate zeroed for
-    # every zeta < 0 it stalls 6.78 m from the goal.
+    # back up and steer while reversing: a law that zeroes the turn rate
+    # for every zeta < 0 stalls it 6.78 m from the goal.
     sc = nominal_scenario(gamma=gamma, mode=mode, heading=-0.75 * math.pi,
                           duration=10.0)
     log = run_closed_loop(sc)
