@@ -12,9 +12,11 @@ noise seeds 0-3 at gamma 0.5, at gamma 0.9 and in euclid mode (10 s
 each; most abort by step 14, after an infeasible solve and its gamma
 retry), the collinear start (heading -3pi/4, aimed at the goal through
 the obstacle's centre) in euclid mode and at gamma 0.9 (10 s each; the
-robot reverses to get round the obstacle), the nmpc baseline (8 s) and
-the nmpc baseline under noise seed 0 with 2 plant substeps (8 s). A run
-that aborts mid-way keeps its partial log. The runs share two worker
+robot reverses to get round the obstacle), a goal inside one of three
+obstacles (N = 14, 20 s; the robot reverses on 9 steps, and one sample
+lies 84 um inside that obstacle), the nmpc baseline (8 s) and the nmpc
+baseline under noise seed 0 with 2 plant substeps (8 s). A run that
+aborts mid-way keeps its partial log. The runs share two worker
 processes.
 
 Compare two checkouts from the root of either:
@@ -60,7 +62,7 @@ GROUPS = {"position": ("x1", "x2"), "v": ("v1", "v2")}
 
 def run_set(config_path):
     """The named scenarios of the run set, in a fixed order."""
-    from scmpc import MpcConfig, NoiseConfig, Obstacle
+    from scmpc import ExtendedState, MpcConfig, NoiseConfig, Obstacle
     from scmpc.cli import _build_scenario, load_config
 
     cfg = load_config(config_path)
@@ -111,6 +113,13 @@ def run_set(config_path):
         runs[f"collinear-{label}-10s"] = replace(
             scenario, start=replace(scenario.start, x3=-0.75 * math.pi),
             duration=10.0)
+    runs["goal-in-obstacle-cbf-N14-20s"] = replace(
+        _build_scenario(cfg, 0.1, 14, None, seed),
+        obstacles=(Obstacle(-0.780, 3.560, 0.841),
+                   Obstacle(-5.607, -1.624, 0.336),
+                   Obstacle(-2.803, 4.353, 1.147)),
+        start=ExtendedState(-3.739, 0.801, -0.619, 1.434),
+        goal=(-0.561, 3.727), duration=20.0)
     runs["nmpc-8s"] = replace(base, mode="nmpc", duration=8.0)
     runs["nmpc-seed0-substeps2-8s"] = replace(
         runs["nmpc-8s"], substeps=2,
