@@ -227,9 +227,8 @@ def _run_summary(log, name, noise_seed) -> dict:
     s = log.summary
     horizon = log.scenario.mpc.horizon
     times_ms = np.array([r.solve_time * 1e3 for r in log.records])
-    sqp_iters = np.array([r.sqp_iterations for r in log.records])
     ip_model = _ip_iteration_model(horizon)
-    sqp_median = float(np.median(sqp_iters)) if sqp_iters.size else 0.0
+    sqp_median = float(np.median([r.sqp_iterations for r in log.records]))
     entry = {
         "file": name,
         "mode": log.scenario.mode,
@@ -243,19 +242,17 @@ def _run_summary(log, name, noise_seed) -> dict:
         "min_distance": s.min_distance if log.scenario.obstacles else None,
         "final_position_error": s.final_position_error,
         "solve_ms": {
-            "median": float(np.median(times_ms)) if times_ms.size else 0.0,
-            "p90": float(np.percentile(times_ms, 90)) if times_ms.size else 0.0,
-            "max": float(np.max(times_ms)) if times_ms.size else 0.0,
+            "median": float(np.median(times_ms)),
+            "p90": float(np.percentile(times_ms, 90)),
+            "max": float(np.max(times_ms)),
         },
-        "max_solve_le_ts": bool(times_ms.size
-                                and np.max(times_ms) <= log.scenario.mpc.ts * 1e3),
+        "max_solve_le_ts": bool(np.max(times_ms) <= log.scenario.mpc.ts * 1e3),
         "first_deviation_step": first_deviation_step(log, DEVIATION_THRESHOLD),
         "flops": {
             "ip_iterations_model": ip_model,
             "sqp_iterations_median": sqp_median,
             "flops_ip": estimate_flops_ip(horizon, 2, ip_model),
-            "flops_sqp": (estimate_flops_sqp(sqp_median, horizon, 2, ip_model)
-                          if sqp_median > 0 else None),
+            "flops_sqp": estimate_flops_sqp(sqp_median, horizon, 2, ip_model),
         },
     }
     return entry
@@ -342,12 +339,10 @@ def run(manifest: RunManifest) -> int:
         return 3
 
     entries = []
-    any_infeasible = False
     for scenario, name, noise_seed in jobs:
         try:
             log = run_closed_loop(scenario)
         except InfeasibleError as exc:
-            any_infeasible = True
             entries.append({"file": name, "mode": scenario.mode,
                             "gamma": scenario.mpc.gamma,
                             "horizon": scenario.mpc.horizon,
@@ -356,14 +351,12 @@ def run(manifest: RunManifest) -> int:
             continue
         write_trajectory_csv(log, out_dir / name)
         entries.append(_run_summary(log, name, noise_seed))
-        if log.aborted:
-            any_infeasible = True
 
     summary = {"seed": seed, "runs": entries}
     summary.update(_aggregate_reports([e for e in entries if "steps" in e]))
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"wrote {len(entries)} run(s) to {out_dir}")
-    return 2 if any_infeasible else 0
+    return 2 if any(e["aborted"] for e in entries) else 0
 
 
 def compare_timing(manifest: RunManifest, horizons=None) -> dict:

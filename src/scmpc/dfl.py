@@ -100,9 +100,9 @@ def closed_loop_rhs(x, v, guard: DflGuard) -> tuple:
     flow is exactly the double-integrator flow (away from the guard).
 
     x is a 4-sequence of floats (x1, x2, heading, zeta) and the derivative
-    is a tuple of floats, equal bit for bit to
-    ``extended_rhs(x, dfl_control(x, v, guard))``; the law and the
-    kinematics share one cos/sin evaluation.
+    is a tuple of floats: zeta integrates the law's acceleration and the
+    heading its turn rate. The law and the kinematics share one cos/sin
+    evaluation.
     """
     zeta = x[3]
     c, sn = math.cos(x[2]), math.sin(x[2])

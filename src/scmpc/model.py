@@ -1,8 +1,8 @@
 """Kinematics of a two-wheeled differential-drive robot.
 
-The wheel-level inputs, the unicycle model, and the velocity-extended
-model driven by the feedback-linearizing controller, plus a classical RK4
-integrator.
+The wheel-level inputs, the unicycle model, the state of the
+velocity-extended model driven by the feedback-linearizing controller,
+and a classical RK4 integrator.
 """
 
 import math
@@ -17,7 +17,6 @@ __all__ = [
     "ExtendedState",
     "unicycle_to_wheel",
     "unicycle_rhs",
-    "extended_rhs",
     "rk4_step",
 ]
 
@@ -61,16 +60,6 @@ def unicycle_rhs(x, u):
     """Unicycle dynamics on a 3-sequence (x1, x2, heading), as a tuple."""
     u1, u2 = u
     return (u1 * math.cos(x[2]), u1 * math.sin(x[2]), u2)
-
-
-def extended_rhs(x, control):
-    """Extended dynamics on a 4-sequence (x1, x2, heading, zeta), as a tuple.
-
-    control = (accel, turn_rate): zeta integrates the forward acceleration
-    and the heading integrates the turn rate.
-    """
-    accel, turn_rate = control
-    return (x[3] * math.cos(x[2]), x[3] * math.sin(x[2]), turn_rate, accel)
 
 
 def rk4_step(fn, state, u, ts: float) -> list:

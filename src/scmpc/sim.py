@@ -2,8 +2,9 @@
 
 The scenario's mode fixes the controller and the plant once per run;
 every step then reads the plant's float state (optionally through
-additive Gaussian measurement noise), solves, applies the first planned
-input and integrates with RK4. In cbf and euclid mode the
+additive Gaussian measurement noise), solves, logs the call's outcome,
+applies the first planned input and integrates with RK4. The log is the
+one record of the run. In cbf and euclid mode the
 controller measures the linear coordinates, and the linearizing feedback
 runs inside the integration of the extended unicycle with v held, so the
 realized motion tracks the discrete prediction model. In nmpc mode the
@@ -75,7 +76,10 @@ class Scenario:
     robot: RobotParams = field(default_factory=RobotParams)
 
     def __post_init__(self):
-        real(self.duration, "duration", above=0.0)
+        real(self.duration, "duration")
+        if self.n_steps < 1:
+            raise ConfigError(f"duration must cover at least one sample of "
+                              f"{self.mpc.ts:g} s, not {self.duration!r}")
         if self.mode not in ("cbf", "euclid", "nmpc"):
             raise ConfigError(f"unknown mode '{self.mode}'")
         object.__setattr__(self, "substeps",
@@ -85,6 +89,11 @@ class Scenario:
         real(self.start.zeta, "start.zeta", minimum=0.0)
         for value in self.goal:
             real(value, "goal")
+
+    @property
+    def n_steps(self) -> int:
+        """The run's control steps: the duration in samples, rounded."""
+        return int(round(self.duration / self.mpc.ts))
 
 
 @dataclass
@@ -118,18 +127,23 @@ class RunSummary:
 
 @dataclass
 class TrajectoryLog:
-    """Per-step records of one run plus its summary statistics."""
+    """One run: its per-step records, the outcome of each controller call
+    and its summary statistics.
+
+    calls holds (status, sqp_iterations, qp_iterations_total) of every
+    controller call in order: one per record, then the infeasible call
+    that ended the run when it aborted. Every log has at least one record.
+    """
 
     scenario: Scenario
     records: list
+    calls: list
     aborted: bool
     final_state: np.ndarray
 
     @property
     def summary(self) -> RunSummary:
         rec = self.records
-        if not rec:
-            return RunSummary(math.inf, math.inf, 0)
         gx, gy = self.scenario.goal
         final = math.hypot(rec[-1].x1 - gx, rec[-1].x2 - gy)
         if self.scenario.obstacles:
@@ -143,27 +157,29 @@ class TrajectoryLog:
         )
 
 
-def inject_noise(s: ExtendedState, variance: float, rng: np.random.Generator,
-                 mask=(True, True, True)) -> ExtendedState:
+def inject_noise(x, variance: float, rng: np.random.Generator,
+                 mask=(True, True, True)):
     """Corrupt the pose measurement with independent Gaussian draws.
 
-    Only the masked pose states are touched; the plant state itself and
-    the speed state are left unchanged.
+    x is the plant state, a sequence (x1, x2, heading) with zeta after
+    them if present. Only the masked pose states are touched and zeta
+    passes through, into a new list; x itself is returned at zero
+    variance and is never written into.
     """
     variance = real(variance, "variance", minimum=0.0)
     if variance == 0.0:
-        return s
-    sigma = math.sqrt(variance)
-    draws = rng.normal(0.0, sigma, size=3)
-    vals = [s.x1, s.x2, s.x3]
+        return x
+    draws = rng.normal(0.0, math.sqrt(variance), size=3)
+    measured = list(x)
     for i in range(3):
         if mask[i]:
-            vals[i] += draws[i]
-    return ExtendedState(vals[0], vals[1], vals[2], s.zeta)
+            measured[i] += draws[i]
+    return measured
 
 
 def run_closed_loop(sc: Scenario) -> TrajectoryLog:
-    """Execute one receding-horizon run and log every control step.
+    """Execute one receding-horizon run and log every control step and
+    the outcome of every controller call.
 
     Requires a safe initial state (nonnegative barrier for every
     obstacle). A solver failure at the first step raises InfeasibleError;
@@ -186,26 +202,25 @@ def run_closed_loop(sc: Scenario) -> TrajectoryLog:
     if nmpc:
         controller = NonlinearMpc(sc.mpc, obstacles=obstacles, goal=sc.goal)
         x = x[:3]
-        rhs, pad = unicycle_rhs, (0.0,)
+        rhs = unicycle_rhs
     else:
         controller = LinearMpc(sc.mpc, obstacles=obstacles, goal=sc.goal,
                                mode=sc.mode)
-        rhs, pad = lambda state, v: closed_loop_rhs(state, v, guard), ()
+        rhs = lambda state, v: closed_loop_rhs(state, v, guard)
     noise = sc.noise
     rng = np.random.default_rng(np.random.SeedSequence(noise.seed))
     ts, robot, substeps = sc.mpc.ts, sc.robot, sc.substeps
-    n_steps = int(round(sc.duration / ts))
     h = ts / substeps
     records = []
+    calls = []
     aborted = False
 
-    for k in range(n_steps):
+    for k in range(sc.n_steps):
         measured = x
         if noise.enabled:
-            s = inject_noise(ExtendedState(*x, *pad), noise.variance,
-                             rng, noise.mask)
-            measured = (s.x1, s.x2, s.x3, s.zeta)
+            measured = inject_noise(x, noise.variance, rng, noise.mask)
         res = controller.solve(measured if nmpc else map_x_array_to_z(measured))
+        calls.append((res.status, res.sqp_iterations, res.qp_iterations_total))
         if res.status == "infeasible":
             if k == 0:
                 raise InfeasibleError("optimization infeasible at k=0")
@@ -235,8 +250,8 @@ def run_closed_loop(sc: Scenario) -> TrajectoryLog:
         for _ in range(substeps):
             x = rk4_step(rhs, x, v, h)
 
-    return TrajectoryLog(scenario=sc, records=records, aborted=aborted,
-                         final_state=np.array(x))
+    return TrajectoryLog(scenario=sc, records=records, calls=calls,
+                         aborted=aborted, final_state=np.array(x))
 
 
 def cost_sequence(log: TrajectoryLog):
@@ -264,8 +279,6 @@ def cost_sequence(log: TrajectoryLog):
 def first_deviation_step(log: TrajectoryLog, threshold: float = 0.05):
     """First step whose lateral offset from the start-goal line exceeds
     the threshold, or None if the whole run stays within it."""
-    if not log.records:
-        return None
     sx, sy = log.records[0].x1, log.records[0].x2
     gx, gy = log.scenario.goal
     dx, dy = gx - sx, gy - sy

@@ -30,6 +30,14 @@ def _read_csv(path):
     return header, np.array(rows)
 
 
+def _strict_json(path):
+    """The JSON document at path. NaN and Infinity, which JSON does not
+    have, raise instead of parsing."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
 def test_single_run_exit_zero_and_schema(cli_config_file, tmp_path):
     out = tmp_path / "out"
     code = run(RunManifest(config_path=Path(cli_config_file()), out_dir=out))
@@ -42,7 +50,7 @@ def test_single_run_exit_zero_and_schema(cli_config_file, tmp_path):
     assert rows.shape[0] == 600
     # >= 12 significant digits survive the round trip
     assert float(f"{rows[5, 1]:.12g}") == pytest.approx(rows[5, 1], rel=1e-12)
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _strict_json(out / "summary.json")
     assert len(summary["runs"]) == 1
     assert summary["runs"][0]["aborted"] is False
 
@@ -54,7 +62,7 @@ def test_gamma_sweep_layout_and_monotonicity_report(cli_config_file, tmp_path):
     assert code == 0
     csv_files = sorted(out.glob("*.csv"))
     assert len(csv_files) == 6
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _strict_json(out / "summary.json")
     assert len(summary["runs"]) == 6
     report = summary["gamma_monotonicity"]["cbf_N8"]
     assert report["gammas"] == [0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
@@ -72,7 +80,7 @@ def test_mode_comparison_report(cli_config_file, tmp_path):
     out = tmp_path / "modes"
     code = run(RunManifest(config_path=Path(cfg_path), out_dir=out, sweep=True))
     assert code == 0
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _strict_json(out / "summary.json")
     comp = summary["mode_comparison"][0]
     assert comp["cbf_first_deviation_step"] < comp["euclid_first_deviation_step"]
     assert comp["cbf_deviates_earlier"] is True
@@ -83,7 +91,7 @@ def test_overrides_apply(cli_config_file, tmp_path):
     code = run(RunManifest(config_path=Path(cli_config_file()), out_dir=out,
                            gamma=0.5, horizon=6, mode="euclid", seed=99))
     assert code == 0
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _strict_json(out / "summary.json")
     entry = summary["runs"][0]
     assert entry["gamma"] == 0.5
     assert entry["horizon"] == 6
@@ -141,6 +149,18 @@ def test_bad_config_value_exits_three(cli_config_file, tmp_path, capsys):
     assert isinstance(cfg["substeps"], int) and isinstance(cfg["seed"], int)
 
 
+def test_a_duration_of_no_sample_exits_three(cli_config_file, tmp_path,
+                                            capsys):
+    # 0.01 s rounds to no sample of ts = 0.05 s: the run would have no step.
+    for key, command in (("scenario.duration", "simulate"),
+                         ("timing.duration", "compare-timing")):
+        out = tmp_path / command
+        assert main([command, "--config", cli_config_file({key: 0.01}),
+                     "--out", str(out)]) == 3
+        assert "duration" in capsys.readouterr().err
+        assert not list(out.glob("*.json"))
+
+
 def test_unknown_key_exits_three(cli_config_file, tmp_path, capsys):
     cfg_path = Path(cli_config_file())
     raw = json.loads(cfg_path.read_text())
@@ -170,7 +190,7 @@ def test_infeasible_run_exits_two(cli_config_file, tmp_path):
     out = tmp_path / "abort"
     code = run(RunManifest(config_path=Path(cfg), out_dir=out))
     assert code == 2
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _strict_json(out / "summary.json")
     assert summary["runs"][0]["aborted"] is True
 
 
@@ -182,7 +202,7 @@ def test_start_inside_an_obstacle_aborts_every_run(cli_config_file, tmp_path,
     assert main(["simulate", "--config", cfg, "--out", str(out),
                  "--sweep"]) == 2
     assert not list(out.glob("*.csv"))
-    runs = json.loads((out / "summary.json").read_text())["runs"]
+    runs = _strict_json(out / "summary.json")["runs"]
     assert [e["gamma"] for e in runs] == [0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
     for entry in runs:
         assert entry["aborted"] is True and "steps" not in entry
@@ -197,7 +217,7 @@ def test_summary_recomputable_from_csv(cli_config_file, tmp_path):
     out = tmp_path / "rt"
     code = run(RunManifest(config_path=Path(cli_config_file()), out_dir=out))
     assert code == 0
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _strict_json(out / "summary.json")
     entry = summary["runs"][0]
     header, rows = _read_csv(out / entry["file"])
     col = {name: i for i, name in enumerate(header)}
@@ -289,7 +309,7 @@ def test_compare_timing_table(cli_config_file, tmp_path):
     cfg = cli_config_file({"timing": {"horizons": [8], "duration": 3.0}})
     summary = compare_timing(RunManifest(config_path=Path(cfg),
                                          out_dir=tmp_path / "t"))
-    assert (tmp_path / "t" / "timing_summary.json").exists()
+    assert _strict_json(tmp_path / "t" / "timing_summary.json") == summary
     row = summary["horizons"][0]
     assert row["horizon"] == 8
     assert row["nmpc"]["median_ms"] > 0.0

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from oracles import closed_loop_rhs_array, rk4_step_array, unicycle_rhs_array
 from scmpc import ConfigError, DflGuard
 from scmpc.dfl import closed_loop_rhs
-from scmpc.model import (RobotParams, extended_rhs, rk4_step, unicycle_rhs,
-                         unicycle_to_wheel)
+from scmpc.model import RobotParams, rk4_step, unicycle_rhs, unicycle_to_wheel
 
 P = RobotParams(wheel_radius=0.1, axle_length=0.5)
 # Wheel rates (omega_r, omega_l) to body velocity (u1, u2):
@@ -50,21 +49,15 @@ def test_unicycle_derivative_examples():
     assert d == pytest.approx([1.0, 1.0, 0.3], abs=1e-12)
 
 
-def test_extended_derivative_examples():
-    d = extended_rhs(np.array([0.0, 0.0, 0.0, 1.0]), (0.0, 0.0))
-    assert d == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-15)
-    d = extended_rhs(np.array([0.0, 0.0, 0.0, 0.0]), (1.0, 0.0))
-    assert d == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=1e-15)
-    d = extended_rhs(np.array([0.0, 0.0, math.pi / 2, 2.0]), (0.5, 0.1))
-    assert d == pytest.approx([0.0, 2.0, 0.1, 0.5], abs=1e-12)
-
-
 def test_extended_coasting_conserves_speed():
+    # With v = 0 the simulated plant neither accelerates nor turns, on
+    # either side of the guard.
     rng = np.random.default_rng(2)
     for _ in range(50):
-        x = rng.uniform(-3, 3, size=4)
-        x_next = rk4_step(extended_rhs, x, (0.0, 0.0), 0.05)
-        assert x_next[3] == x[3]
+        x = rng.uniform(-3, 3, size=4).tolist()
+        x_next = rk4_step(lambda s, v: closed_loop_rhs(s, v, GUARD), x,
+                          (0.0, 0.0), 0.05)
+        assert x_next[2:] == x[2:]
 
 
 def test_rk4_zero_field_is_identity():

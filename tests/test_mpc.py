@@ -372,25 +372,16 @@ def test_zero_multipliers_keep_the_cost_model(monkeypatch):
                                    atol=1e-9 * (1.0 + np.max(np.abs(cost_grad))))
 
 
-def test_startup_transient_converges_in_few_iterations(monkeypatch):
-    statuses = []
-    solve = LinearMpc.solve
-
-    def recording(controller, z0):
-        res = solve(controller, z0)
-        statuses.append(res.status)
-        return res
-
-    monkeypatch.setattr(LinearMpc, "solve", recording)
+def test_startup_transient_converges_in_few_iterations():
     log = run_closed_loop(nominal_scenario(duration=1.0))
     assert len(log.records) == 20
-    assert statuses == ["optimal"] * 20
+    assert [c[0] for c in log.calls] == ["optimal"] * 20
     assert max(r.sqp_iterations for r in log.records) <= 8
     cfg = load_config(CONFIG)
     for gamma in (0.3, 0.5, 0.7, 0.9, 1.0):
-        statuses.clear()
         scenario = _build_scenario(cfg, gamma, None, None, cfg["seed"])
         log = run_closed_loop(replace(scenario, duration=10.0))
+        statuses = [c[0] for c in log.calls]
         assert len(statuses) == len(log.records) == 200
         assert "max_iter" not in statuses
 
@@ -431,30 +422,17 @@ def _attempt_problem(controller, z0, gamma):
     return build_qcqp(z0, controller.workspace, 1.0 - gamma)
 
 
-def test_euclid_mode_is_the_cbf_rows_at_gamma_one(monkeypatch):
+def test_euclid_mode_is_the_cbf_rows_at_gamma_one():
     # The Euclidean rows h(p_{k+1}) >= 0 are the barrier rows at gamma = 1,
     # whatever gamma the euclid config carries: the two runs agree in every
     # step field but the solve time, in the final state, and in each
     # controller call's status and SQP and QP counts.
-    solve = LinearMpc.solve
-    runs = []
-    for gamma, mode in ((0.1, "euclid"), (1.0, "cbf")):
-        calls = []
-
-        def recording(controller, z0, _calls=calls):
-            res = solve(controller, z0)
-            _calls.append((res.status, res.sqp_iterations,
-                           res.qp_iterations_total))
-            return res
-
-        monkeypatch.setattr(LinearMpc, "solve", recording)
-        log = run_closed_loop(nominal_scenario(gamma=gamma, mode=mode,
-                                               duration=2.0))
-        runs.append((log, calls))
-    (a, calls_a), (b, calls_b) = runs
-    assert len(a.records) == len(b.records) == len(calls_a) == 40
-    assert calls_a == calls_b
-    assert any(c[2] > 0 for c in calls_a)  # some steps build and solve a QCQP
+    a, b = (run_closed_loop(nominal_scenario(gamma=gamma, mode=mode,
+                                             duration=2.0))
+            for gamma, mode in ((0.1, "euclid"), (1.0, "cbf")))
+    assert len(a.records) == len(b.records) == len(a.calls) == 40
+    assert a.calls == b.calls
+    assert any(c[2] > 0 for c in a.calls)  # some steps build and solve a QCQP
     names = [f.name for f in fields(StepRecord) if f.name != "solve_time"]
     for ra, rb in zip(a.records, b.records):
         for name in names:
@@ -479,19 +457,11 @@ def test_sqp_exit_stops_only_where_a_resolve_confirms(monkeypatch):
         np.testing.assert_array_equal(again.v_sequence, res.v_sequence)
 
 
-def test_sqp_exit_leaves_the_gauss_newton_baseline_alone(monkeypatch):
+def test_sqp_exit_leaves_the_gauss_newton_baseline_alone():
     # The rollout's model is never the exact cost, so the baseline keeps
     # the counts it had before the exit existed.
-    statuses = []
-    solve = NonlinearMpc.solve
-
-    def recording(controller, x0):
-        res = solve(controller, x0)
-        statuses.append(res.status)
-        return res
-
-    monkeypatch.setattr(NonlinearMpc, "solve", recording)
     log = run_closed_loop(nominal_scenario(mode="nmpc", duration=8.0))
+    statuses = [c[0] for c in log.calls]
     assert len(statuses) == len(log.records) == 160
     assert sum(r.sqp_iterations for r in log.records) == 3049
     assert statuses.count("max_iter") == 54

@@ -19,7 +19,9 @@ from scmpc.sim import StepRecord, inject_noise
 
 
 def test_scenario_validation():
-    for duration in (0.0, math.inf, math.nan, True, "3"):
+    # A duration must round to at least one sample of 0.05 s, so every log
+    # has a step: 0.025 s is half a sample and rounds to 0.
+    for duration in (0.0, math.inf, math.nan, True, "3", 0.01, 0.025):
         with pytest.raises(ConfigError, match="duration"):
             Scenario(start=ExtendedState(0, 0, 0, 0.5), duration=duration)
     with pytest.raises(ConfigError):
@@ -47,7 +49,8 @@ def test_scenario_validation():
     # An integral float is stored as an int and runs.
     sc = nominal_scenario(substeps=2.0, duration=0.2)
     assert sc.substeps == 2 and isinstance(sc.substeps, int)
-    assert len(run_closed_loop(sc).records) == 4
+    assert len(run_closed_loop(sc).records) == sc.n_steps == 4
+    assert nominal_scenario(duration=0.03).n_steps == 1
 
 
 def test_regulation_run_converges():
@@ -112,8 +115,8 @@ def test_forward_invariance_and_realized_decay_chain():
 
 def test_inject_noise_zero_variance_is_identity():
     rng = np.random.default_rng(0)
-    s = ExtendedState(1.0, 2.0, 0.3, 0.7)
-    assert inject_noise(s, 0.0, rng) is s
+    x = [1.0, 2.0, 0.3, 0.7]
+    assert inject_noise(x, 0.0, rng) is x
 
 
 @pytest.mark.parametrize("variance", [float("nan"), float("inf"), True,
@@ -121,25 +124,26 @@ def test_inject_noise_zero_variance_is_identity():
 def test_inject_noise_rejects_a_bad_variance(variance):
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigError, match="variance"):
-        inject_noise(ExtendedState(1.0, 2.0, 0.3, 0.7), variance, rng)
+        inject_noise([1.0, 2.0, 0.3, 0.7], variance, rng)
 
 
 def test_inject_noise_statistics():
     rng = np.random.default_rng(22)
-    s = ExtendedState(0.0, 0.0, 0.0, 1.0)
-    samples = np.array([inject_noise(s, 0.05, rng).x1 for _ in range(100000)])
+    x = [0.0, 0.0, 0.0, 1.0]
+    samples = np.array([inject_noise(x, 0.05, rng)[0] for _ in range(100000)])
     assert abs(samples.mean()) < 0.01
     assert abs(samples.var() - 0.05) < 0.05 * 0.05
 
 
 def test_inject_noise_respects_mask_and_speed():
     rng = np.random.default_rng(23)
-    s = ExtendedState(1.0, 2.0, 0.3, 0.7)
-    out = inject_noise(s, 0.05, rng, mask=(True, False, False))
-    assert out.x1 != s.x1
-    assert out.x2 == s.x2
-    assert out.x3 == s.x3
-    assert out.zeta == s.zeta
+    x = [1.0, 2.0, 0.3, 0.7]
+    out = inject_noise(x, 0.05, rng, mask=(True, False, False))
+    assert out[0] != x[0]
+    assert out[1:] == x[1:]
+    assert x == [1.0, 2.0, 0.3, 0.7]  # the plant state is not touched
+    pose = inject_noise((1.0, 2.0, 0.3), 0.05, rng)  # nmpc: no zeta
+    assert len(pose) == 3 and pose[2] != 0.3
 
 
 @pytest.mark.parametrize("mode", ["cbf", "nmpc"])
@@ -247,19 +251,39 @@ def test_infeasible_at_start_raises():
         run_closed_loop(blocked)
 
 
-def test_midrun_infeasibility_aborts_with_partial_log():
+def _midrun_infeasible_scenario():
     # Weak input authority and a head-on approach: the first solves are
     # feasible, the decay chain fails once the robot has committed.
     cfg = MpcConfig(gamma=0.1, horizon=8, constraint_horizon=0,
                     R=np.diag([10.0, 10.0]), v_min=[-0.5, -0.5],
                     v_max=[0.5, 0.5])
-    sc = Scenario(start=ExtendedState(5.0, 0.0, math.pi, 1.0),
-                  obstacles=(Obstacle(1.8, 0.0, 0.5),), goal=(0.0, 0.0),
-                  mpc=cfg, duration=8.0)
-    log = run_closed_loop(sc)
+    return Scenario(start=ExtendedState(5.0, 0.0, math.pi, 1.0),
+                    obstacles=(Obstacle(1.8, 0.0, 0.5),), goal=(0.0, 0.0),
+                    mpc=cfg, duration=8.0)
+
+
+def test_midrun_infeasibility_aborts_with_partial_log():
+    log = run_closed_loop(_midrun_infeasible_scenario())
     assert log.aborted
     assert 0 < len(log.records) < 100
 
+
+@pytest.mark.parametrize("sc", [
+    nominal_scenario(duration=10.0),
+    nominal_scenario(mode="nmpc", duration=2.0),
+    _midrun_infeasible_scenario(),
+], ids=["cbf", "nmpc", "midrun-abort"])
+def test_log_keeps_each_calls_outcome(sc):
+    # One call per record, in order, then the infeasible call that ended
+    # an aborted run; every recorded step took at least one SQP iteration.
+    log = run_closed_loop(sc)
+    n = len(log.records)
+    assert len(log.calls) == n + log.aborted
+    assert [c[1] for c in log.calls[:n]] == [r.sqp_iterations
+                                             for r in log.records]
+    assert min(c[1] for c in log.calls[:n]) >= 1
+    assert all(c[0] in ("optimal", "max_iter") for c in log.calls[:n])
+    assert log.aborted == (log.calls[-1][0] == "infeasible")
 
 def test_first_deviation_step_ordering_between_modes():
     cbf = run_closed_loop(comparison_scenario("cbf"))

@@ -25,6 +25,12 @@ Compare two checkouts from the root of either:
     PYTHONPATH=src python tools/trajdiff.py dump new.json
     python tools/trajdiff.py diff old.json new.json
 
+The calls are read from TrajectoryLog.calls. A checkout whose
+TrajectoryLog has no calls must be dumped with its own trajdiff, which
+wraps the controllers' solve to record them:
+
+    PYTHONPATH=/path/to/old/src python /path/to/old/tools/trajdiff.py dump old.json
+
 The diff prints one line per run that both dumps have: the largest
 absolute deviation of any step field but the SQP count (and where it is,
 and the largest in the position and in the virtual input v on their own),
@@ -127,35 +133,18 @@ def run_set(config_path):
     return runs
 
 
-_CALLS = []  # in a worker: status and counts of the current run's calls
-
-
-def _install_recorder():
-    """Wrap both controllers' solve to record each call in _CALLS."""
-    from scmpc.mpc import LinearMpc, NonlinearMpc
-
-    for cls in (LinearMpc, NonlinearMpc):
-        def wrapper(controller, state, _solve=cls.solve):
-            res = _solve(controller, state)
-            _CALLS.append([res.status, res.sqp_iterations,
-                           res.qp_iterations_total])
-            return res
-        cls.solve = wrapper
-
-
 def _dump_run(job):
     """(name, the run's dump entry, or the error it raised) of one run."""
     from scmpc import InfeasibleError, run_closed_loop
 
     config_path, name, names = job
-    _CALLS.clear()
     try:
         log = run_closed_loop(run_set(config_path)[name])
     except InfeasibleError as exc:
         return name, f"run raised {exc!r}"
     return name, {
         "steps": [[_plain(getattr(r, f)) for f in names] for r in log.records],
-        "calls": list(_CALLS),
+        "calls": log.calls,
         "aborted": bool(log.aborted),
         "final_state": [float(x) for x in log.final_state],
     }
@@ -163,16 +152,16 @@ def _dump_run(job):
 
 def dump(path, config_path=CONFIG):
     """Run the run set with the importable scmpc on a pool of two spawned
-    worker processes, each with its own call recorder, and write the dump.
-    The runs are kept in run-set order, so the file is the same as one
-    written by running them one after another."""
+    worker processes and write the dump. The runs are kept in run-set
+    order, so the file is the same as one written by running them one
+    after another."""
     from scmpc.sim import StepRecord
 
     names = [f.name for f in fields(StepRecord) if f.name not in SKIPPED]
     out = {"fields": names, "runs": {}}
     jobs = [(config_path, name, names) for name in run_set(config_path)]
     ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(2, initializer=_install_recorder) as pool:
+    with ctx.Pool(2) as pool:
         for name, run in pool.imap(_dump_run, jobs):
             if isinstance(run, str):
                 sys.exit(f"{name}: {run}")
